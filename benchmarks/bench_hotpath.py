@@ -2,9 +2,9 @@
 
 Measures the quantities docs/PERFORMANCE.md optimises — decisions/sec and
 p50/p95 per-estimate latency on the DemCOM payment-estimation
-microbenchmark, decisions/sec on a full DemCOM run, and (on multi-core
-machines) the parallel executor's wall-clock speedup.  Every section is
-measured twice in the same process: ``baseline`` runs the retained
+microbenchmark, decisions/sec on full DemCOM and RamCOM runs, and (on
+multi-core machines) the parallel executor's wall-clock speedup.  Every
+section is measured twice in the same process: ``baseline`` runs the retained
 reference implementations (``fast_path=False``, bit-identical to the
 pre-optimisation code) and ``current`` runs the default fast path, so the
 recorded speedups are self-relative and transfer across machines.
@@ -42,6 +42,7 @@ def test_fast_path_not_slower():
     # records the real margin (>= 2x on the payment microbenchmark).
     assert payload["payment_micro"]["speedup"] > 1.0
     assert payload["demcom_end_to_end"]["speedup"] > 0.9
+    assert payload["ramcom_end_to_end"]["speedup"] > 1.0
 
 
 def main(argv: list[str] | None = None) -> int:

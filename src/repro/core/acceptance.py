@@ -213,7 +213,7 @@ class AcceptanceEstimator:
 
         Two calls return equal signatures iff none of the candidates'
         histories changed in between — the precise validity condition
-        for speculative estimates/quotes over that candidate set.  The
+        for speculative estimates over that candidate set.  The
         global :attr:`version` is a conservative proxy (any mutation
         anywhere); the signature lets speculation survive completions
         that only touch *other* workers
@@ -271,8 +271,8 @@ class AcceptanceEstimator:
         """The candidates' :class:`~repro.core.payment_kernel.CandidateMatrix`,
         memoised per candidate-id tuple until the next history mutation.
 
-        The array backend's hot path: repeated estimates/quotes over the
-        same candidate set (the common case — the gateway's micro-batches
+        The array backend's hot path: repeated estimates over the same
+        candidate set (the common case — the gateway's micro-batches
         and the benchmarks reuse candidate sets heavily) skip both the
         snapshot walk and the matrix build entirely.
         """

@@ -274,9 +274,9 @@ class OnlineAlgorithm(ABC):
 
     #: What the gateway's micro-batched dispatch may precompute for this
     #: algorithm's cooperative path: ``"estimate"`` (a keyed Algorithm-2
-    #: payment estimate), ``"quote"`` (a deterministic MER quote) or
-    #: ``None`` (no speculation — the safe default for algorithms whose
-    #: decisions the session cannot predict side-effect-free).
+    #: payment estimate) or ``None`` (no speculation — the safe default for
+    #: algorithms whose decisions the session cannot predict
+    #: side-effect-free).
     speculates: str | None = None
 
     def on_worker_arrival(self, worker: Worker, context: PlatformContext) -> None:

@@ -238,9 +238,6 @@ class CandidateMatrix:
     ``denominators``
         ``sizes`` with cold candidates' zeros replaced by 1 — the safe
         division denominator (Eq. 4 divides by N).
-    ``support_low`` / ``support_high``
-        Min/max history value per candidate (``+inf`` / ``-inf`` for
-        cold candidates) — the CDF's support bounds.
     ``cold``
         Boolean mask of candidates with no history (Eq. 4 falls back to
         ``default_probability`` for them at any positive payment).
@@ -260,8 +257,6 @@ class CandidateMatrix:
         "segments",
         "sizes",
         "denominators",
-        "support_low",
-        "support_high",
         "cold",
         "grid_cache",
     )
@@ -275,8 +270,6 @@ class CandidateMatrix:
         segments: Any,
         sizes: Any,
         denominators: Any,
-        support_low: Any,
-        support_high: Any,
         cold: Any,
     ):
         self.mode = mode
@@ -286,8 +279,6 @@ class CandidateMatrix:
         self.segments = segments
         self.sizes = sizes
         self.denominators = denominators
-        self.support_low = support_low
-        self.support_high = support_high
         self.cold = cold
         self.grid_cache: dict[Any, Any] = {}
 
@@ -313,8 +304,6 @@ def build_matrix(
     rows = snapshot.rows
     count = len(rows)
     lengths = _np.zeros(count, dtype=_np.int64)
-    support_low = _np.full(count, _np.inf)
-    support_high = _np.full(count, -_np.inf)
     cold = _np.zeros(count, dtype=bool)
     arrays = []
     for index, (history, size) in enumerate(rows):
@@ -336,8 +325,6 @@ def build_matrix(
                 array_cache[worker_id] = array
         arrays.append(array)
         lengths[index] = size
-        support_low[index] = array[0]
-        support_high[index] = array[-1]
     if arrays:
         entries = _np.concatenate(arrays)
     else:
@@ -353,8 +340,6 @@ def build_matrix(
         segments=segments,
         sizes=sizes,
         denominators=denominators,
-        support_low=support_low,
-        support_high=support_high,
         cold=cold,
     )
 

@@ -17,23 +17,33 @@ step functions whose steps sit exactly at history values, so including them
 makes the discrete maximization exact for the estimator the algorithm
 actually uses.
 
-Like Algorithm 2, the any-acceptance product is the pricer's hot loop (one
-Eq.-4 query per candidate per grid point).  By default :meth:`quote` runs
-on the snapshot fast path — candidate histories are materialised once per
-call (:meth:`~repro.core.acceptance.AcceptanceEstimator.snapshot`) and the
-product iterates ``(history, size)`` tuples with an inlined ``bisect`` and
-one offer normalisation per grid point.  The product multiplies the exact
-same factors in the exact same candidate order, so quotes are bit-identical
-to the reference path (``fast_path=False``); see docs/PERFORMANCE.md.
+The any-acceptance product is the pricer's hot loop (one Eq.-4 query per
+candidate per candidate payment).  By default :meth:`quote` prunes it
+without changing a bit of the answer:
+
+* it sweeps the candidate payments in ascending order and stops at the
+  first payment whose margin ``v_r - v'`` falls *strictly* below the best
+  expected revenue so far — ``pr <= 1`` bounds every later payment's
+  expected revenue by its margin, which only shrinks as ``v'`` grows, and
+  a tie must still be evaluated because it goes to the higher payment;
+* candidate histories are materialised once per call
+  (:meth:`~repro.core.acceptance.AcceptanceEstimator.snapshot`) and each
+  candidate keeps a monotone cursor into its sorted history in place of a
+  ``bisect`` per (payment, candidate) — offers never decrease, so the
+  cursor always equals ``bisect_right``.
+
+The product multiplies the same factors in the same candidate order and
+the ``(expected, payment)`` argmax does not depend on evaluation order, so
+quotes are bit-identical to the reference path (``fast_path=False``),
+which evaluates every payment in build order; see
+docs/PERFORMANCE.md#pruned-mer-quote.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
-from repro.core import payment_kernel
 from repro.core.acceptance import AcceptanceEstimator
 from repro.errors import ConfigurationError
 
@@ -74,24 +84,10 @@ class MaximumExpectedRevenuePricer:
     max_breakpoints:
         Cap on history breakpoints considered, for dense histories.
     fast_path:
-        Evaluate the any-acceptance product over a per-call history
-        snapshot (default).  ``False`` selects the reference per-query
-        implementation — bit-identical results, kept for the equivalence
-        tests and the ``bench_hotpath`` baseline.
-    backend:
-        ``"python"`` (default), ``"numpy"`` or ``"auto"`` — same knob and
-        ``REPRO_PAYMENT_BACKEND`` override as the payment estimator.  On
-        the numpy backend the whole payment grid × candidate probability
-        table is one vectorized evaluation
-        (:func:`repro.core.payment_kernel.acceptance_probabilities`);
-        quotes match the scalar path at documented float tolerance
-        (docs/PERFORMANCE.md#the-array-backend).
-    vector_min_candidates:
-        Candidate-count crossover for the numpy backend: below it the
-        scalar fast path is cheaper (fixed array-call overhead dominates
-        tiny products), so the quote delegates to it.  The rule is a
-        pure function of the candidate set, so a run's decisions are
-        identical whatever order or batching requests arrive in.
+        Run the pruned ascending sweep (default).  ``False`` selects the
+        reference implementation, which evaluates every candidate payment
+        with one Eq.-4 query per candidate — bit-identical results, kept
+        for the equivalence tests and the ``bench_hotpath`` baseline.
     """
 
     def __init__(
@@ -101,8 +97,6 @@ class MaximumExpectedRevenuePricer:
         include_history_breakpoints: bool = True,
         max_breakpoints: int = 200,
         fast_path: bool = True,
-        backend: str = "python",
-        vector_min_candidates: int = 4,
     ):
         if grid_steps < 1:
             raise ConfigurationError(f"grid_steps must be >= 1, got {grid_steps}")
@@ -115,23 +109,10 @@ class MaximumExpectedRevenuePricer:
         self.include_history_breakpoints = include_history_breakpoints
         self.max_breakpoints = max_breakpoints
         self.fast_path = fast_path
-        self.backend = payment_kernel.resolve_backend(backend)
-        self.vector_min_candidates = vector_min_candidates
-        #: Speculative quotes from :meth:`prime_quotes`, keyed by
-        #: ``(value, candidate_ids)`` and guarded by the candidates'
-        #: :meth:`~repro.core.acceptance.AcceptanceEstimator.history_signature`
-        #: (quotes are deterministic — no RNG — so a signature match IS
-        #: the answer, even if *other* workers' histories changed).
-        self._primed: dict[tuple, tuple[tuple[int, ...], PricingQuote]] = {}
-        #: Number of quotes answered from a primed batch.
-        self.prime_hits = 0
-
-    def _vectorize(self, worker_ids: Sequence[Hashable]) -> bool:
-        """Whether the numpy backend prices this candidate set itself."""
-        return (
-            self.backend == "numpy"
-            and len(worker_ids) >= self.vector_min_candidates
-        )
+        #: Cumulative candidate payments built and evaluated by
+        #: :meth:`quote`; their ratio is the pruning rate.
+        self.payments_built = 0
+        self.payments_evaluated = 0
 
     def _any_acceptance_probability(
         self, payment: float, request_value: float, worker_ids: Sequence[Hashable]
@@ -165,101 +146,98 @@ class MaximumExpectedRevenuePricer:
             payments.extend(v for v in breakpoints if 0.0 < v <= request_value)
         return payments
 
-    def _quote_numpy(
-        self, request_value: float, worker_ids: Sequence[Hashable]
-    ) -> PricingQuote:
-        """Array-backend quote: one vectorized probability table.
-
-        Same candidate payments, the same sequential ``1 - p`` product in
-        candidate order (``multiply.reduce``) and the same lexicographic
-        ``(expected, payment)`` selection as the scalar loop.
-
-        Payments at or past every history entry of *some* warm candidate
-        collapse the product exactly (that candidate's Eq.-4 probability
-        is ``size/size == 1.0``, so ``any_accepts == 1.0`` and
-        ``expected == request_value - payment``, strictly decreasing) —
-        the vectorized analogue of the scalar loop's product-collapse
-        early exit.  Only the payments *below* that support bound need
-        the probability table, which is where the table's cost lives;
-        the answer is identical to evaluating every column.
-        """
-        kernel = payment_kernel
-        np = kernel._np
-        payments = np.asarray(
-            self._candidate_payments(request_value, worker_ids),
-            dtype=np.float64,
-        )
-        matrix = self.estimator.matrix(worker_ids)
-        # Smallest offer at which some warm candidate accepts surely
-        # (+inf when every candidate is cold — cold probability < 1).
-        collapse = float(np.where(matrix.cold, np.inf, matrix.support_high).min())
-        if matrix.mode == "relative":
-            offers = payments / request_value
-        else:
-            offers = payments
-        sure = offers >= collapse
-        best_payment = -np.inf
-        best_expected = -np.inf
+    def _quote_reference(
+        self,
+        request_value: float,
+        worker_ids: Sequence[Hashable],
+        payments: list[float],
+    ) -> tuple[float, float, float, int]:
+        """Every candidate payment, in build order, one Eq.-4 query per
+        candidate — the equivalence oracle for the pruned sweep."""
+        best_payment = request_value
+        best_expected = -1.0
         best_probability = 0.0
-        if sure.any():
-            # expected == request_value - payment here, strictly
-            # decreasing, so only the smallest sure payment can win.
-            payment = float(payments[sure].min())
-            best_payment = payment
-            best_expected = request_value - payment
-            best_probability = 1.0
-            payments = payments[~sure]
-        if payments.size:
-            probabilities = kernel.acceptance_probabilities(
-                matrix, payments, request_value
+        for payment in payments:
+            probability = self._any_acceptance_probability(
+                payment, request_value, worker_ids
             )
-            none_accepts = np.multiply.reduce(1.0 - probabilities, axis=0)
-            any_accepts = 1.0 - none_accepts
-            expected = (request_value - payments) * any_accepts
-            sub_best = float(expected.max())
-            ties = expected == sub_best
-            tie_payments = payments[ties]
-            pick = int(tie_payments.argmax())
-            sub_payment = float(tie_payments[pick])
-            # Same lexicographic (expected, payment) rule as the scalar
-            # loop, now across the two partitions.
-            if (sub_best, sub_payment) > (best_expected, best_payment):
-                best_expected = sub_best
-                best_payment = sub_payment
-                best_probability = float(any_accepts[ties][pick])
-        return PricingQuote(
-            payment=best_payment,
-            expected_revenue=max(0.0, best_expected),
-            acceptance_probability=best_probability,
-        )
+            expected = (request_value - payment) * probability
+            # Tie-break toward higher payment: same platform revenue but a
+            # higher chance of acceptance (and a happier lender).
+            if expected > best_expected or (
+                expected == best_expected and payment > best_payment
+            ):
+                best_expected = expected
+                best_payment = payment
+                best_probability = probability
+        return best_payment, best_expected, best_probability, len(payments)
 
-    def prime_quotes(
-        self, items: Sequence[tuple[float, Sequence[Hashable]]]
-    ) -> int:
-        """Speculatively quote a batch of ``(value, candidate_ids)`` items.
-
-        Quotes are pure functions of the inputs and the candidates'
-        histories, so a later :meth:`quote` call with matching inputs
-        (and an unchanged per-candidate history signature) returns the
-        primed quote — identical by construction, never by luck.  Stale
-        or unmatched entries are simply recomputed.  Only the numpy
-        backend speculates, and only for candidate sets it would price
-        itself (``vector_min_candidates``); returns the number primed.
-        """
-        self._primed.clear()
-        if self.backend != "numpy":
-            return 0
-        for value, worker_ids in items:
-            if value <= 0 or not self._vectorize(worker_ids):
-                continue
-            ids = tuple(worker_ids)
-            cache_key = (value, ids)
-            if cache_key not in self._primed:
-                self._primed[cache_key] = (
-                    self.estimator.history_signature(ids),
-                    self._quote_numpy(value, ids),
-                )
-        return len(self._primed)
+    def _quote_pruned(
+        self,
+        request_value: float,
+        worker_ids: Sequence[Hashable],
+        payments: list[float],
+    ) -> tuple[float, float, float, int]:
+        """Ascending sweep with a strict revenue-bound stop and monotone
+        per-candidate history cursors; bit-identical to
+        :meth:`_quote_reference` (docs/PERFORMANCE.md#pruned-mer-quote)."""
+        payments.sort()
+        rows = self.estimator.snapshot(worker_ids).rows
+        relative = self.estimator.mode == "relative"
+        cold_factor = 1.0 - self.estimator.default_probability
+        # One [history, size, cursor] per candidate, in candidate order.
+        # The cursor is bisect_right(history, offer) at the last offer the
+        # candidate was evaluated at; offers never decrease, so it only
+        # moves forward.  Candidates after an early product collapse lag
+        # behind and catch up at the next payment.
+        states = [[history, size, 0] for history, size in rows]
+        best_payment = request_value
+        best_expected = -1.0
+        best_probability = 0.0
+        evaluated = 0
+        for payment in payments:
+            margin = request_value - payment
+            # expected <= margin (probability <= 1) and margin never grows
+            # with payment, so once margin < best no later payment can beat
+            # or tie best.  Strict, because a tie goes to the higher
+            # payment.  A zero best is exempt: the top grid point may round
+            # past v_r, where a zero-probability payment ties it at -0.0.
+            if margin < best_expected and best_expected > 0.0:
+                break
+            evaluated += 1
+            offer = payment / request_value if relative else payment
+            cold = cold_factor if payment > 0 else 1.0
+            none_accepts = 1.0
+            for state in states:
+                history, size, position = state
+                if history is None:
+                    none_accepts *= cold
+                else:
+                    if position < size and history[position] <= offer:
+                        position += 1
+                        while position < size and history[position] <= offer:
+                            position += 1
+                        state[2] = position
+                    if position == 0:
+                        # Probability 0: multiplying by 1.0 is a no-op.
+                        continue
+                    if position == size:
+                        # Probability exactly 1.0: the product collapses,
+                        # matching the reference early-exit.
+                        none_accepts = 0.0
+                        break
+                    none_accepts *= 1.0 - position / size
+                if none_accepts == 0.0:
+                    break
+            probability = 1.0 - none_accepts
+            expected = margin * probability
+            if expected > best_expected or (
+                expected == best_expected and payment > best_payment
+            ):
+                best_expected = expected
+                best_payment = payment
+                best_probability = probability
+        return best_payment, best_expected, best_probability, evaluated
 
     def quote(
         self, request_value: float, worker_ids: Sequence[Hashable]
@@ -273,63 +251,15 @@ class MaximumExpectedRevenuePricer:
             return PricingQuote(
                 payment=request_value, expected_revenue=0.0, acceptance_probability=0.0
             )
-        if self._vectorize(worker_ids):
-            if self._primed:
-                ids = tuple(worker_ids)
-                cached = self._primed.pop((request_value, ids), None)
-                if cached is not None:
-                    signature, primed = cached
-                    if signature == self.estimator.history_signature(ids):
-                        self.prime_hits += 1
-                        return primed
-            return self._quote_numpy(request_value, worker_ids)
-        rows = (
-            self.estimator.snapshot(worker_ids).rows if self.fast_path else None
+        payments = self._candidate_payments(request_value, worker_ids)
+        self.payments_built += len(payments)
+        evaluate = self._quote_pruned if self.fast_path else self._quote_reference
+        payment, expected, probability, evaluated = evaluate(
+            request_value, worker_ids, payments
         )
-        relative = self.estimator.mode == "relative"
-        default_probability = self.estimator.default_probability
-        best_payment = request_value
-        best_expected = -1.0
-        best_probability = 0.0
-        for payment in self._candidate_payments(request_value, worker_ids):
-            if rows is None:
-                probability = self._any_acceptance_probability(
-                    payment, request_value, worker_ids
-                )
-            else:
-                # Fast path: same factors, same candidate order, one offer
-                # normalisation per grid point — bit-identical product.
-                offer = payment / request_value if relative else payment
-                cold = default_probability if payment > 0 else 0.0
-                none_accepts = 1.0
-                for history, size in rows:
-                    if history is None:
-                        none_accepts *= 1.0 - cold
-                    elif history[0] > offer:
-                        # Probability 0: multiplying by 1.0 is a no-op.
-                        continue
-                    elif history[size - 1] <= offer:
-                        # Probability exactly 1.0: the product collapses,
-                        # matching the reference early-exit.
-                        none_accepts = 0.0
-                    else:
-                        none_accepts *= (
-                            1.0 - bisect_right(history, offer) / size
-                        )
-                    if none_accepts == 0.0:
-                        break
-                probability = 1.0 - none_accepts
-            expected = (request_value - payment) * probability
-            # Tie-break toward higher payment: same platform revenue but a
-            # higher chance of acceptance (and a happier lender).
-            if expected > best_expected or (
-                expected == best_expected and payment > best_payment
-            ):
-                best_expected = expected
-                best_payment = payment
-                best_probability = probability
+        self.payments_evaluated += evaluated
         return PricingQuote(
-            payment=best_payment,
-            expected_revenue=max(0.0, best_expected),
-            acceptance_probability=best_probability,
+            payment=payment,
+            expected_revenue=max(0.0, expected),
+            acceptance_probability=probability,
         )

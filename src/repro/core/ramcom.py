@@ -45,9 +45,6 @@ class RamCOM(OnlineAlgorithm):
     """
 
     name = "RamCOM"
-    #: Micro-batching hint: the cooperative path's expensive step is a
-    #: deterministic MER quote (docs/SERVICE.md#micro-batched-dispatch).
-    speculates = "quote"
 
     def __init__(self, fixed_k: int | None = None):
         self.fixed_k = fixed_k
@@ -85,25 +82,28 @@ class RamCOM(OnlineAlgorithm):
 
         # Lines 4-7: big-value requests go to a random eligible inner worker.
         if request.value > self._threshold:
-            if context.probe.enabled:
-                context.probe.count(
-                    "ramcom_routes_total",
-                    platform=context.platform_id,
-                    route="inner_reserved",
-                )
             inner = context.inner_candidates(request)
             if inner:
+                if context.probe.enabled:
+                    context.probe.count(
+                        "ramcom_routes_total",
+                        platform=context.platform_id,
+                        route="inner_reserved",
+                    )
                 worker = context.rng.choice(inner)
                 return Decision.serve_inner(worker)
-        elif context.probe.enabled:
-            context.probe.count(
-                "ramcom_routes_total",
-                platform=context.platform_id,
-                route="cooperative",
-            )
             # No inner available: fall through to the cooperative path, as in
             # the paper's Example 3 (r_3 exceeds the threshold but is served
             # by an outer worker because every inner worker is busy).
+            route = "inner_fallback"
+        else:
+            route = "cooperative"
+        if context.probe.enabled:
+            context.probe.count(
+                "ramcom_routes_total",
+                platform=context.platform_id,
+                route=route,
+            )
 
         # Lines 9-11: price via Definition 4.1, then run Algorithm 1's
         # offer loop (lines 13-26) at that payment.  A degraded exchange
@@ -121,8 +121,15 @@ class RamCOM(OnlineAlgorithm):
                 request=request.request_id,
                 candidates=len(candidate_ids),
             ) as span:
-                quote = context.pricer.quote(request.value, candidate_ids)
-                span.annotate(payment=quote.payment)
+                pricer = context.pricer
+                built = pricer.payments_built
+                evaluated = pricer.payments_evaluated
+                quote = pricer.quote(request.value, candidate_ids)
+                span.annotate(
+                    payment=quote.payment,
+                    payments_built=pricer.payments_built - built,
+                    payments_evaluated=pricer.payments_evaluated - evaluated,
+                )
         else:
             quote = context.pricer.quote(request.value, candidate_ids)
         payment = quote.payment

@@ -110,10 +110,11 @@ class SimulatorConfig:
     pricer_history_breakpoints: bool = True
     #: Eq.-4 estimate for workers with no history.
     default_acceptance: float = 0.5
-    #: Run Algorithm 2 and the MER pricer on the snapshot fast path
-    #: (docs/PERFORMANCE.md).  ``False`` selects the reference per-query
-    #: implementations — bit-identical results, ~2-5x slower; kept for the
-    #: fast-path equivalence tests and ``benchmarks/bench_hotpath.py``.
+    #: Run Algorithm 2 on the snapshot fast path and the MER pricer on the
+    #: pruned sweep (docs/PERFORMANCE.md).  ``False`` selects the
+    #: reference per-query implementations — bit-identical results, ~2-5x
+    #: slower; kept for the fast-path equivalence tests and
+    #: ``benchmarks/bench_hotpath.py``.
     payment_fast_path: bool = True
     #: Payment/acceptance backend: ``"python"`` (default — the scalar
     #: byte-stable paths), ``"numpy"`` (the vectorized array backend;
@@ -419,7 +420,6 @@ class SimulationSession:
             grid_steps=config.pricer_grid_steps,
             include_history_breakpoints=config.pricer_history_breakpoints,
             fast_path=config.payment_fast_path,
-            backend=backend,
         )
 
         self.algorithms: dict[str, OnlineAlgorithm] = {}
@@ -662,10 +662,9 @@ class SimulationSession:
 
         The gateway's micro-batched dispatch (docs/SERVICE.md) calls this
         on the decision loop just before processing a drained batch, so
-        the expensive Algorithm-2 estimates (DemCOM) or MER quotes
-        (RamCOM) for the whole batch run as **one** vectorized kernel
-        invocation instead of one per request.  Returns the number of
-        primed entries.
+        the expensive Algorithm-2 estimates (DemCOM) for the whole batch
+        run as **one** vectorized kernel invocation instead of one per
+        request.  Returns the number of primed entries.
 
         Strictly side-effect-free on matching state: candidate sets are
         read through raw exchange queries (no probes, no resilience
@@ -682,38 +681,22 @@ class SimulationSession:
         """
         if self._resilient is not None or self._probe.enabled:
             return 0
-        if (
-            self.payment_estimator.backend != "numpy"
-            and self.pricer.backend != "numpy"
-        ):
+        if self.payment_estimator.backend != "numpy":
             return 0
         if self.concurrency_monitor is not None:
             self.concurrency_monitor.touch("session")
         estimates: list[tuple[float, tuple, Hashable]] = []
-        quotes: list[tuple[float, tuple]] = []
         for request in requests:
             platform_id = request.platform_id
             algorithm = self.algorithms.get(platform_id)
-            if algorithm is None:
-                continue
-            speculates = algorithm.speculates
-            if speculates is None:
+            if algorithm is None or algorithm.speculates != "estimate":
                 continue
             context = self.contexts[platform_id]
             if not context.cooperation_enabled:
                 continue
-            if speculates == "estimate":
-                # DemCOM: inner workers preempt the cooperative path.
-                if self.exchange.has_inner_candidates(platform_id, request):
-                    continue
-            elif speculates == "quote":
-                # RamCOM: big-value requests are reserved for inner
-                # workers; they only reach the pricer when none exist.
-                threshold = getattr(algorithm, "threshold", 0.0)
-                if request.value > threshold and self.exchange.has_inner_candidates(
-                    platform_id, request
-                ):
-                    continue
+            # DemCOM: inner workers preempt the cooperative path.
+            if self.exchange.has_inner_candidates(platform_id, request):
+                continue
             try:
                 outer = self.exchange.outer_candidates(platform_id, request)
             except ExchangeUnavailableError:  # pragma: no cover - defensive
@@ -721,16 +704,10 @@ class SimulationSession:
             if not outer:
                 continue
             ids = tuple(worker.worker_id for worker in outer)
-            if speculates == "estimate":
-                estimates.append((request.value, ids, request.request_id))
-            else:
-                quotes.append((request.value, ids))
-        primed = 0
-        if estimates:
-            primed += self.payment_estimator.prime_batch(estimates)
-        if quotes:
-            primed += self.pricer.prime_quotes(quotes)
-        return primed
+            estimates.append((request.value, ids, request.request_id))
+        if not estimates:
+            return 0
+        return self.payment_estimator.prime_batch(estimates)
 
     def breaker_trips(self) -> dict[str, int]:
         """Cumulative circuit-breaker trips per platform (empty sans faults).

@@ -7,7 +7,9 @@ Measures the quantities the performance work optimises (docs/PERFORMANCE.md):
   candidate histories: decisions/sec, p50/p95 per-estimate latency, and the
   Monte-Carlo work per estimate (instances and bisection iterations, read
   back from the :mod:`repro.obs` counters);
-* **DemCOM end-to-end** — a full simulator run, decisions/sec;
+* **DemCOM / RamCOM end-to-end** — a full simulator run per algorithm,
+  decisions/sec; the RamCOM run prices its cooperative requests with the
+  pruned MER quote (docs/PERFORMANCE.md#pruned-mer-quote);
 * **parallel** *(optional)* — wall-clock speedup of
   :class:`~repro.experiments.parallel.ParallelRunner` over the serial
   harness on a seed grid.
@@ -60,7 +62,10 @@ KERNEL_SPEEDUP_FLOOR = 10.0
 #: (workers with history, history length, candidates per estimate) and the
 #: number of estimates, per mode.
 _MICRO_SHAPE = {"quick": (48, 60, 24, 120), "full": (64, 120, 32, 600)}
-_END_TO_END = {"quick": (240, 64), "full": (900, 240)}  # (requests, workers)
+#: (requests, workers) for the end-to-end sections, the same in both modes
+#: so the quick-mode speedup ratio transfers to the full-mode reference
+#: (RamCOM's pruning rate depends on the trace's history lengths).
+_END_TO_END = (900, 240)
 #: (batches, batch size) for the vectorized-kernel section — batch size
 #: mirrors the gateway's micro-batch backlog under sustained load.  Both
 #: modes use the same batch size so the quick-mode speedup ratio
@@ -199,9 +204,10 @@ def _measure_kernel(mode: str) -> dict | None:
     }
 
 
-def _measure_end_to_end(fast_path: bool, mode: str) -> dict:
-    """One full DemCOM simulation; decisions/sec over the whole run."""
-    requests, workers = _END_TO_END[mode]
+def _measure_end_to_end(fast_path: bool, algorithm: str) -> dict:
+    """One full simulation of ``algorithm`` on the python backend;
+    decisions/sec over the whole run."""
+    requests, workers = _END_TO_END
     scenario = SyntheticWorkload(
         SyntheticWorkloadConfig(
             request_count=requests, worker_count=workers, city_km=6.0
@@ -212,11 +218,12 @@ def _measure_end_to_end(fast_path: bool, mode: str) -> dict:
         worker_reentry=True,
         service_duration=1800.0,
         payment_fast_path=fast_path,
+        payment_backend="python",
         measure_response_time=False,
     )
     watch = Stopwatch()
     with watch:
-        result = Simulator(config).run(scenario, algorithm_factory("demcom"))
+        result = Simulator(config).run(scenario, algorithm_factory(algorithm))
     # One serve/borrow/reject decision per request (reentry reuses workers
     # but never replays a request).
     decisions = result.total_completed + result.total_rejected
@@ -287,16 +294,18 @@ def run_hotpath_benchmark(quick: bool = True, jobs: int = 0) -> dict:
     kernel = _measure_kernel(mode)
     if kernel is not None:
         payload["payment_kernel"] = kernel
-    end_baseline = _measure_end_to_end(fast_path=False, mode=mode)
-    end_current = _measure_end_to_end(fast_path=True, mode=mode)
-    payload["demcom_end_to_end"] = {
-        "baseline": end_baseline,
-        "current": end_current,
-        "speedup": round(
-            end_current["decisions_per_sec"] / end_baseline["decisions_per_sec"],
-            3,
-        ),
-    }
+    for algorithm in ("demcom", "ramcom"):
+        end_baseline = _measure_end_to_end(False, algorithm)
+        end_current = _measure_end_to_end(True, algorithm)
+        payload[f"{algorithm}_end_to_end"] = {
+            "baseline": end_baseline,
+            "current": end_current,
+            "speedup": round(
+                end_current["decisions_per_sec"]
+                / end_baseline["decisions_per_sec"],
+                3,
+            ),
+        }
     if jobs > 1:
         payload["parallel"] = _measure_parallel(jobs, mode)
     return payload
@@ -317,7 +326,12 @@ def check_regression(
     """
     reference = json.loads(Path(reference_path).read_text())
     failures: list[str] = []
-    for section in ("payment_micro", "demcom_end_to_end", "payment_kernel"):
+    for section in (
+        "payment_micro",
+        "demcom_end_to_end",
+        "ramcom_end_to_end",
+        "payment_kernel",
+    ):
         if section not in reference:
             continue
         if section not in result:
@@ -364,13 +378,14 @@ def render_report(payload: dict) -> str:
             f"{kernel['current']['us_per_estimate']:>10.1f} us/estimate "
             f"({kernel['speedup']:.2f}x, batch {kernel['batch_size']})"
         )
-    end = payload["demcom_end_to_end"]
-    lines.append(
-        "  demcom end-to-end:"
-        f"{end['baseline']['decisions_per_sec']:>10.1f} -> "
-        f"{end['current']['decisions_per_sec']:>10.1f} decisions/sec "
-        f"({end['speedup']:.2f}x)"
-    )
+    for algorithm in ("demcom", "ramcom"):
+        end = payload[f"{algorithm}_end_to_end"]
+        lines.append(
+            f"  {algorithm} end-to-end:"
+            f"{end['baseline']['decisions_per_sec']:>10.1f} -> "
+            f"{end['current']['decisions_per_sec']:>10.1f} decisions/sec "
+            f"({end['speedup']:.2f}x)"
+        )
     parallel = payload.get("parallel")
     if parallel:
         lines.append(

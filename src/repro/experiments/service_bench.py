@@ -14,15 +14,13 @@ four ways —
     :class:`~repro.obs.events.EventLog`) — the cost of live ops;
 ``gateway_batched``
     in-process with micro-batched dispatch on (``batch_max=16``) and the
-    ``auto`` payment backend, so queued requests are speculatively
-    priced through the vectorized kernel
-    (docs/SERVICE.md#micro-batched-dispatch) — the *benefit* side of
-    the serving work.  This section runs on a *dense* companion trace
-    (hundreds of workers in radius, so outer candidate sets clear the
-    backends' ``vector_min_candidates`` crossover) paired back-to-back
-    against a plain run of the same trace — the default trace's
-    candidate sets are 1-3 workers, where the scalar path is the right
-    choice and batching is outcome-neutral by design;
+    ``auto`` payment backend (docs/SERVICE.md#micro-batched-dispatch) —
+    the *benefit* side of the serving work.  The gateway serves RamCOM,
+    whose MER quotes are not speculated (the scalar pruned quote is as
+    fast as the retired vectorized one), so the gain is what draining a
+    batch per loop wake-up saves.  This section runs on a *dense*
+    companion trace (hundreds of workers in radius) paired back-to-back
+    against a plain run of the same trace;
 ``tcp``
     the full JSONL-over-TCP stack on loopback.
 
@@ -243,7 +241,7 @@ def _disabled_event_check_seconds(iterations: int = 200_000) -> float:
 async def _bench_gateway_batched(
     scenario: Scenario, config: SimulatorConfig
 ) -> dict:
-    """In-process with micro-batching + array-backend speculation on."""
+    """In-process with micro-batching on and the array backend resolved."""
     from dataclasses import replace
 
     gateway = MatchingGateway(
@@ -379,9 +377,7 @@ def run_service_benchmark(quick: bool = False) -> dict:
         "batching_gain": {
             # Best paired batched/plain ratio on the dense trace
             # (self-relative, like the overhead gates).  Only gated when
-            # the array backend is live — with pure Python, batching is
-            # outcome-neutral but has no speculation to win time back
-            # with.
+            # the array backend is live.
             "throughput_ratio": max(batched_ratios) if batched_ratios else 0.0,
             "floor": BATCHING_GAIN_FLOOR,
             "batch_max": _BENCH_BATCH_MAX,

@@ -15,8 +15,8 @@ With ``batch_max > 1`` the loop adds **micro-batched dispatch**: up to
 lingering ``batch_linger_ms`` for more) and the contiguous run of
 requests at the batch's head is handed to
 :meth:`~repro.core.simulator.SimulationSession.prepare_request_batch`,
-which precomputes their Algorithm-2 estimates / MER quotes in one
-vectorized kernel invocation (docs/SERVICE.md#micro-batched-dispatch).
+which precomputes their Algorithm-2 estimates in one vectorized kernel
+invocation (docs/SERVICE.md#micro-batched-dispatch).
 Jobs are still processed strictly one at a time in submission order and
 speculative results are version/seed-keyed, so batched outcomes are
 bit-identical to one-at-a-time dispatch — batching buys throughput,
@@ -1090,17 +1090,10 @@ class MatchingGateway:
             "batching": {
                 "batch_max": self.batch_max,
                 "batch_linger_ms": self.batch_linger_ms,
-                "speculation_hits": (
-                    getattr(
-                        getattr(self._session, "payment_estimator", None),
-                        "prime_hits",
-                        0,
-                    )
-                    + getattr(
-                        getattr(self._session, "pricer", None),
-                        "prime_hits",
-                        0,
-                    )
+                "speculation_hits": getattr(
+                    getattr(self._session, "payment_estimator", None),
+                    "prime_hits",
+                    0,
                 ),
             },
             "concurrency": (

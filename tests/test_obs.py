@@ -359,6 +359,45 @@ class TestAlgorithmSpecificMetrics:
         routes = telemetry.snapshot().counters.get("ramcom_routes_total", [])
         assert sum(e["value"] for e in routes) == scenario.request_count
 
+        # Threshold e^1: both requests are reserved for the one inner
+        # worker, which the first takes, so the second falls through to
+        # the cooperative path.
+        workers = [
+            make_worker("a0", "A", 0.0),
+            make_worker("b0", "B", 0.0, x=0.2),
+        ]
+        requests = [
+            make_request("r0", "A", 1.0, value=10.0),
+            make_request("r1", "A", 2.0, value=10.0),
+        ]
+        telemetry = Telemetry()
+        Simulator(SimulatorConfig(seed=0, telemetry=telemetry)).run(
+            make_scenario(workers, requests), lambda: RamCOM(fixed_k=1)
+        )
+        snapshot = telemetry.snapshot()
+        routes = snapshot.counters.get("ramcom_routes_total", [])
+        assert sum(e["value"] for e in routes) == len(requests)
+        assert snapshot.counter_value(
+            "ramcom_routes_total", platform="A", route="inner_reserved"
+        ) == 1
+        assert snapshot.counter_value(
+            "ramcom_routes_total", platform="A", route="inner_fallback"
+        ) == 1
+
+    def test_pricer_spans_carry_pruning_counts(self):
+        telemetry = Telemetry(tracing=True, wall_clock=False)
+        Simulator(SimulatorConfig(seed=0, telemetry=telemetry)).run(
+            small_scenario(), RamCOM
+        )
+        quotes = [
+            record["args"]
+            for record in telemetry.tracer.records()
+            if record["name"] == "pricer.quote"
+        ]
+        assert quotes
+        for fields in quotes:
+            assert 1 <= fields["payments_evaluated"] <= fields["payments_built"]
+
 
 class TestDeterministicTrace:
     def test_fixed_seed_traces_are_byte_identical(self, tmp_path):

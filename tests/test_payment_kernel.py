@@ -5,9 +5,9 @@ Four contracts, each pinned here:
 * **Backend resolution** — ``"auto"``/``"numpy"``/``"python"`` plus the
   ``REPRO_PAYMENT_BACKEND`` override resolve predictably, and the repo
   degrades to the pure-Python backend when numpy is absent.
-* **Exact equivalences** — the kernel's Eq.-4 probability table, the
-  pricer's pruned quote and the below-crossover scalar delegation are
-  *bit-identical* to the scalar implementations (hypothesis-driven).
+* **Exact equivalences** — the kernel's Eq.-4 probability table and the
+  below-crossover scalar delegation are *bit-identical* to the scalar
+  implementations (hypothesis-driven).
 * **Statistical equivalence** — vectorized estimates (pinned per-request
   streams) agree with scalar estimates within the documented tolerance
   (a few bisection tolerances ``xi * v_r``; see
@@ -188,50 +188,6 @@ class TestProbabilityTableExact:
                 assert table[row, column] == acceptance.probability(
                     payment, worker_id, value
                 )
-
-
-@needs_numpy
-class TestQuoteExact:
-    """The pruned vectorized quote is bit-identical to the scalar pricer."""
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_quotes_bit_identical(self, case_seed):
-        mode = "relative" if case_seed % 2 else "absolute"
-        acceptance, workers = _wide_estimator(mode, case_seed, extra=20)
-        scalar = MaximumExpectedRevenuePricer(acceptance, backend="python")
-        vector = MaximumExpectedRevenuePricer(acceptance, backend="numpy")
-        pick = derive_rng(case_seed, "kernel/quote-cases")
-        for _ in range(4):
-            value = 5.0 + 95.0 * pick.random()
-            ids = pick.sample(workers, 4 + pick.randrange(len(workers) - 4))
-            expected = scalar.quote(value, ids)
-            actual = vector.quote(value, ids)
-            assert (
-                actual.payment,
-                actual.expected_revenue,
-                actual.acceptance_probability,
-            ) == (
-                expected.payment,
-                expected.expected_revenue,
-                expected.acceptance_probability,
-            )
-
-    def test_all_cold_candidates(self):
-        acceptance = AcceptanceEstimator()
-        ids = [f"cold{i}" for i in range(8)]
-        scalar = MaximumExpectedRevenuePricer(acceptance, backend="python")
-        vector = MaximumExpectedRevenuePricer(acceptance, backend="numpy")
-        expected = scalar.quote(30.0, ids)
-        actual = vector.quote(30.0, ids)
-        assert (actual.payment, actual.expected_revenue) == (
-            expected.payment,
-            expected.expected_revenue,
-        )
 
 
 @needs_numpy
@@ -514,7 +470,6 @@ class TestPythonPathByteIdentity:
     def test_quotes_pinned(self, mode):
         acceptance, workers = _populated_estimator(mode)
         pricer = MaximumExpectedRevenuePricer(acceptance, fast_path=True)
-        assert pricer.backend == "python"
         pick = derive_rng(11, "fastpath/quotes")
         quotes = []
         for _ in range(10):

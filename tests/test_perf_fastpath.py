@@ -14,9 +14,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DemCOM, RamCOM, Simulator, SimulatorConfig
 from repro.core.acceptance import AcceptanceEstimator, AcceptanceSnapshot
+from repro.core.events import EventKind
 from repro.core.payment import MinimumOuterPaymentEstimator
 from repro.core.pricing import MaximumExpectedRevenuePricer
 from repro.utils.rng import derive_rng
@@ -153,6 +155,115 @@ class TestPricerEquivalence:
             assert fast.quote(value, ids) == slow.quote(value, ids)
 
 
+def _quote_bits(quote) -> tuple[str, str, str]:
+    """A quote's three floats, bit for bit."""
+    return (
+        quote.payment.hex(),
+        quote.expected_revenue.hex(),
+        quote.acceptance_probability.hex(),
+    )
+
+
+@st.composite
+def _pricing_cases(draw):
+    """One pricer configuration, candidate set and request value.
+
+    Covers both estimator modes, cold-only / warm-only / mixed candidate
+    sets, default probabilities 0 and 1, duplicate history values,
+    history values on grid points, grid-only pricing and breakpoint caps
+    from 0 to cap-hitting.  Histories may sit wholly above the request
+    value, so some sets have zero acceptance probability everywhere.
+    """
+    mode = draw(st.sampled_from(["relative", "absolute"]))
+    default_probability = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    value = draw(
+        st.one_of(
+            st.sampled_from([1.0, 6.6, 10.0, 13.7]),
+            st.floats(min_value=0.5, max_value=200.0),
+        )
+    )
+    grid_steps = draw(st.sampled_from([1, 4, 10, 50]))
+    step = value / grid_steps
+    if mode == "relative":
+        grid_entries = [step * i / value for i in range(1, grid_steps + 1)]
+        entry = st.floats(min_value=0.0, max_value=1.3)
+    else:
+        grid_entries = [step * i for i in range(1, grid_steps + 1)]
+        entry = st.floats(min_value=0.0, max_value=1.3 * value)
+    composition = draw(st.sampled_from(["cold", "warm", "mixed"]))
+    acceptance = AcceptanceEstimator(
+        default_probability=default_probability, mode=mode
+    )
+    worker_ids = []
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        worker_id = f"w{index}"
+        worker_ids.append(worker_id)
+        if composition == "cold" or (
+            composition == "mixed" and draw(st.booleans())
+        ):
+            continue
+        history = draw(
+            st.lists(
+                st.one_of(entry, st.sampled_from(grid_entries)),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        repeats = draw(st.integers(min_value=0, max_value=len(history)))
+        acceptance.set_history(worker_id, history + history[:repeats])
+    knobs = {
+        "grid_steps": grid_steps,
+        "include_history_breakpoints": draw(st.booleans()),
+        "max_breakpoints": draw(st.sampled_from([0, 1, 3, 200])),
+    }
+    return acceptance, worker_ids, value, knobs
+
+
+class TestPrunedQuote:
+    """The pruned ascending sweep against the full reference evaluation."""
+
+    @given(_pricing_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_field_for_field(self, case):
+        acceptance, worker_ids, value, knobs = case
+        pruned = MaximumExpectedRevenuePricer(acceptance, fast_path=True, **knobs)
+        reference = MaximumExpectedRevenuePricer(
+            acceptance, fast_path=False, **knobs
+        )
+        assert _quote_bits(pruned.quote(value, worker_ids)) == _quote_bits(
+            reference.quote(value, worker_ids)
+        )
+        assert pruned.payments_built == reference.payments_built
+        assert reference.payments_evaluated == reference.payments_built
+        assert 1 <= pruned.payments_evaluated <= pruned.payments_built
+
+    def test_strict_stop_keeps_the_higher_tied_payment(self):
+        # pr(5) = 0.5 and pr(7.5) = 1 tie at expected revenue 2.5; 7.5's
+        # margin equals the best, so only a strict stop evaluates it.
+        acceptance = AcceptanceEstimator(mode="absolute")
+        acceptance.set_history("w", [5.0, 7.5])
+        quote = MaximumExpectedRevenuePricer(acceptance).quote(10.0, ["w"])
+        assert (
+            quote.payment,
+            quote.expected_revenue,
+            quote.acceptance_probability,
+        ) == (7.5, 2.5, 1.0)
+
+    @pytest.mark.parametrize("value", [10.0, 6.6])
+    def test_zero_probability_sets_take_the_top_payment(self, value):
+        # Every payment ties at zero expected revenue, so the highest
+        # candidate payment wins.  For v = 10 the top grid point is v; for
+        # v = 6.6, (6.6 / 50) * 50 rounds above v and must still win.
+        acceptance = AcceptanceEstimator(default_probability=0.0)
+        pruned = MaximumExpectedRevenuePricer(acceptance)
+        reference = MaximumExpectedRevenuePricer(acceptance, fast_path=False)
+        quote = pruned.quote(value, ["a", "b"])
+        assert _quote_bits(quote) == _quote_bits(reference.quote(value, ["a", "b"]))
+        assert quote.payment == (value / 50) * 50
+        assert quote.expected_revenue == 0.0
+        assert quote.acceptance_probability == 0.0
+
+
 def _golden_scenario():
     workers = [
         make_worker(f"a{i}", "A", i * 0.2, x=i * 0.3, y=0.1 * i, radius=1.8)
@@ -209,3 +320,39 @@ class TestEndToEndGolden:
         assert _golden_report(algorithm, True) == _golden_report(
             algorithm, False
         )
+
+
+def _golden_pricer_totals(fast_path: bool) -> tuple[int, int]:
+    config = SimulatorConfig(
+        seed=7,
+        measure_response_time=False,
+        worker_reentry=True,
+        service_duration=600.0,
+        payment_fast_path=fast_path,
+    )
+    scenario = _golden_scenario()
+    session = Simulator(config).session(scenario, RamCOM)
+    for event in scenario.events:
+        if event.kind is EventKind.WORKER:
+            session.submit_worker(event.worker, time=event.time)
+        else:
+            session.submit_request(event.request, time=event.time)
+    session.finalize()
+    return session.pricer.payments_built, session.pricer.payments_evaluated
+
+
+class TestPruningCounters:
+    """Deterministic, host-independent guard on the pruning itself: the
+    golden RamCOM run builds and evaluates exactly these many payments."""
+
+    BUILT = 3180
+    EVALUATED = 1683
+
+    def test_totals_pinned_on_golden_ramcom_run(self):
+        assert _golden_pricer_totals(fast_path=True) == (
+            self.BUILT,
+            self.EVALUATED,
+        )
+
+    def test_reference_evaluates_every_payment(self):
+        assert _golden_pricer_totals(fast_path=False) == (self.BUILT, self.BUILT)
