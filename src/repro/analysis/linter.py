@@ -437,13 +437,12 @@ class _Checker(ast.NodeVisitor):
             self.emit(
                 "DET005",
                 node,
-                "import from numpy.random outside the sanctioned kernel "
-                "seam; draw through the pinned per-call generators in "
-                "repro.core.payment_kernel",
+                "import from numpy.random; draw from a labelled "
+                "random.Random stream (repro.utils.rng)",
             )
         self.generic_visit(node)
 
-    # -- DET005: numpy.random outside the kernel seam ----------------------
+    # -- DET005: numpy.random anywhere ---------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.value, ast.Name):
@@ -462,17 +461,15 @@ class _Checker(ast.NodeVisitor):
                 self.emit(
                     "DET005",
                     node,
-                    f"{owner}.random access outside the sanctioned kernel "
-                    "seam; draw through the pinned per-call generators in "
-                    "repro.core.payment_kernel",
+                    f"{owner}.random access; draw from a labelled "
+                    "random.Random stream (repro.utils.rng)",
                 )
             elif owner in self._numpy_random_aliases:
                 self.emit(
                     "DET005",
                     node,
-                    f"numpy.random (as {owner!r}) use outside the "
-                    "sanctioned kernel seam; draw through the pinned "
-                    "per-call generators in repro.core.payment_kernel",
+                    f"numpy.random (as {owner!r}) use; draw from a "
+                    "labelled random.Random stream (repro.utils.rng)",
                 )
 
     def finalize(self) -> None:

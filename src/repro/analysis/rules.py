@@ -123,16 +123,12 @@ RULES: dict[str, Rule] = {
         _rule(
             "DET005",
             "numpy-random",
-            "No numpy.random use (np.random.* access, from-imports of "
-            "numpy.random) outside the vectorized payment kernel seam.",
-            "The array backend's only sanctioned randomness is the "
-            "per-call PCG64 stream constructed inside core/payment_kernel"
-            ".py, seeded from the same label-derived SHA-256 scheme as "
-            "the scalar path (docs/PERFORMANCE.md#the-array-backend); a "
-            "stray numpy.random draw anywhere else runs on a stream no "
-            "replay or byte-identity check tracks, so numpy-on and "
-            "numpy-off runs silently diverge.",
-            allowlist=("core/payment_kernel.py",),
+            "No numpy.random use anywhere (np.random.* access, "
+            "from-imports of numpy.random).",
+            "Every draw must come from a random.Random stream derived by "
+            "the SHA-256 label scheme in utils/rng.py; a numpy.random "
+            "draw runs on a stream no replay or byte-identity check "
+            "tracks, and the engine is pure Python (DESIGN.md).",
         ),
         _rule(
             "OBS001",

@@ -303,37 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--service-duration", type=float, default=DEFAULT_SERVICE_DURATION
         )
-        sub.add_argument(
-            "--payment-backend",
-            choices=["auto", "numpy", "python"],
-            default="python",
-            help=(
-                "Algorithm-2 / MER pricing backend (default: python; "
-                "docs/PERFORMANCE.md#the-array-backend).  Overridable via "
-                "REPRO_PAYMENT_BACKEND."
-            ),
-        )
-        sub.add_argument(
-            "--batch",
-            type=int,
-            default=1,
-            metavar="N",
-            help=(
-                "micro-batched dispatch: drain up to N queued jobs per "
-                "decision-loop wakeup and speculate their incentive "
-                "results in one kernel call (default: 1 = off; outcomes "
-                "are identical either way, see docs/SERVICE.md)"
-            ),
-        )
-        sub.add_argument(
-            "--batch-linger-ms",
-            type=float,
-            default=0.0,
-            help=(
-                "with --batch, wait up to this long for more jobs before "
-                "processing a short batch (default: 0)"
-            ),
-        )
 
     serve = subparsers.add_parser(
         "serve",
@@ -1041,33 +1010,10 @@ def _service_config(args: argparse.Namespace):
         seed=args.seed,
         service_duration=args.service_duration,
         measure_response_time=False,
-        payment_backend=getattr(args, "payment_backend", "python"),
         # Only `serve` exposes the flag; the other service commands fall
         # back to the COM_REPRO_SANITIZE_CONCURRENCY environment switch.
         sanitize_concurrency=getattr(args, "sanitize_concurrency", False),
     )
-
-
-def _apply_batching(gateway, args: argparse.Namespace):
-    """Apply the --batch/--batch-linger-ms knobs to a gateway.
-
-    Restored/recovered gateways are built by classmethods without the
-    batching parameters; setting the attributes before ``start()`` is
-    equivalent to passing them at construction.
-    """
-    from repro.errors import ConfigurationError
-
-    batch_max = getattr(args, "batch", 1)
-    linger = getattr(args, "batch_linger_ms", 0.0)
-    if batch_max < 1:
-        raise ConfigurationError(f"--batch must be >= 1, got {batch_max}")
-    if linger < 0:
-        raise ConfigurationError(
-            f"--batch-linger-ms must be >= 0, got {linger}"
-        )
-    gateway.batch_max = batch_max
-    gateway.batch_linger_ms = linger
-    return gateway
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1144,7 +1090,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             admission=admission,
             events=args.events,
         )
-    _apply_batching(gateway, args)
     if args.events:
         print(f"event log: {args.events} (COMEVT1)")
     if args.dashboard is not None and not isinstance(gateway.events, EventLog):
@@ -1202,11 +1147,8 @@ def _cmd_replay_serve(args: argparse.Namespace) -> int:
     config = _service_config(args)
 
     async def _replay() -> dict:
-        gateway = _apply_batching(
-            MatchingGateway(
-                scenario=scenario, algorithm=args.algorithm, config=config
-            ),
-            args,
+        gateway = MatchingGateway(
+            scenario=scenario, algorithm=args.algorithm, config=config
         )
         server = MatchingServer(gateway)
         host, port = await server.start()
@@ -1224,9 +1166,7 @@ def _cmd_replay_serve(args: argparse.Namespace) -> int:
                 with tempfile.TemporaryDirectory() as tmp:
                     path = await client.snapshot(str(Path(tmp) / "mid.snap"))
                     print(f"checkpointed after {cut} events: {path}")
-                    restored = _apply_batching(
-                        MatchingGateway.from_snapshot(path), args
-                    )
+                    restored = MatchingGateway.from_snapshot(path)
                     restored_server = MatchingServer(restored)
                     r_host, r_port = await restored_server.start()
                     try:
@@ -1310,8 +1250,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             base_port=args.shard_base_port,
             journal_dirs=journal_dirs,
             sanitize=True,
-            batch_max=getattr(args, "batch", 1),
-            batch_linger_ms=getattr(args, "batch_linger_ms", 0.0),
         )
         front = ClusterServer(
             router,
@@ -1418,8 +1356,6 @@ def _cmd_replay_cluster(args: argparse.Namespace) -> int:
                     journal_dirs=journal_dirs,
                     crash_plans=crash_plans,
                     sanitize=True,
-                    batch_max=getattr(args, "batch", 1),
-                    batch_linger_ms=getattr(args, "batch_linger_ms", 0.0),
                 )
             else:
                 router, logs, _clock = local_cluster(
@@ -1430,8 +1366,6 @@ def _cmd_replay_cluster(args: argparse.Namespace) -> int:
                     journal_dirs=journal_dirs,
                     crash_plans=crash_plans,
                     sanitize=True,
-                    batch_max=getattr(args, "batch", 1),
-                    batch_linger_ms=getattr(args, "batch_linger_ms", 0.0),
                 )
                 servers = None
             await router.start()
@@ -1589,8 +1523,6 @@ def _cmd_replay_events(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             config=config,
             tcp=args.tcp,
-            batch_max=getattr(args, "batch", 1),
-            batch_linger_ms=getattr(args, "batch_linger_ms", 0.0),
         )
     )
     print(
@@ -1639,8 +1571,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         speed=args.speed,
         fsync=args.fsync,
         events=not args.no_events,
-        batch_max=getattr(args, "batch", 1),
-        batch_linger_ms=getattr(args, "batch_linger_ms", 0.0),
     )
     with contextlib.ExitStack() as stack:
         directory = args.directory or stack.enter_context(

@@ -69,8 +69,6 @@ def build_shard_gateway(
     journal: str | Path | None = None,
     crash_plan: CrashPlan | None = None,
     events: EventLog | None = None,
-    batch_max: int = 1,
-    batch_linger_ms: float = 0.0,
 ) -> MatchingGateway:
     """One shard gateway, stamped with its territory summary.
 
@@ -86,8 +84,6 @@ def build_shard_gateway(
         journal=journal,
         crash_plan=crash_plan,
         events=events,
-        batch_max=batch_max,
-        batch_linger_ms=batch_linger_ms,
     )
     gateway.shard_info = plan.shard_summary(shard_id)
     return gateway
@@ -102,8 +98,6 @@ def local_cluster(
     journal_dirs: dict[int, str | Path] | None = None,
     crash_plans: dict[int, CrashPlan] | None = None,
     sanitize: bool = False,
-    batch_max: int = 1,
-    batch_linger_ms: float = 0.0,
 ) -> tuple[ClusterRouter, list[EventLog], VirtualClock]:
     """An in-process cluster on one shared virtual clock.
 
@@ -130,8 +124,6 @@ def local_cluster(
             journal=journal_dirs.get(shard_id),
             crash_plan=crash_plans.get(shard_id),
             events=log,
-            batch_max=batch_max,
-            batch_linger_ms=batch_linger_ms,
         )
         logs.append(log)
         handles.append(LocalShard(shard_id, gateway))
@@ -150,8 +142,6 @@ async def tcp_cluster(
     crash_plans: dict[int, CrashPlan] | None = None,
     sanitize: bool = False,
     reconnect: RetryPolicy | None = None,
-    batch_max: int = 1,
-    batch_linger_ms: float = 0.0,
 ) -> tuple[ClusterRouter, list[EventLog], list[MatchingServer], VirtualClock]:
     """A cluster of loopback shard servers reached through clients.
 
@@ -179,8 +169,6 @@ async def tcp_cluster(
             journal=journal_dirs.get(shard_id),
             crash_plan=crash_plans.get(shard_id),
             events=log,
-            batch_max=batch_max,
-            batch_linger_ms=batch_linger_ms,
         )
         port = 0 if base_port == 0 else base_port + shard_id
         server = MatchingServer(gateway, host=host, port=port)

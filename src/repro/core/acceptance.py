@@ -47,42 +47,19 @@ class AcceptanceSnapshot:
     history mutation (``record_completion`` / ``set_history``); the
     simulator never mutates histories inside a single decision, which is
     the window the fast path uses.
-
-    For the array backend (docs/PERFORMANCE.md#the-array-backend) the
-    snapshot also grows a *dense matrix form*: :meth:`matrix` lays the
-    same candidate histories out as flat numpy arrays (per-candidate
-    history segments, support bounds, normalisation denominators) for the
-    vectorized kernel in :mod:`repro.core.payment_kernel`.
     """
 
-    __slots__ = ("mode", "default_probability", "rows", "worker_ids", "array_cache")
+    __slots__ = ("mode", "default_probability", "rows")
 
     def __init__(
         self,
         mode: str,
         default_probability: float,
         rows: list[tuple[list[float] | None, int]],
-        worker_ids: tuple[Hashable, ...] | None = None,
-        array_cache: dict[Hashable, object] | None = None,
     ):
         self.mode = mode
         self.default_probability = default_probability
         self.rows = rows
-        self.worker_ids = worker_ids
-        self.array_cache = array_cache
-
-    def matrix(self):
-        """Struct-of-arrays form of the rows (requires numpy).
-
-        Per-worker ndarray conversions are memoised in the owning
-        estimator's ``array_cache`` (invalidated on history mutation) so
-        repeated estimates over warm candidates never re-copy histories.
-        """
-        from repro.core.payment_kernel import build_matrix
-
-        return build_matrix(
-            self, array_cache=self.array_cache, worker_ids=self.worker_ids
-        )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -138,26 +115,6 @@ class AcceptanceEstimator:
         self.default_probability = default_probability
         self.mode = mode
         self._histories: dict[Hashable, list[float]] = {}
-        #: Monotonic mutation counter — bumped by every history mutation.
-        #: The array backend keys speculative batch results on it so a
-        #: mid-batch ``record_completion`` invalidates them
-        #: (docs/SERVICE.md#micro-batched-dispatch).
-        self.version = 0
-        #: Per-worker ndarray copies of the sorted histories, maintained
-        #: lazily by the array backend (:mod:`repro.core.payment_kernel`)
-        #: and dropped here on mutation.  Plain dict so this module stays
-        #: numpy-free.
-        self._array_cache: dict[Hashable, object] = {}
-        #: Built CandidateMatrix per candidate-id tuple (array backend).
-        #: Invalidated *per worker*: a mutation evicts exactly the
-        #: matrices whose candidate set contains the mutated worker
-        #: (tracked in ``_matrix_index``); matrices over untouched
-        #: candidates stay warm across unrelated completions.
-        self._matrix_cache: dict[tuple[Hashable, ...], object] = {}
-        #: worker id -> matrix-cache keys that include the worker.
-        self._matrix_index: dict[Hashable, set[tuple[Hashable, ...]]] = {}
-        #: Per-worker mutation counters behind :meth:`history_signature`.
-        self._worker_versions: dict[Hashable, int] = {}
 
     def _normalize(self, payment: float, request_value: float) -> float:
         if self.mode == "absolute":
@@ -172,7 +129,6 @@ class AcceptanceEstimator:
         """Register (or replace) a worker's history (rates or raw values,
         matching the estimator's mode)."""
         self._histories[worker_id] = sorted(float(v) for v in values)
-        self._note_mutation(worker_id)
 
     def record_completion(
         self, worker_id: Hashable, payment: float, request_value: float
@@ -184,43 +140,6 @@ class AcceptanceEstimator:
         """
         history = self._histories.setdefault(worker_id, [])
         bisect.insort(history, self._normalize(payment, request_value))
-        self._note_mutation(worker_id)
-
-    def _note_mutation(self, worker_id: Hashable) -> None:
-        """Bump the version counters and evict exactly the cached arrays
-        and matrices the mutated worker participates in."""
-        self.version += 1
-        versions = self._worker_versions
-        versions[worker_id] = versions.get(worker_id, 0) + 1
-        self._array_cache.pop(worker_id, None)
-        keys = self._matrix_index.pop(worker_id, None)
-        if not keys:
-            return
-        for key in keys:
-            if self._matrix_cache.pop(key, None) is not None:
-                for member in key:
-                    if member != worker_id:
-                        index = self._matrix_index.get(member)
-                        if index is not None:
-                            index.discard(key)
-                            if not index:
-                                del self._matrix_index[member]
-
-    def history_signature(
-        self, worker_ids: Sequence[Hashable]
-    ) -> tuple[int, ...]:
-        """Per-candidate mutation counters, aligned with ``worker_ids``.
-
-        Two calls return equal signatures iff none of the candidates'
-        histories changed in between — the precise validity condition
-        for speculative estimates over that candidate set.  The
-        global :attr:`version` is a conservative proxy (any mutation
-        anywhere); the signature lets speculation survive completions
-        that only touch *other* workers
-        (docs/SERVICE.md#micro-batched-dispatch).
-        """
-        versions = self._worker_versions
-        return tuple(versions.get(worker_id, 0) for worker_id in worker_ids)
 
     def has_history(self, worker_id: Hashable) -> bool:
         """True iff the worker has at least one history entry."""
@@ -259,48 +178,7 @@ class AcceptanceEstimator:
                 rows.append((history, len(history)))
             else:
                 rows.append((None, 0))
-        return AcceptanceSnapshot(
-            self.mode,
-            self.default_probability,
-            rows,
-            worker_ids=tuple(worker_ids),
-            array_cache=self._array_cache,
-        )
-
-    def matrix(self, worker_ids: Sequence[Hashable]):
-        """The candidates' :class:`~repro.core.payment_kernel.CandidateMatrix`,
-        memoised per candidate-id tuple until the next history mutation.
-
-        The array backend's hot path: repeated estimates over the same
-        candidate set (the common case — the gateway's micro-batches
-        and the benchmarks reuse candidate sets heavily) skip both the
-        snapshot walk and the matrix build entirely.
-        """
-        key = tuple(worker_ids)
-        cached = self._matrix_cache.get(key)
-        if cached is not None:
-            return cached
-        if len(self._matrix_cache) >= 4096:
-            # Unbounded candidate-set churn (e.g. adversarial workloads)
-            # must not leak; matrices are cheap to rebuild.
-            self._matrix_cache.clear()
-            self._matrix_index.clear()
-        built = self.snapshot(key).matrix()
-        self._matrix_cache[key] = built
-        for member in key:
-            self._matrix_index.setdefault(member, set()).add(key)
-        return built
-
-    def __getstate__(self) -> dict:
-        # The ndarray caches are lazily rebuilt accelerator structures;
-        # dropping them keeps pickles (COMSNAP1 service snapshots, the
-        # parallel runner's scenario copies) numpy-free and loadable on
-        # hosts without the optional dependency.
-        state = dict(self.__dict__)
-        state["_array_cache"] = {}
-        state["_matrix_cache"] = {}
-        state["_matrix_index"] = {}
-        return state
+        return AcceptanceSnapshot(self.mode, self.default_probability, rows)
 
     def candidate_payments(
         self, worker_id: Hashable, request_value: float

@@ -272,13 +272,6 @@ class OnlineAlgorithm(ABC):
     #: Registry / reporting name; subclasses override.
     name: str = "abstract"
 
-    #: What the gateway's micro-batched dispatch may precompute for this
-    #: algorithm's cooperative path: ``"estimate"`` (a keyed Algorithm-2
-    #: payment estimate) or ``None`` (no speculation — the safe default for
-    #: algorithms whose decisions the session cannot predict
-    #: side-effect-free).
-    speculates: str | None = None
-
     def on_worker_arrival(self, worker: Worker, context: PlatformContext) -> None:
         """Hook called when a worker joins this platform's waiting list.
 

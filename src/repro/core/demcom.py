@@ -34,9 +34,6 @@ class DemCOM(OnlineAlgorithm):
     """Algorithm 1 of the paper."""
 
     name = "DemCOM"
-    #: Micro-batching hint: the cooperative path's expensive step is a
-    #: keyed Algorithm-2 estimate (docs/SERVICE.md#micro-batched-dispatch).
-    speculates = "estimate"
 
     def decide(self, request: Request, context: PlatformContext) -> Decision:
         # Lines 3-6: inner workers have absolute priority; pick the nearest.
@@ -54,14 +51,8 @@ class DemCOM(OnlineAlgorithm):
 
         # Line 12: Algorithm 2 estimates the minimum outer payment.
         candidate_ids = [worker.worker_id for worker in outer]
-        # The request id keys the array backend's pinned uniform stream
-        # (ignored by the pure-Python backend).
         estimate = context.payment_estimator.estimate(
-            request.value,
-            candidate_ids,
-            context.rng,
-            probe=context.probe,
-            key=request.request_id,
+            request.value, candidate_ids, context.rng, probe=context.probe
         )
         payment = estimate.payment
         if payment > request.value:

@@ -72,12 +72,6 @@ class CooperationExchange:
         """Eligible inner workers for a request, nearest first."""
         return self._lists[platform_id].eligible_for(request)
 
-    def has_inner_candidates(self, platform_id: str, request: Request) -> bool:
-        """Whether any eligible inner worker exists — equal to
-        ``bool(inner_candidates(...))`` but early-exiting, for the
-        speculative batch-priming precheck."""
-        return self._lists[platform_id].has_eligible(request)
-
     def outer_candidates(
         self,
         platform_id: str,

@@ -26,8 +26,10 @@ path draws the *exact same RNG sequence* as the reference path (one uniform
 per candidate with positive acceptance probability, in candidate order,
 until one accepts), so results are bit-identical — docs/PERFORMANCE.md
 spells out the argument, and the golden tests in
-``tests/test_perf_fastpath.py`` pin it down.  Pass ``fast_path=False`` to
-run the reference per-query implementation (the benchmark baseline).
+``tests/test_perf_fastpath.py`` pin it down.  The fast path is the only
+production implementation; ``fast_path=False`` runs the reference
+per-query loop, kept as the oracle the tests and the hot-path benchmark
+compare against.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from bisect import bisect_right
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
-from repro.core import payment_kernel
 from repro.core.acceptance import AcceptanceEstimator
 from repro.errors import ConfigurationError
 from repro.obs import NULL_PROBE, Probe
@@ -98,27 +99,6 @@ class MinimumOuterPaymentEstimator:
         reference per-query implementation — same results bit for bit,
         kept as the golden baseline for the fast-path equivalence tests
         and ``benchmarks/bench_hotpath.py``.
-    backend:
-        ``"python"`` (default — the scalar paths above, byte-stable),
-        ``"numpy"`` (the vectorized array backend of
-        :mod:`repro.core.payment_kernel`; requires numpy) or ``"auto"``
-        (numpy when importable, pure Python otherwise).  The
-        ``REPRO_PAYMENT_BACKEND`` environment variable overrides this
-        argument.  The numpy backend is pinned to the scalar paths by
-        estimate-value equivalence at documented tolerance, not bit
-        identity — see docs/PERFORMANCE.md#the-array-backend.
-    kernel_seed:
-        Base seed of the array backend's pinned per-request uniform
-        streams (ignored by the pure-Python backend).  Estimates with a
-        ``key`` draw from a generator seeded by ``(kernel_seed, key)``
-        alone, making them independent of call order and batching.
-    vector_min_candidates:
-        Candidate-count crossover for the numpy backend: below it the
-        scalar fast path beats the kernel's fixed per-call overhead
-        (matrix build, grid curves), so the estimate delegates to it.
-        The rule is a pure function of the candidate set, so a run's
-        estimates are identical whatever order or batching requests
-        arrive in.
     """
 
     def __init__(
@@ -128,9 +108,6 @@ class MinimumOuterPaymentEstimator:
         eta: float = 0.5,
         epsilon: float = 1e-6,
         fast_path: bool = True,
-        backend: str = "python",
-        kernel_seed: int = 0,
-        vector_min_candidates: int = 16,
     ):
         if epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
@@ -139,25 +116,7 @@ class MinimumOuterPaymentEstimator:
         self.eta = eta
         self.epsilon = epsilon
         self.fast_path = fast_path
-        self.backend = payment_kernel.resolve_backend(backend)
-        self.kernel_seed = kernel_seed
-        self.vector_min_candidates = vector_min_candidates
         self.samples = sample_count(xi, eta)
-        #: Speculative results from :meth:`prime_batch`, keyed by
-        #: ``(value, candidate_ids, key)`` and guarded by the candidates'
-        #: :meth:`~repro.core.acceptance.AcceptanceEstimator.history_signature`
-        #: — consumed by keyed :meth:`estimate` calls (gateway
-        #: micro-batching).
-        self._primed: dict[tuple, tuple[tuple[int, ...], tuple[float, int, int]]] = {}
-        #: Number of keyed estimates answered from a primed batch.
-        self.prime_hits = 0
-
-    def _vectorize(self, worker_ids: Sequence[Hashable]) -> bool:
-        """Whether the numpy backend runs this candidate set itself."""
-        return (
-            self.backend == "numpy"
-            and len(worker_ids) >= self.vector_min_candidates
-        )
 
     def _anyone_accepts(
         self,
@@ -294,62 +253,12 @@ class MinimumOuterPaymentEstimator:
             total += mid
         return total, rejected, iterations
 
-    def _estimate_numpy(
-        self,
-        request_value: float,
-        worker_ids: Sequence[Hashable],
-        rng: random.Random,
-        tolerance: float,
-        key: Hashable | None,
-    ) -> tuple[float, int, int]:
-        """Array-backend estimate: ``(payment, rejected, iterations)``.
-
-        Keyed estimates first consult the speculative cache filled by
-        :meth:`prime_batch`; a hit is bit-identical to recomputing (same
-        per-request seed, and the per-candidate history signature in the
-        cache entry guarantees the same histories — completions touching
-        only *other* workers don't spoil it).  Keyless estimates seed
-        from ``rng`` (stream-coupled, so they stay deterministic per run
-        but cannot be speculated).
-        """
-        if key is not None and self._primed:
-            cached = self._primed.pop(
-                (request_value, tuple(worker_ids), key), None
-            )
-            if cached is not None:
-                signature, result = cached
-                if signature == self.estimator.history_signature(worker_ids):
-                    self.prime_hits += 1
-                    return result
-        if key is not None:
-            seed = payment_kernel.request_seed(self.kernel_seed, key)
-        else:
-            seed = rng.getrandbits(64)
-        matrix = self.estimator.matrix(worker_ids)
-        result = payment_kernel.estimate_batch(
-            [matrix],
-            [request_value],
-            [seed],
-            self.samples,
-            self.xi,
-            self.epsilon,
-        )[0]
-        if result is None:
-            # Bisection depth beyond the kernel's grid cap (pathological
-            # accuracy knobs): scalar fast path, stream-coupled.
-            total, rejected, iterations = self._run_instances_fast(
-                request_value, worker_ids, rng, tolerance
-            )
-            return total / self.samples, rejected, iterations
-        return result
-
     def estimate(
         self,
         request_value: float,
         worker_ids: Sequence[Hashable],
         rng: random.Random,
         probe: Probe = NULL_PROBE,
-        key: Hashable | None = None,
     ) -> PaymentEstimate:
         """Run Algorithm 2 for a request of value ``request_value``.
 
@@ -362,13 +271,6 @@ class MinimumOuterPaymentEstimator:
         raises mid-run (flagged ``failed=True``, mirroring the
         ``Stopwatch`` failure pattern), so a crashing estimate never leaks
         an open span into the trace.
-
-        ``key`` is a stable per-request identity (DemCOM passes the
-        request id).  The pure-Python backend ignores it; the array
-        backend seeds its uniforms from ``(kernel_seed, key)`` so the
-        estimate is independent of call order — the property that makes
-        the gateway's micro-batched dispatch bit-identical to
-        one-at-a-time processing (docs/SERVICE.md).
         """
         if request_value <= 0:
             raise ConfigurationError(
@@ -396,22 +298,16 @@ class MinimumOuterPaymentEstimator:
         failed = True
         try:
             tolerance = max(self.epsilon, self.xi * request_value)
-            if self._vectorize(worker_ids):
-                payment, rejected, iterations = self._estimate_numpy(
-                    request_value, worker_ids, rng, tolerance, key
-                )
-            elif self.fast_path:
-                total, rejected, iterations = self._run_instances_fast(
-                    request_value, worker_ids, rng, tolerance
-                )
-                payment = total / self.samples
-            else:
-                total, rejected, iterations = self._run_instances_reference(
-                    request_value, worker_ids, rng, tolerance
-                )
-                payment = total / self.samples
+            run = (
+                self._run_instances_fast
+                if self.fast_path
+                else self._run_instances_reference
+            )
+            total, rejected, iterations = run(
+                request_value, worker_ids, rng, tolerance
+            )
             estimate = PaymentEstimate(
-                payment=payment,
+                payment=total / self.samples,
                 samples=self.samples,
                 rejected_instances=rejected,
             )
@@ -432,148 +328,3 @@ class MinimumOuterPaymentEstimator:
                 )
                 span.end()
         return estimate
-
-    def _grid_depth(self, request_value: float) -> int:
-        tolerance = max(self.epsilon, self.xi * float(request_value))
-        return payment_kernel.bisection_depth(request_value, tolerance)
-
-    def estimate_many(
-        self,
-        items: Sequence[tuple[float, Sequence[Hashable], Hashable | None]],
-        rng: random.Random,
-        probe: Probe = NULL_PROBE,
-    ) -> list[PaymentEstimate]:
-        """Estimate a batch of ``(value, candidate_ids, key)`` requests.
-
-        Result ``i`` equals ``estimate(*items[i])`` called in order — the
-        batch API never changes values, only amortises work: on the numpy
-        backend all shallow instances run as **one** kernel invocation.
-        Sequential per-item calls are used whenever fidelity requires
-        them (pure-Python backend, telemetry enabled, any item past the
-        kernel's grid-depth cap, or any item below the
-        ``vector_min_candidates`` crossover — those run the scalar fast
-        path, which is rng-stream-coupled).
-        """
-        items = list(items)
-        batchable = (
-            self.backend == "numpy"
-            and not probe.enabled
-            and all(
-                value > 0
-                and (
-                    not ids
-                    or (
-                        len(ids) >= self.vector_min_candidates
-                        and self._grid_depth(value)
-                        <= payment_kernel.MAX_GRID_DEPTH
-                    )
-                )
-                for value, ids, _key in items
-            )
-        )
-        if not batchable:
-            return [
-                self.estimate(value, ids, rng, probe=probe, key=key)
-                for value, ids, key in items
-            ]
-        results: list[PaymentEstimate | None] = [None] * len(items)
-        matrices = []
-        values = []
-        seeds = []
-        positions = []
-        for index, (value, ids, key) in enumerate(items):
-            if not ids:
-                results[index] = PaymentEstimate(
-                    payment=value + self.epsilon,
-                    samples=self.samples,
-                    rejected_instances=self.samples,
-                )
-                continue
-            cached = (
-                self._primed.pop((value, tuple(ids), key), None)
-                if key is not None and self._primed
-                else None
-            )
-            if cached is not None and cached[0] == self.estimator.history_signature(
-                ids
-            ):
-                self.prime_hits += 1
-                result = cached[1]
-                results[index] = PaymentEstimate(
-                    payment=result[0],
-                    samples=self.samples,
-                    rejected_instances=result[1],
-                )
-                continue
-            # Seeds are drawn in item order so keyless items consume rng
-            # exactly as sequential estimate() calls would.
-            if key is not None:
-                seeds.append(payment_kernel.request_seed(self.kernel_seed, key))
-            else:
-                seeds.append(rng.getrandbits(64))
-            matrices.append(self.estimator.matrix(ids))
-            values.append(value)
-            positions.append(index)
-        if matrices:
-            batch = payment_kernel.estimate_batch(
-                matrices, values, seeds, self.samples, self.xi, self.epsilon
-            )
-            for position, result in zip(positions, batch):
-                assert result is not None  # depth pre-checked above
-                results[position] = PaymentEstimate(
-                    payment=result[0],
-                    samples=self.samples,
-                    rejected_instances=result[1],
-                )
-        return [result for result in results if result is not None]
-
-    def prime_batch(
-        self,
-        items: Sequence[tuple[float, Sequence[Hashable], Hashable]],
-    ) -> int:
-        """Speculatively evaluate keyed estimates for queued requests.
-
-        One kernel invocation prices every ``(value, candidate_ids,
-        key)`` item; results are cached alongside the candidates'
-        :meth:`~repro.core.acceptance.AcceptanceEstimator.history_signature`
-        and consumed by the next matching keyed :meth:`estimate` call
-        whose candidates' histories are still unchanged.  A relevant
-        history mutation (or any input mismatch) between priming and the
-        real call simply misses the cache — correctness never depends on
-        the speculation being right.  Previous leftovers are dropped, so
-        the cache is bounded by one batch.  Returns the number of primed
-        estimates; the pure-Python backend never speculates (its
-        estimates are rng-stream-coupled), and candidate sets below the
-        ``vector_min_candidates`` crossover run the scalar path, so
-        neither is primed.
-        """
-        self._primed.clear()
-        if self.backend != "numpy":
-            return 0
-        prepared: list[tuple[float, tuple[Hashable, ...], Hashable]] = []
-        for value, worker_ids, key in items:
-            if key is None or value <= 0 or not self._vectorize(worker_ids):
-                continue
-            if self._grid_depth(value) > payment_kernel.MAX_GRID_DEPTH:
-                continue
-            prepared.append((value, tuple(worker_ids), key))
-        if not prepared:
-            return 0
-        matrices = [
-            self.estimator.matrix(ids) for _, ids, _ in prepared
-        ]
-        seeds = [
-            payment_kernel.request_seed(self.kernel_seed, key)
-            for _, _, key in prepared
-        ]
-        values = [value for value, _, _ in prepared]
-        results = payment_kernel.estimate_batch(
-            matrices, values, seeds, self.samples, self.xi, self.epsilon
-        )
-        for (value, ids, key), result in zip(prepared, results):
-            if result is not None:
-                self._primed[(value, ids, key)] = (
-                    self.estimator.history_signature(ids),
-                    result,
-                )
-        return len(self._primed)

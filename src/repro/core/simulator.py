@@ -25,7 +25,7 @@ The engine is exposed at two granularities:
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.concurrency import ConcurrencyMonitor, concurrency_from_env
@@ -37,7 +37,6 @@ from repro.core.entities import Request, Worker
 from repro.core.events import EventKind, EventStream
 from repro.core.exchange import CooperationExchange
 from repro.core.matching import AssignmentKind, MatchRecord, MatchingLedger
-from repro.core import payment_kernel
 from repro.core.payment import MinimumOuterPaymentEstimator
 from repro.core.pricing import MaximumExpectedRevenuePricer
 from repro.errors import (
@@ -116,13 +115,9 @@ class SimulatorConfig:
     #: slower; kept for the fast-path equivalence tests and
     #: ``benchmarks/bench_hotpath.py``.
     payment_fast_path: bool = True
-    #: Payment/acceptance backend: ``"python"`` (default — the scalar
-    #: byte-stable paths), ``"numpy"`` (the vectorized array backend;
-    #: requires the optional numpy dependency) or ``"auto"`` (numpy when
-    #: importable, pure Python otherwise).  Overridden by the
-    #: ``REPRO_PAYMENT_BACKEND`` environment variable.  The numpy backend
-    #: matches the python backend at documented tolerance, not bit
-    #: identity — see docs/PERFORMANCE.md#the-array-backend.
+    #: Algorithm-2 implementation.  Only ``"python"`` exists; any other
+    #: value raises :class:`~repro.errors.ConfigurationError`.  Kept so
+    #: configurations that name it explicitly still load.
     payment_backend: str = "python"
     #: Grid-index cell edge (km).
     cell_size_km: float = 1.0
@@ -404,16 +399,16 @@ class SimulationSession:
             default_probability=config.default_acceptance,
             mode=scenario.oracle.mode,
         )
-        backend = payment_kernel.resolve_backend(
-            getattr(config, "payment_backend", "python")
-        )
+        if config.payment_backend != "python":
+            raise ConfigurationError(
+                "payment_backend must be 'python', got "
+                f"{config.payment_backend!r}"
+            )
         self.payment_estimator = payment_estimator = MinimumOuterPaymentEstimator(
             self.acceptance,
             xi=config.payment_xi,
             eta=config.payment_eta,
             fast_path=config.payment_fast_path,
-            backend=backend,
-            kernel_seed=seeds.child("payment").derived_seed("kernel"),
         )
         self.pricer = pricer = MaximumExpectedRevenuePricer(
             self.acceptance,
@@ -655,59 +650,6 @@ class SimulationSession:
 
         self._apply_decision(request, decision)
         return decision
-
-    def prepare_request_batch(self, requests: Sequence[Request]) -> int:
-        """Speculatively precompute the cooperative-path incentive results
-        for a contiguous run of requests about to be submitted.
-
-        The gateway's micro-batched dispatch (docs/SERVICE.md) calls this
-        on the decision loop just before processing a drained batch, so
-        the expensive Algorithm-2 estimates (DemCOM) for the whole batch
-        run as **one** vectorized kernel invocation instead of one per
-        request.  Returns the number of primed entries.
-
-        Strictly side-effect-free on matching state: candidate sets are
-        read through raw exchange queries (no probes, no resilience
-        wrappers — speculation is skipped entirely under fault injection
-        or telemetry so observable side channels stay identical), and
-        primed results are keyed by ``(value, candidate ids)`` plus the
-        candidates' per-worker history signatures and the array
-        backend's pinned per-request seeds.  Any divergence by the time
-        a request is actually decided — a worker claimed by an earlier
-        request in the batch, a completion mutating a candidate's
-        history, a re-entry changing the candidate set — misses the
-        cache and recomputes, so batched decisions are bit-identical to
-        one-at-a-time dispatch by construction.
-        """
-        if self._resilient is not None or self._probe.enabled:
-            return 0
-        if self.payment_estimator.backend != "numpy":
-            return 0
-        if self.concurrency_monitor is not None:
-            self.concurrency_monitor.touch("session")
-        estimates: list[tuple[float, tuple, Hashable]] = []
-        for request in requests:
-            platform_id = request.platform_id
-            algorithm = self.algorithms.get(platform_id)
-            if algorithm is None or algorithm.speculates != "estimate":
-                continue
-            context = self.contexts[platform_id]
-            if not context.cooperation_enabled:
-                continue
-            # DemCOM: inner workers preempt the cooperative path.
-            if self.exchange.has_inner_candidates(platform_id, request):
-                continue
-            try:
-                outer = self.exchange.outer_candidates(platform_id, request)
-            except ExchangeUnavailableError:  # pragma: no cover - defensive
-                continue
-            if not outer:
-                continue
-            ids = tuple(worker.worker_id for worker in outer)
-            estimates.append((request.value, ids, request.request_id))
-        if not estimates:
-            return 0
-        return self.payment_estimator.prime_batch(estimates)
 
     def breaker_trips(self) -> dict[str, int]:
         """Cumulative circuit-breaker trips per platform (empty sans faults).

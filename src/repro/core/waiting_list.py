@@ -104,31 +104,6 @@ class WaitingList:
             worker for _, _, worker in self.eligible_with_distance(request)
         ]
 
-    def has_eligible(self, request: Request) -> bool:
-        """Whether *any* worker satisfies the constraints for ``request``.
-
-        Exactly ``bool(eligible_for(request))`` — the same constraint
-        checks in the same candidate order — but returns at the first
-        eligible worker instead of materialising and sorting the full
-        list.  The gateway's speculative batch priming uses this as its
-        inner-preemption precheck, where the answer is usually "yes"
-        after O(1) candidates (docs/SERVICE.md#micro-batched-dispatch).
-        """
-        candidate_ids = self._index.query_radius(request.location, self._max_radius)
-        for worker_id in candidate_ids:
-            worker = self._workers[worker_id]
-            if not worker.arrived_before(request):
-                continue
-            if not worker.can_reach(request):
-                continue
-            if self.road_network is not None and (
-                self.road_network.distance(worker.location, request.location)
-                > worker.service_radius
-            ):
-                continue
-            return True
-        return False
-
     def eligible_with_distance(
         self, request: Request
     ) -> list[tuple[float, str, Worker]]:

@@ -46,18 +46,12 @@ __all__ = [
     "check_regression",
     "render_report",
     "SPEEDUP_TOLERANCE",
-    "KERNEL_SPEEDUP_FLOOR",
 ]
 
 #: A run's speedup may fall this fraction below the checked-in reference
 #: speedup before CI fails (ratios are machine-independent but still jitter
 #: on loaded runners).
 SPEEDUP_TOLERANCE = 0.25
-
-#: Absolute floor for the ``payment_kernel`` section: the vectorized
-#: batch kernel must beat the scalar fast path by at least this ratio
-#: whenever numpy is importable (docs/PERFORMANCE.md#the-array-backend).
-KERNEL_SPEEDUP_FLOOR = 10.0
 
 #: (workers with history, history length, candidates per estimate) and the
 #: number of estimates, per mode.
@@ -66,11 +60,6 @@ _MICRO_SHAPE = {"quick": (48, 60, 24, 120), "full": (64, 120, 32, 600)}
 #: so the quick-mode speedup ratio transfers to the full-mode reference
 #: (RamCOM's pruning rate depends on the trace's history lengths).
 _END_TO_END = (900, 240)
-#: (batches, batch size) for the vectorized-kernel section — batch size
-#: mirrors the gateway's micro-batch backlog under sustained load.  Both
-#: modes use the same batch size so the quick-mode speedup ratio
-#: transfers to the full-mode reference the CI check compares against.
-_KERNEL_SHAPE = {"quick": (10, 32), "full": (25, 32)}
 
 
 def _micro_estimator(
@@ -119,94 +108,9 @@ def _measure_micro(fast_path: bool, mode: str) -> dict:
     }
 
 
-def _measure_kernel(mode: str) -> dict | None:
-    """Scalar fast path vs the vectorized batch kernel, same workload.
-
-    Returns ``None`` when numpy is unavailable (the section is simply
-    omitted; :func:`check_regression` skips it in that case).  All
-    sides price the same ``(value, candidates, key)`` batches drawn from
-    one seeded stream.  ``baseline`` is the retained reference
-    implementation (``fast_path=False``) — the same yardstick the
-    ``payment_micro`` section regresses against — and the scalar fast
-    path is recorded alongside so the payload shows how much of the win
-    is the kernel itself.  Candidate sets recur across requests (a
-    platform's outer pool drifts slowly between completions), modelled
-    here as a small set pool with per-batch churn; recurrence is what
-    the estimator's matrix/grid caches amortise.
-    """
-    from repro.core import payment_kernel
-
-    if payment_kernel.resolve_backend("auto") != "numpy":
-        return None
-    n_workers, history_length, candidates, _ = _MICRO_SHAPE[mode]
-    batches, batch_size = _KERNEL_SHAPE[mode]
-    reference, workers = _micro_estimator(n_workers, history_length, False)
-    fast = MinimumOuterPaymentEstimator(reference.estimator, fast_path=True)
-    vector = MinimumOuterPaymentEstimator(
-        reference.estimator, backend="numpy", kernel_seed=0xBE7C
-    )
-    pick = derive_rng(0xBE7C, "bench/kernel-candidates")
-    pool = [pick.sample(workers, candidates) for _ in range(6)]
-    items = []
-    for batch in range(batches):
-        pool[batch % len(pool)] = pick.sample(workers, candidates)
-        items.append(
-            [
-                (
-                    10.0 + 90.0 * pick.random(),
-                    pool[pick.randrange(len(pool))],
-                    f"r{batch}-{slot}",
-                )
-                for slot in range(batch_size)
-            ]
-        )
-    rng = derive_rng(0xBE7C, "bench/kernel-estimate")
-
-    def _time(estimator: MinimumOuterPaymentEstimator) -> TimingAccumulator:
-        latencies = TimingAccumulator()
-        watch = Stopwatch()
-        # Warm-up batch populates the matrix/grid caches both backends
-        # share, so neither side pays one-off construction costs.
-        estimator.estimate_many(items[0], rng)
-        for batch in items:
-            with watch:
-                estimator.estimate_many(batch, rng)
-            latencies.record(watch.elapsed_seconds)
-        return latencies
-
-    reference_times = _time(reference)
-    fast_times = _time(fast)
-    vector_times = _time(vector)
-    total = batches * batch_size
-
-    def _side(latencies: TimingAccumulator) -> dict:
-        return {
-            "estimates": total,
-            "estimates_per_sec": round(total / latencies.total_seconds, 2),
-            "us_per_estimate": round(
-                latencies.total_seconds / total * 1e6, 3
-            ),
-            "p95_batch_ms": round(latencies.percentile_ms(0.95), 4),
-        }
-
-    return {
-        "batch_size": batch_size,
-        "candidates_per_estimate": candidates,
-        "baseline": _side(reference_times),
-        "scalar_fast_path": _side(fast_times),
-        "current": _side(vector_times),
-        "speedup": round(
-            reference_times.total_seconds / vector_times.total_seconds, 3
-        ),
-        "speedup_vs_fast_path": round(
-            fast_times.total_seconds / vector_times.total_seconds, 3
-        ),
-    }
-
-
 def _measure_end_to_end(fast_path: bool, algorithm: str) -> dict:
-    """One full simulation of ``algorithm`` on the python backend;
-    decisions/sec over the whole run."""
+    """One full simulation of ``algorithm``; decisions/sec over the
+    whole run."""
     requests, workers = _END_TO_END
     scenario = SyntheticWorkload(
         SyntheticWorkloadConfig(
@@ -218,7 +122,6 @@ def _measure_end_to_end(fast_path: bool, algorithm: str) -> dict:
         worker_reentry=True,
         service_duration=1800.0,
         payment_fast_path=fast_path,
-        payment_backend="python",
         measure_response_time=False,
     )
     watch = Stopwatch()
@@ -291,9 +194,6 @@ def run_hotpath_benchmark(quick: bool = True, jobs: int = 0) -> dict:
             3,
         ),
     }
-    kernel = _measure_kernel(mode)
-    if kernel is not None:
-        payload["payment_kernel"] = kernel
     for algorithm in ("demcom", "ramcom"):
         end_baseline = _measure_end_to_end(False, algorithm)
         end_current = _measure_end_to_end(True, algorithm)
@@ -326,19 +226,10 @@ def check_regression(
     """
     reference = json.loads(Path(reference_path).read_text())
     failures: list[str] = []
-    for section in (
-        "payment_micro",
-        "demcom_end_to_end",
-        "ramcom_end_to_end",
-        "payment_kernel",
-    ):
+    for section in ("payment_micro", "demcom_end_to_end", "ramcom_end_to_end"):
         if section not in reference:
             continue
         if section not in result:
-            # The kernel section is legitimately absent on a no-numpy
-            # install — that CI leg exercises the pure-Python fallback.
-            if section == "payment_kernel":
-                continue
             failures.append(f"{section}: missing from the measured payload")
             continue
         floor = reference[section]["speedup"] * (1.0 - tolerance)
@@ -349,12 +240,6 @@ def check_regression(
                 f"{floor:.3f}x (reference {reference[section]['speedup']:.3f}x "
                 f"- {tolerance:.0%} tolerance)"
             )
-    kernel = result.get("payment_kernel")
-    if kernel is not None and kernel["speedup"] < KERNEL_SPEEDUP_FLOOR:
-        failures.append(
-            f"payment_kernel: speedup {kernel['speedup']:.3f}x fell below "
-            f"the absolute {KERNEL_SPEEDUP_FLOOR:.0f}x floor"
-        )
     return failures
 
 
@@ -370,14 +255,6 @@ def render_report(payload: dict) -> str:
         f"p95 {micro['baseline']['p95_ms']:.3f} -> "
         f"{micro['current']['p95_ms']:.3f} ms"
     )
-    kernel = payload.get("payment_kernel")
-    if kernel:
-        lines.append(
-            "  payment kernel:   "
-            f"{kernel['baseline']['us_per_estimate']:>10.1f} -> "
-            f"{kernel['current']['us_per_estimate']:>10.1f} us/estimate "
-            f"({kernel['speedup']:.2f}x, batch {kernel['batch_size']})"
-        )
     for algorithm in ("demcom", "ramcom"):
         end = payload[f"{algorithm}_end_to_end"]
         lines.append(

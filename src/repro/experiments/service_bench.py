@@ -12,15 +12,6 @@ four ways —
 ``gateway_events``
     in-process with the ``COMEVT1`` event log on (file-backed
     :class:`~repro.obs.events.EventLog`) — the cost of live ops;
-``gateway_batched``
-    in-process with micro-batched dispatch on (``batch_max=16``) and the
-    ``auto`` payment backend (docs/SERVICE.md#micro-batched-dispatch) —
-    the *benefit* side of the serving work.  The gateway serves RamCOM,
-    whose MER quotes are not speculated (the scalar pruned quote is as
-    fast as the retired vectorized one), so the gain is what draining a
-    batch per loop wake-up saves.  This section runs on a *dense*
-    companion trace (hundreds of workers in radius) paired back-to-back
-    against a plain run of the same trace;
 ``tcp``
     the full JSONL-over-TCP stack on loopback.
 
@@ -41,7 +32,6 @@ gates; the repo-root ``BENCH_service.json`` is the checked-in reference.
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
 from pathlib import Path
 
@@ -58,7 +48,6 @@ from repro.utils.timer import Stopwatch
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 __all__ = [
-    "BATCHING_GAIN_FLOOR",
     "EVENT_DISABLED_BUDGET",
     "EVENT_OVERHEAD_BUDGET",
     "JOURNAL_OVERHEAD_BUDGET",
@@ -76,14 +65,6 @@ EVENT_OVERHEAD_BUDGET = 0.15
 #: With no sink attached, the event seam's flag checks may cost at most
 #: this fraction of mean per-decision latency.
 EVENT_DISABLED_BUDGET = 0.05
-
-#: Micro-batched dispatch with the array backend must not fall below
-#: plain one-at-a-time throughput (the gate only runs when numpy is
-#: importable; outcomes are identical either way, only speed differs).
-BATCHING_GAIN_FLOOR = 1.0
-
-#: Batch ceiling the ``gateway_batched`` section runs with.
-_BENCH_BATCH_MAX = 16
 
 #: ``sink.enabled`` touchpoints a decision pays with events off: the
 #: decision-loop emit guard, the resolution-hook guard, the admission
@@ -107,26 +88,6 @@ def _build(requests: int, workers: int) -> tuple[Scenario, SimulatorConfig]:
     ).build(seed=5)
     config = SimulatorConfig(measure_response_time=False)
     return scenario, config
-
-
-def _build_dense() -> Scenario:
-    """The ``gateway_batched`` companion trace: a small dense city.
-
-    800 workers in a 10 km box with 3 km service radii put the mean
-    outer candidate set around 40 workers — past the array backends'
-    ``vector_min_candidates`` crossover, which the default trace (1-3
-    candidates) never reaches.  Quick and full modes share this trace so
-    their batching ratios are directly comparable.
-    """
-    return SyntheticWorkload(
-        SyntheticWorkloadConfig(
-            request_count=300,
-            worker_count=800,
-            radius_km=3.0,
-            city_km=10.0,
-            horizon_seconds=7200.0,
-        )
-    ).build(seed=5)
 
 
 def _section(decided: int, elapsed: float, latencies: list[float]) -> dict:
@@ -238,21 +199,6 @@ def _disabled_event_check_seconds(iterations: int = 200_000) -> float:
     return watch.stop() / iterations
 
 
-async def _bench_gateway_batched(
-    scenario: Scenario, config: SimulatorConfig
-) -> dict:
-    """In-process with micro-batching on and the array backend resolved."""
-    from dataclasses import replace
-
-    gateway = MatchingGateway(
-        scenario=scenario,
-        algorithm="ramcom",
-        config=replace(config, payment_backend="auto"),
-    )
-    gateway.batch_max = _BENCH_BATCH_MAX
-    return await _drive_gateway(gateway, scenario)
-
-
 async def _bench_tcp(scenario: Scenario, config: SimulatorConfig) -> dict:
     """Full stack: JSONL codec + loopback TCP + the decision loop."""
     server = MatchingServer(
@@ -289,19 +235,13 @@ def run_service_benchmark(quick: bool = False) -> dict:
     """The full payload (all modes); ``quick`` shrinks the trace for CI."""
     import tempfile
 
-    from repro.core.payment_kernel import resolve_backend
-
     requests, workers = (300, 100) if quick else (2000, 500)
     scenario, config = _build(requests, workers)
-    dense_scenario = _build_dense()
-    batched_backend = resolve_backend("auto")
     gateway_row: dict = {}
     journal_row: dict = {}
     events_row: dict = {}
-    batched_row: dict = {}
     journal_ratios: list[float] = []
     event_ratios: list[float] = []
-    batched_ratios: list[float] = []
 
     def _keep_best(best: dict, candidate: dict) -> dict:
         if (
@@ -324,18 +264,6 @@ def run_service_benchmark(quick: bool = False) -> dict:
             evented = asyncio.run(
                 _bench_gateway_events(scenario, config, tmp)
             )
-        # The batching pair runs on the dense trace, with the garbage
-        # collector paused: on small hosts GC pauses landing inside one
-        # side of the pair dominate the ratio's noise.
-        gc.collect()
-        gc.disable()
-        try:
-            plain_dense = asyncio.run(_bench_gateway(dense_scenario, config))
-            batched = asyncio.run(
-                _bench_gateway_batched(dense_scenario, config)
-            )
-        finally:
-            gc.enable()
         if plain["requests_per_second"] > 0:
             journal_ratios.append(
                 journaled["requests_per_second"]
@@ -345,15 +273,9 @@ def run_service_benchmark(quick: bool = False) -> dict:
                 evented["requests_per_second"]
                 / plain["requests_per_second"]
             )
-        if plain_dense["requests_per_second"] > 0:
-            batched_ratios.append(
-                batched["requests_per_second"]
-                / plain_dense["requests_per_second"]
-            )
         gateway_row = _keep_best(gateway_row, plain)
         journal_row = _keep_best(journal_row, journaled)
         events_row = _keep_best(events_row, evented)
-        batched_row = _keep_best(batched_row, batched)
     decision_seconds = (
         gateway_row["elapsed_seconds"] / gateway_row["requests"]
         if gateway_row.get("requests")
@@ -368,22 +290,11 @@ def run_service_benchmark(quick: bool = False) -> dict:
     )
     return {
         "benchmark": "service",
-        "schema": 4,
+        "schema": 5,
         "mode": "quick" if quick else "full",
         "gateway": gateway_row,
         "gateway_journal": journal_row,
         "gateway_events": events_row,
-        "gateway_batched": batched_row,
-        "batching_gain": {
-            # Best paired batched/plain ratio on the dense trace
-            # (self-relative, like the overhead gates).  Only gated when
-            # the array backend is live.
-            "throughput_ratio": max(batched_ratios) if batched_ratios else 0.0,
-            "floor": BATCHING_GAIN_FLOOR,
-            "batch_max": _BENCH_BATCH_MAX,
-            "payment_backend": batched_backend,
-            "trace": dense_scenario.name,
-        },
         "journal_overhead": {
             # Self-relative (both sides of each pair measured back to
             # back on the same machine), so the ratio is comparable
@@ -418,7 +329,6 @@ def render_service_report(payload: dict) -> str:
         "gateway",
         "gateway_journal",
         "gateway_events",
-        "gateway_batched",
         "tcp",
     ):
         row = payload.get(section)
@@ -443,16 +353,6 @@ def render_service_report(payload: dict) -> str:
             f"throughput enabled (budget {events['budget']:.0%}); "
             f"disabled path {disabled['fraction']:.2%} of decision latency "
             f"(budget {disabled['budget']:.0%})"
-        )
-    batching = payload.get("batching_gain")
-    if batching is not None:
-        trace = batching.get("trace")
-        where = f" on {trace}" if trace else ""
-        lines.append(
-            f"  batching gain:    {batching['throughput_ratio']:.3f}x plain "
-            f"throughput{where} (batch {batching['batch_max']}, "
-            f"{batching['payment_backend']} backend, floor "
-            f"{batching['floor']:.2f}x)"
         )
     return "\n".join(lines)
 
@@ -504,16 +404,4 @@ def check_service_regression(
                 f"{disabled['fraction']:.2%} of mean decision latency, "
                 f"over the {disabled['budget']:.0%} budget"
             )
-    batching = result.get("batching_gain")
-    if (
-        batching is not None
-        and batching.get("payment_backend") == "numpy"
-        and batching["throughput_ratio"] < batching["floor"]
-    ):
-        failures.append(
-            f"batching_gain: batched throughput is "
-            f"{batching['throughput_ratio']:.3f}x plain, below the "
-            f"{batching['floor']:.2f}x floor (micro-batching with the "
-            f"array backend must not lose throughput)"
-        )
     return failures

@@ -9,18 +9,8 @@ order, by a single consumer task.  Serialization is what makes the live
 service equal to the paper's model (requests are decided one by one,
 workers are claimed atomically) and what makes a virtual-clock trace
 replay byte-identical to :meth:`repro.core.simulator.Simulator.run`.
-
-With ``batch_max > 1`` the loop adds **micro-batched dispatch**: up to
-``batch_max`` already-queued jobs are drained at once (optionally
-lingering ``batch_linger_ms`` for more) and the contiguous run of
-requests at the batch's head is handed to
-:meth:`~repro.core.simulator.SimulationSession.prepare_request_batch`,
-which precomputes their Algorithm-2 estimates in one vectorized kernel
-invocation (docs/SERVICE.md#micro-batched-dispatch).
-Jobs are still processed strictly one at a time in submission order and
-speculative results are version/seed-keyed, so batched outcomes are
-bit-identical to one-at-a-time dispatch — batching buys throughput,
-never different answers.
+The loop dequeues and decides one job at a time; the journal's group
+commit defers acknowledgements, never decisions.
 
 Layers around the session:
 
@@ -62,7 +52,6 @@ server in :mod:`repro.service.server` is one transport over it.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -199,8 +188,6 @@ class MatchingGateway:
         journal: JournalConfig | str | Path | None = None,
         crash_plan: CrashPlan | None = None,
         events: EventSink | str | Path | None = None,
-        batch_max: int = 1,
-        batch_linger_ms: float = 0.0,
     ):
         if session is None:
             if scenario is None:
@@ -213,23 +200,6 @@ class MatchingGateway:
         self._session = session  # comlint: loop-owned
         self.config = session.config
         self.scenario = session.scenario
-        if batch_max < 1:
-            raise ConfigurationError(
-                f"batch_max must be >= 1, got {batch_max}"
-            )
-        if batch_linger_ms < 0:
-            raise ConfigurationError(
-                f"batch_linger_ms must be >= 0, got {batch_linger_ms}"
-            )
-        #: Micro-batched dispatch (docs/SERVICE.md#micro-batched-dispatch):
-        #: the decision loop drains up to ``batch_max`` already-queued jobs
-        #: at once, optionally lingering ``batch_linger_ms`` for more, and
-        #: speculatively precomputes the batch's incentive results in one
-        #: vectorized kernel call.  Jobs are still *processed* one at a
-        #: time in submission order — batching changes throughput, never
-        #: outcomes.  ``batch_max=1`` (default) disables it.
-        self.batch_max = batch_max
-        self.batch_linger_ms = batch_linger_ms
         self.clock = clock or VirtualClock()
         self.admission = AdmissionController(admission)
         self.registry = MetricsRegistry()
@@ -543,23 +513,9 @@ class MatchingGateway:
             monitor.guard("event-ring").bind()
         # Journaled jobs whose acks await the next group commit.
         pending_acks: list[tuple[asyncio.Future, object]] = []
-        # Jobs drained ahead of processing by micro-batched dispatch;
-        # processed strictly before anything still in the queue.
-        backlog: deque[tuple[str, object, asyncio.Future]] = deque()
         try:
             while True:
-                if backlog:
-                    kind, payload, future = backlog.popleft()
-                else:
-                    kind, payload, future = await self._queue.get()
-                    if self.batch_max > 1 and kind == "request":
-                        batch = await self._drain_batch(
-                            (kind, payload, future)
-                        )
-                        if len(batch) > 1:
-                            self._speculate(batch)
-                            backlog.extend(batch[1:])
-                        kind, payload, future = batch[0]
+                kind, payload, future = await self._queue.get()
                 try:
                     if kind == "stop":
                         self._release_acks(pending_acks)
@@ -582,7 +538,7 @@ class MatchingGateway:
                         # batch size one — commit-per-record, as before.
                         pending_acks.append((future, result))
                         if (
-                            (not backlog and self._queue.empty())
+                            self._queue.empty()
                             or len(pending_acks) >= _GROUP_COMMIT_MAX
                         ):
                             self._release_acks(pending_acks)
@@ -604,70 +560,7 @@ class MatchingGateway:
         finally:
             error = self.crash_error or ServiceError("gateway stopped")
             self._fail_acks(pending_acks, error)
-            # Drained-but-unprocessed jobs fail exactly like queued ones.
-            for __, __, backlog_future in backlog:
-                if not backlog_future.done():
-                    backlog_future.set_exception(error)
-            backlog.clear()
             self._abort_pending()
-
-    async def _drain_batch(
-        self, first: tuple[str, object, asyncio.Future]
-    ) -> list[tuple[str, object, asyncio.Future]]:
-        """Collect one micro-batch starting from an already-dequeued job.
-
-        Drains up to :attr:`batch_max` already-queued jobs without
-        yielding; with a positive :attr:`batch_linger_ms` it then waits —
-        bounded by that delay — for more to arrive.  Draining stops at
-        the first non-``request`` job (which still joins the batch's
-        tail, so queue order is preserved exactly): speculation only
-        covers a contiguous run of requests, and control jobs should not
-        linger behind it.
-        """
-        batch = [first]
-        deadline: float | None = None
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        while len(batch) < self.batch_max and batch[-1][0] == "request":
-            if not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-                continue
-            if self.batch_linger_ms <= 0:
-                break
-            if deadline is None:
-                deadline = loop.time() + self.batch_linger_ms / 1e3
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), remaining)
-                )
-            except asyncio.TimeoutError:
-                break
-        return batch
-
-    def _speculate(
-        self, batch: list[tuple[str, object, asyncio.Future]]
-    ) -> None:
-        """Precompute the batch's incentive results in one kernel call.
-
-        Best-effort and side-effect-free (see
-        :meth:`SimulationSession.prepare_request_batch`) — outcomes are
-        identical whether speculation hits, misses, or is skipped.
-        """
-        requests = [
-            payload
-            for job_kind, payload, __ in batch
-            if job_kind == "request" and isinstance(payload, Request)
-        ]
-        self.registry.counter("service_batches_total").inc()
-        self.registry.counter("service_batched_jobs_total").inc(len(batch))
-        if len(requests) < 2:
-            return
-        primed = self._session.prepare_request_batch(requests)
-        if primed:
-            self.registry.counter("service_speculated_total").inc(primed)
 
     def _release_acks(
         self, pending_acks: list[tuple[asyncio.Future, object]]
@@ -1087,15 +980,6 @@ class MatchingGateway:
             },
             "journal": journal,
             "events": events,
-            "batching": {
-                "batch_max": self.batch_max,
-                "batch_linger_ms": self.batch_linger_ms,
-                "speculation_hits": getattr(
-                    getattr(self._session, "payment_estimator", None),
-                    "prime_hits",
-                    0,
-                ),
-            },
             "concurrency": (
                 self._monitor.stats() if self._monitor is not None else None
             ),

@@ -126,8 +126,6 @@ async def replay_event_log(
     algorithm: str = "ramcom",
     config: SimulatorConfig | None = None,
     tcp: bool = False,
-    batch_max: int = 1,
-    batch_linger_ms: float = 0.0,
 ) -> ReplayReport:
     """Re-drive a recorded stream and report which identities held.
 
@@ -152,10 +150,6 @@ async def replay_event_log(
     gateway = MatchingGateway(
         scenario, algorithm, config or SimulatorConfig(), events=log
     )
-    # Micro-batching is outcome-neutral, so a batched replay must still
-    # reproduce the recorded stream byte for byte.
-    gateway.batch_max = batch_max
-    gateway.batch_linger_ms = batch_linger_ms
     _validate_meta(recorded, gateway, path)
 
     workers = requests = sheds = 0

@@ -69,11 +69,6 @@ class SoakConfig:
     #: after the final drain, that replaying it reproduces the run
     #: byte-identically modulo the crash/recovery markers.
     events: bool = True
-    #: Gateway micro-batch size (1 = off).  A soak with batching on
-    #: must pass the same byte-identity acceptance — batching never
-    #: changes outcomes (docs/SERVICE.md#micro-batched-dispatch).
-    batch_max: int = 1
-    batch_linger_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.cycles < 0:
@@ -83,10 +78,6 @@ class SoakConfig:
         if self.speed < 0:
             raise ConfigurationError(
                 f"speed must be >= 0, got {self.speed}"
-            )
-        if self.batch_max < 1:
-            raise ConfigurationError(
-                f"batch_max must be >= 1, got {self.batch_max}"
             )
 
 
@@ -225,8 +216,6 @@ async def run_soak(
         crash_plan=plan,
         events=event_log_path,
     )
-    gateway.batch_max = soak.batch_max
-    gateway.batch_linger_ms = soak.batch_linger_ms
     await gateway.start()
 
     submitted = 0
@@ -267,8 +256,6 @@ async def run_soak(
                 events=event_log_path,
             )
             recoveries.append(report)
-            gateway.batch_max = soak.batch_max
-            gateway.batch_linger_ms = soak.batch_linger_ms
             await gateway.start()
             retries += 1
             continue

@@ -72,20 +72,6 @@ def approximate_size_bytes(obj: object, _seen: set[int] | None = None) -> int:
         return 0
     _seen.add(object_id)
 
-    numpy = sys.modules.get("numpy")
-    if numpy is not None and isinstance(obj, numpy.ndarray):
-        # Charge the fixed ndarray header plus the ``nbytes`` payload.
-        # A view owns no payload, so it charges only its header here and
-        # walks into its ``base`` array, whose buffer is counted once
-        # through the shared ``_seen`` set however many views alias it.
-        # ``numpy`` is looked up in ``sys.modules`` rather than imported:
-        # the array backend is optional (docs/PERFORMANCE.md), and if no
-        # other module imported numpy there cannot be an ndarray to size.
-        header = object.__sizeof__(obj)
-        if obj.base is None:
-            return header + int(obj.nbytes)
-        return header + approximate_size_bytes(obj.base, _seen)
-
     size = _container_size(obj)
     if isinstance(obj, _ATOMIC_TYPES):
         return size

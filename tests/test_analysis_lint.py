@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis import (
     Baseline,
+    get_rule,
     lint_paths,
     lint_source,
     partition_violations,
@@ -134,17 +135,19 @@ def test_det005_catches_aliased_and_lazy_numpy_random() -> None:
         assert [v.rule_id for v in violations] == ["DET005"], source
 
 
-def test_det005_allows_the_kernel_seam() -> None:
+def test_det005_has_no_exempt_path() -> None:
     source = (
         "import numpy as np\n"
         "def make_generator(seed):\n"
         "    return np.random.Generator(np.random.PCG64(seed))\n"
     )
-    assert lint_source(source, "core/payment_kernel.py") == []
-    assert [v.rule_id for v in lint_source(source, "core/other.py")] == [
-        "DET005",
-        "DET005",
-    ]
+    assert get_rule("DET005").allowlist == ()
+    # Including a module that other determinism rules exempt.
+    for path in ("core/payment.py", "utils/rng.py", "core/other.py"):
+        assert [v.rule_id for v in lint_source(source, path)] == [
+            "DET005",
+            "DET005",
+        ]
 
 
 def test_det003_sorted_iteration_passes() -> None:

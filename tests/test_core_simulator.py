@@ -90,6 +90,18 @@ class TestSimulatorBasics:
         result = Simulator(SimulatorConfig()).run(scenario, TOTA)
         assert result.memory_bytes > 0
 
+    def test_payment_backend_accepts_only_python(self):
+        scenario = make_scenario([make_worker()], [make_request(t=1.0)])
+        result = Simulator(SimulatorConfig(payment_backend="python")).run(
+            scenario, DemCOM
+        )
+        assert result.total_completed == 1
+        for backend in ("numpy", "auto"):
+            with pytest.raises(ConfigurationError, match="payment_backend"):
+                Simulator(SimulatorConfig(payment_backend=backend)).run(
+                    scenario, DemCOM
+                )
+
 
 class TestDeterminism:
     def _scenario(self):

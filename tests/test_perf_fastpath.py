@@ -6,10 +6,13 @@ stream (one uniform per candidate with positive acceptance probability, in
 candidate order, until one accepts).  These tests pin that down at three
 levels: the estimator/pricer units, the RNG-boundary edge cases, and full
 DemCOM / RamCOM simulations run with ``payment_fast_path`` on vs off.
+Golden digests (:class:`TestPythonPathByteIdentity`) pin the fast path's
+outputs themselves.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -356,3 +359,82 @@ class TestPruningCounters:
 
     def test_reference_evaluates_every_payment(self):
         assert _golden_pricer_totals(fast_path=False) == (self.BUILT, self.BUILT)
+
+
+class TestPythonPathByteIdentity:
+    """Golden digests of the fast-path estimates, quotes and reports.
+
+    The digests pin the estimates, the RNG stream they leave behind, the
+    MER quotes and full DemCOM / RamCOM simulation reports.  A digest
+    change here is a reproducibility break, not a test to update
+    casually.
+    """
+
+    ESTIMATE_GOLDENS = {
+        "relative": ("5560ffd19d3c802f", "bfd6855f9ff19800"),
+        "absolute": ("69661f5c64fffbdf", "d253a2fbad9ff356"),
+    }
+    FIRST_RELATIVE_ESTIMATE = (3.858236012923015, 0)
+    QUOTE_GOLDENS = {
+        "relative": "0e7fc469abeeb144",
+        "absolute": "acd6a6c2deb3c10e",
+    }
+    FIRST_RELATIVE_QUOTE = (
+        2.756739315767495,
+        14.3070314984404,
+        0.6206896551724138,
+    )
+    REPORT_GOLDENS = {
+        "DemCOM": "23dac5dc6cb8682b4abd2542dfe3dbdd7bd6a410afba74d907f15478f8821560",
+        "RamCOM": "58f0b91cedf7d0c4e6df7a631d583566ab7a1ac912b12b6a5f1efbfca827ad1d",
+    }
+
+    @pytest.mark.parametrize("mode", ["relative", "absolute"])
+    def test_estimates_and_rng_stream_pinned(self, mode):
+        acceptance, workers = _populated_estimator(mode)
+        estimator = MinimumOuterPaymentEstimator(acceptance, fast_path=True)
+        rng = derive_rng(5, "fastpath/draws")
+        pick = derive_rng(5, "fastpath/calls")
+        payments = []
+        for _ in range(10):
+            value = 5.0 + 95.0 * pick.random()
+            ids = pick.sample(workers, 1 + pick.randrange(len(workers)))
+            estimate = estimator.estimate(value, ids, rng)
+            payments.append((estimate.payment, estimate.rejected_instances))
+        if mode == "relative":
+            assert payments[0] == self.FIRST_RELATIVE_ESTIMATE
+        payments_digest = hashlib.sha256(
+            json.dumps(payments).encode()
+        ).hexdigest()[:16]
+        state_digest = hashlib.sha256(
+            repr(rng.getstate()).encode()
+        ).hexdigest()[:16]
+        assert (payments_digest, state_digest) == self.ESTIMATE_GOLDENS[mode]
+
+    @pytest.mark.parametrize("mode", ["relative", "absolute"])
+    def test_quotes_pinned(self, mode):
+        acceptance, workers = _populated_estimator(mode)
+        pricer = MaximumExpectedRevenuePricer(acceptance, fast_path=True)
+        pick = derive_rng(11, "fastpath/quotes")
+        quotes = []
+        for _ in range(10):
+            value = 5.0 + 95.0 * pick.random()
+            ids = pick.sample(workers, 1 + pick.randrange(len(workers)))
+            quote = pricer.quote(value, ids)
+            quotes.append(
+                (
+                    quote.payment,
+                    quote.expected_revenue,
+                    quote.acceptance_probability,
+                )
+            )
+        if mode == "relative":
+            assert quotes[0] == self.FIRST_RELATIVE_QUOTE
+        digest = hashlib.sha256(json.dumps(quotes).encode()).hexdigest()[:16]
+        assert digest == self.QUOTE_GOLDENS[mode]
+
+    @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM])
+    def test_full_simulation_reports_pinned(self, algorithm):
+        report = _golden_report(algorithm, True)
+        digest = hashlib.sha256(report.encode()).hexdigest()
+        assert digest == self.REPORT_GOLDENS[algorithm.name]

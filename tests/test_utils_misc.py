@@ -109,54 +109,6 @@ class TestApproximateSize:
         )
 
 
-class TestApproximateSizeNdarray:
-    """Array-backend footprints are charged via ``nbytes``."""
-
-    @pytest.fixture()
-    def np(self):
-        return pytest.importorskip("numpy")
-
-    def test_owning_array_charges_nbytes(self, np):
-        array = np.zeros(10_000, dtype=np.float64)
-        size = approximate_size_bytes(array)
-        assert size >= array.nbytes
-        # A deep element walk of 10k boxed floats would cost >=24B each;
-        # the nbytes path stays within a small header of the raw buffer.
-        assert size < array.nbytes + 1024
-
-    def test_scales_with_buffer_not_shape(self, np):
-        flat = np.zeros(4096, dtype=np.float64)
-        square = flat.reshape(64, 64).copy()
-        assert approximate_size_bytes(square) == pytest.approx(
-            approximate_size_bytes(flat), abs=512
-        )
-
-    def test_view_charges_base_once(self, np):
-        base = np.zeros(100_000, dtype=np.float64)
-        views = [base[i:] for i in range(10)]
-        size = approximate_size_bytes([base, *views])
-        # Ten aliasing views add headers, not ten more 800kB buffers.
-        assert size < 2 * base.nbytes
-
-    def test_arrays_inside_objects_are_found(self, np):
-        class Holder:
-            def __init__(self, np_module):
-                self.matrix = np_module.ones((200, 200), dtype=np_module.float64)
-
-        holder = Holder(np)
-        assert approximate_size_bytes(holder) >= holder.matrix.nbytes
-
-    def test_acceptance_matrix_footprint(self, np):
-        from repro.core.acceptance import AcceptanceEstimator
-
-        estimator = AcceptanceEstimator()
-        ids = [f"w{worker_id}" for worker_id in range(32)]
-        for worker_id in ids:
-            estimator.set_history(worker_id, [0.2, 0.5, 0.8])
-        matrix = estimator.matrix(ids)
-        assert approximate_size_bytes(matrix) >= matrix.entries.nbytes
-
-
 class TestMemoryMeter:
     def test_measures_allocation(self):
         meter = MemoryMeter()
