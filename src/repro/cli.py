@@ -446,30 +446,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--log",
         type=str,
         required=True,
-        help="the recorded .comevt stream (from serve --events or soak)",
+        help=(
+            "the recorded .comevt stream (from serve --events, soak, or a "
+            "merged cluster recording — the shard count comes from its meta)"
+        ),
     )
     replay_events.add_argument(
         "--tcp",
         action="store_true",
         help=(
-            "route the replay through a loopback JSONL/TCP server instead "
-            "of the in-process gateway (adds wire-codec coverage)"
+            "put every replaying gateway behind its own loopback JSONL/TCP "
+            "server instead of driving it in process (adds wire-codec "
+            "coverage)"
         ),
     )
     replay_events.add_argument(
         "--verify",
         action="store_true",
         help="exit non-zero unless every byte-identity held",
-    )
-    replay_events.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "replay a merged cluster recording through this many shard "
-            "gateways (must match the recording's meta; default: 1 = "
-            "single-gateway stream)"
-        ),
     )
     replay_events.add_argument(
         "--output", type=str, default=None, help="write the replay report here"
@@ -592,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write the merged cluster-ordered COMEVT1 recording here at "
-            "drain (replayable with replay-events --shards N --verify)"
+            "drain (replayable with replay-events --verify)"
         ),
     )
 
@@ -888,8 +882,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
     if getattr(args, "cluster", False):
         from repro.experiments.cluster_bench import (
             check_cluster_regression as check_regression,
@@ -916,12 +908,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         payload = run_hotpath_benchmark(quick=not args.full, jobs=args.jobs)
     print(render_report(payload))
     if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"saved: {args.output}")
+        _save_report(args.output, payload)
     if args.check:
         failures = check_regression(payload, args.check)
         for failure in failures:
@@ -977,6 +964,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.strict and baselined:
             print(f"strict mode: {len(baselined)} baselined finding(s) fail too")
     return 1 if failing else 0
+
+
+def _save_report(path: str, payload: dict) -> None:
+    """Write a command's JSON report and say where it went."""
+    import json
+    from pathlib import Path
+
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"saved: {path}")
 
 
 def _service_scenario(args: argparse.Namespace):
@@ -1180,27 +1178,20 @@ def _cmd_replay_serve(args: argparse.Namespace) -> int:
             await server.stop()
 
     metrics = asyncio.run(_replay())
-    rendered = json.dumps(metrics, indent=2, sort_keys=True)
-    print(rendered)
+    print(json.dumps(metrics, indent=2, sort_keys=True))
     if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(rendered + "\n")
-        print(f"saved: {args.output}")
+        _save_report(args.output, metrics)
     if args.verify:
-        from repro.core import Simulator
-        from repro.core.registry import algorithm_factory
-        from repro.experiments.metrics import AlgorithmMetrics
-        from repro.experiments.reporting import metrics_to_dict
+        from repro.experiments.reporting import golden_row
 
-        result = Simulator(config).run(scenario, algorithm_factory(args.algorithm))
-        golden = metrics_to_dict(AlgorithmMetrics.from_simulation(result))
         served_row = json.dumps(metrics, sort_keys=True)
-        golden_row = json.dumps(golden, sort_keys=True)
-        if served_row != golden_row:
+        golden = json.dumps(
+            golden_row(scenario, args.algorithm, config), sort_keys=True
+        )
+        if served_row != golden:
             print("VERIFY FAIL: served metrics differ from Simulator.run")
             print(f"  served: {served_row}")
-            print(f"  golden: {golden_row}")
+            print(f"  golden: {golden}")
             return 1
         print("VERIFY OK: served metrics byte-identical to Simulator.run")
     return 0
@@ -1293,7 +1284,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 def _cmd_replay_cluster(args: argparse.Namespace) -> int:
     import asyncio
     import contextlib
-    import json
     import tempfile
     from pathlib import Path
 
@@ -1301,7 +1291,6 @@ def _cmd_replay_cluster(args: argparse.Namespace) -> int:
         drive_cluster,
         local_cluster,
         recording_of,
-        replay_cluster_log,
         stop_tcp_cluster,
         tcp_cluster,
     )
@@ -1425,108 +1414,22 @@ def _cmd_replay_cluster(args: argparse.Namespace) -> int:
                 )
                 status = 1
         elif args.verify:
-            if plan.shard_count == 1:
-                verify_report = asyncio.run(
-                    replay_event_log(
-                        record,
-                        scenario,
-                        algorithm=args.algorithm,
-                        config=config,
-                    )
+            verify_report = asyncio.run(
+                replay_event_log(
+                    record, scenario, algorithm=args.algorithm, config=config
                 )
-            else:
-                verify_report = asyncio.run(
-                    replay_cluster_log(
-                        record,
-                        scenario,
-                        algorithm=args.algorithm,
-                        config=config,
-                    )
-                )
-            report["replay"] = verify_report.as_dict()
-            if verify_report.verified:
-                print(
-                    "VERIFY OK: merged canonical stream and cluster row "
-                    "byte-identical on replay"
-                )
-            else:
-                print(
-                    "VERIFY FAIL: cluster replay diverged "
-                    f"(stream={verify_report.stream_identical}, "
-                    f"row={verify_report.row_identical})"
-                )
-                status = 1
-        if args.output:
-            Path(args.output).write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n"
             )
-            print(f"saved: {args.output}")
+            report["replay"] = verify_report.as_dict()
+            status = _print_replay(verify_report, record, verify=True)
+        if args.output:
+            _save_report(args.output, report)
         return status
 
 
-def _cmd_replay_events(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.service import replay_event_log
-
-    scenario = _service_scenario(args)
-    config = _service_config(args)
-    if getattr(args, "shards", 1) > 1:
-        from repro.cluster import replay_cluster_log
-
-        cluster_report = asyncio.run(
-            replay_cluster_log(
-                args.log,
-                scenario,
-                algorithm=args.algorithm,
-                config=config,
-            )
-        )
-        print(
-            f"replayed {args.log} ({cluster_report.shards} shard(s)): "
-            f"{cluster_report.recorded_events} recorded event(s), "
-            f"{cluster_report.workers} worker(s), "
-            f"{cluster_report.requests} request drive(s), "
-            f"{cluster_report.sheds} shed(s)"
-        )
-        print(
-            f"  stream "
-            f"{'identical' if cluster_report.stream_identical else 'DIVERGED'}, "
-            f"cluster row "
-            f"{'identical' if cluster_report.row_identical else 'DIVERGED'}"
-        )
-        if args.output:
-            from pathlib import Path
-
-            Path(args.output).write_text(
-                json.dumps(cluster_report.as_dict(), indent=2, sort_keys=True)
-                + "\n"
-            )
-            print(f"saved: {args.output}")
-        if args.verify:
-            if not cluster_report.verified:
-                print(
-                    "VERIFY FAIL: cluster replay did not reproduce the "
-                    "recorded stream"
-                )
-                return 1
-            print(
-                "VERIFY OK: merged canonical stream and cluster row "
-                "byte-identical to the recording"
-            )
-        return 0
-    report = asyncio.run(
-        replay_event_log(
-            args.log,
-            scenario,
-            algorithm=args.algorithm,
-            config=config,
-            tcp=args.tcp,
-        )
-    )
+def _print_replay(report, source: str, verify: bool) -> int:
+    """Print a replay report; with ``verify``, its VERIFY verdict too."""
     print(
-        f"replayed {args.log} ({report.mode}): "
+        f"replayed {source} ({report.mode}, {report.shards} shard(s)): "
         f"{report.recorded_events} recorded event(s), "
         f"{report.workers} worker(s), {report.requests} request(s), "
         f"{report.sheds} shed(s), {report.crashes_recorded} crash marker(s)"
@@ -1535,30 +1438,41 @@ def _cmd_replay_events(args: argparse.Namespace) -> int:
         f"  stream {'identical' if report.stream_identical else 'DIVERGED'}, "
         f"metrics row {'identical' if report.row_identical else 'DIVERGED'}"
     )
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"saved: {args.output}")
-    if args.verify:
-        if not report.verified:
-            print(
-                "VERIFY FAIL: replay did not reproduce the recorded stream"
-            )
-            return 1
-        print(
-            "VERIFY OK: canonical event stream and metrics row "
-            "byte-identical to the recording"
-        )
+    if not verify:
+        return 0
+    if not report.verified:
+        print("VERIFY FAIL: replay did not reproduce the recorded stream")
+        return 1
+    print(
+        "VERIFY OK: canonical event stream and metrics row "
+        "byte-identical to the recording"
+    )
     return 0
+
+
+def _cmd_replay_events(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.service import replay_event_log
+
+    report = asyncio.run(
+        replay_event_log(
+            args.log,
+            _service_scenario(args),
+            algorithm=args.algorithm,
+            config=_service_config(args),
+            tcp=args.tcp,
+        )
+    )
+    status = _print_replay(report, args.log, args.verify)
+    if args.output:
+        _save_report(args.output, report.as_dict())
+    return status
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     import asyncio
     import contextlib
-    import json
     import tempfile
 
     from repro.service import SoakConfig, run_soak
@@ -1599,12 +1513,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             f"{recovery.recovery_seconds * 1e3:.1f} ms"
         )
     if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"saved: {args.output}")
+        _save_report(args.output, report.as_dict())
     if not report.metrics_identical:
         print("SOAK FAIL: drained metrics differ from an uninterrupted run")
         return 1

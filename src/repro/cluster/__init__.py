@@ -5,8 +5,9 @@ cells, a :class:`~repro.cluster.router.ClusterRouter` routes arrivals to
 the shard gateway owning each cell and forwards rejected requests across
 shard borders (the cross-shard cooperation exchange), and the recording
 helpers merge per-shard ``COMEVT1`` streams into one cluster-ordered
-stream that :func:`~repro.cluster.replay.replay_cluster_log` can verify
-byte for byte.
+stream.  That merged recording carries its shard count and plan, so
+:func:`~repro.service.replay.replay_event_log` — the one replay entry
+point — verifies it byte for byte like any other recording.
 """
 
 from repro.cluster.plan import ShardPlan, reach_from_events
@@ -16,7 +17,6 @@ from repro.cluster.recording import (
     shard_streams_of,
     write_recording,
 )
-from repro.cluster.replay import ClusterReplayReport, replay_cluster_log
 from repro.cluster.router import (
     ClusterResult,
     ClusterRouter,
@@ -48,8 +48,6 @@ __all__ = [
     "shard_streams_of",
     "final_statuses_of",
     "write_recording",
-    "ClusterReplayReport",
-    "replay_cluster_log",
     "ClusterServer",
     "build_shard_gateway",
     "local_cluster",

@@ -16,9 +16,14 @@ order.  Because both the live run and its replay merge with the same
 key, byte-comparing canonical projections of the two merged streams is
 exactly the single-gateway replay identity, cluster-wide.
 
-The degenerate single-shard merge is the identity: a 1-shard cluster
-recording is byte-identical to the wrapped gateway's own stream, so the
-existing ``replay-events --verify`` machinery consumes it unchanged.
+The cluster ``meta`` event carries ``shards`` and the plan, so a
+recording says what shape it has:
+:func:`~repro.service.replay.replay_event_log` (``replay-events
+--verify``) splits it with :func:`shard_streams_of`, re-drives every
+shard, and re-merges with :func:`merge_shard_streams` and
+:func:`~repro.cluster.router.merge_rows` — no shard count is passed in.  The degenerate single-shard merge is
+the identity: a 1-shard cluster recording is byte-identical to the
+wrapped gateway's own stream, so it replays as a plain recording.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from repro.obs.events import (
 __all__ = [
     "merge_shard_streams",
     "write_recording",
-    "cluster_meta_of",
     "shard_streams_of",
     "final_statuses_of",
 ]
@@ -172,14 +176,6 @@ def write_recording(events: list[GatewayEvent], path: str | Path) -> Path:
     lines = [encode_canonical(event.as_dict()) for event in events]
     path.write_bytes(b"\n".join(lines) + b"\n" if lines else b"")
     return path
-
-
-def cluster_meta_of(events: list[GatewayEvent]) -> GatewayEvent:
-    """The stream's meta event; raises if the recording has none."""
-    meta = next((event for event in events if event.kind == "meta"), None)
-    if meta is None:
-        raise EventLogError("recording has no meta event")
-    return meta
 
 
 def shard_streams_of(

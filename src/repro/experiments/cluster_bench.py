@@ -46,7 +46,7 @@ from repro.core.simulator import Scenario
 from repro.obs.events import EventLog, GatewayEvent
 from repro.service.clock import VirtualClock
 from repro.service.gateway import MatchingGateway
-from repro.service.wire import request_from_wire, worker_from_wire
+from repro.service.replay import REDRIVE_VERBS, recorded_arrivals
 from repro.utils.timer import Stopwatch
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
@@ -130,26 +130,15 @@ async def _drive_substream(
     await gateway.start()
     watch = Stopwatch().start()
     try:
-        for event in substream:
-            if event.kind == "worker":
-                worker = worker_from_wire(event.fields["worker"])
-                clock.advance_to(worker.arrival_time)
-                window.append(
-                    asyncio.create_task(gateway.submit_worker(worker))
+        for kind, entity in recorded_arrivals(substream):
+            clock.advance_to(entity.arrival_time)
+            window.append(
+                asyncio.create_task(
+                    getattr(gateway, REDRIVE_VERBS[kind])(entity)
                 )
-            elif event.kind == "decision":
-                request = request_from_wire(event.fields["request"])
-                clock.advance_to(request.arrival_time)
-                window.append(
-                    asyncio.create_task(gateway.submit_request(request))
-                )
+            )
+            if kind == "decision":
                 decided += 1
-            elif event.kind == "shed":
-                request = request_from_wire(event.fields["request"])
-                clock.advance_to(request.arrival_time)
-                window.append(
-                    asyncio.create_task(gateway.replay_shed(request))
-                )
             if len(window) >= _PIPELINE_WINDOW:
                 await asyncio.gather(*window)
                 window.clear()

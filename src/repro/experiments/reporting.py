@@ -10,12 +10,26 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.core.registry import algorithm_factory
+from repro.core.simulator import (
+    Scenario,
+    SimulationResult,
+    Simulator,
+    SimulatorConfig,
+)
 from repro.experiments.chaos import ChaosResult
 from repro.experiments.figures import FigurePanel
 from repro.experiments.metrics import AlgorithmMetrics
 from repro.experiments.tables import TableResult
 
-__all__ = ["save_table", "save_panel", "save_chaos", "metrics_to_dict"]
+__all__ = [
+    "save_table",
+    "save_panel",
+    "save_chaos",
+    "metrics_to_dict",
+    "result_row",
+    "golden_row",
+]
 
 
 def metrics_to_dict(row: AlgorithmMetrics) -> dict:
@@ -40,6 +54,24 @@ def metrics_to_dict(row: AlgorithmMetrics) -> dict:
         "outage_seconds": row.outage_seconds,
         "telemetry": row.telemetry.as_dict() if row.telemetry is not None else None,
     }
+
+
+def result_row(result: SimulationResult) -> dict:
+    """The metric row of one finished run — the golden-equivalence surface."""
+    return metrics_to_dict(AlgorithmMetrics.from_simulation(result))
+
+
+def golden_row(
+    scenario: Scenario, algorithm: str, config: SimulatorConfig
+) -> dict:
+    """The row of an uninterrupted ``Simulator.run`` of ``scenario``.
+
+    Served, recovered and replayed runs of the same trace must reproduce
+    it byte for byte.
+    """
+    return result_row(
+        Simulator(config).run(scenario, algorithm_factory(algorithm))
+    )
 
 
 def save_table(result: TableResult, directory: str | Path) -> Path:

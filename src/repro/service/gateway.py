@@ -936,10 +936,9 @@ class MatchingGateway:
         """
         if self.result is None:
             raise ServiceError("gateway not drained; no result to report")
-        from repro.experiments.metrics import AlgorithmMetrics
-        from repro.experiments.reporting import metrics_to_dict
+        from repro.experiments.reporting import result_row
 
-        return metrics_to_dict(AlgorithmMetrics.from_simulation(self.result))
+        return result_row(self.result)
 
     def stats(self) -> dict:
         """Live service statistics (the ``stats`` protocol verb)."""

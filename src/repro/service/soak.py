@@ -29,8 +29,7 @@ import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core.registry import algorithm_factory
-from repro.core.simulator import Scenario, Simulator, SimulatorConfig
+from repro.core.simulator import Scenario, SimulatorConfig
 from repro.errors import ConfigurationError, InducedCrash
 from repro.faults.crash import CrashPlan
 from repro.obs.events import encode_canonical
@@ -183,11 +182,9 @@ async def run_soak(
         sanitize_concurrency=True,
         measure_response_time=False,
     )
-    golden_result = Simulator(config).run(scenario, algorithm_factory(algorithm))
-    from repro.experiments.metrics import AlgorithmMetrics
-    from repro.experiments.reporting import metrics_to_dict
+    from repro.experiments.reporting import golden_row
 
-    golden_row = metrics_to_dict(AlgorithmMetrics.from_simulation(golden_result))
+    golden = golden_row(scenario, algorithm, config)
 
     journal_config = JournalConfig(
         directory=directory,
@@ -265,7 +262,7 @@ async def run_soak(
     result = await gateway.drain()
     assert result is not None
     row = gateway.metrics_dict()
-    identical = encode_canonical(row) == encode_canonical(golden_row)
+    identical = encode_canonical(row) == encode_canonical(golden)
 
     event_count = 0
     events_identical: bool | None = None

@@ -179,6 +179,30 @@ class TestCommands:
         assert "checkpointed after 20 events" in out
         assert "VERIFY OK" in out
 
+    def test_replay_events_verifies_a_plain_recording(self, capsys, tmp_path):
+        scale = ["--requests", "40", "--workers", "15"]
+        directory = tmp_path / "soak"
+        soak = ["soak", "--cycles", "1", "--directory", str(directory)]
+        assert main([*soak, *scale]) == 0
+        log = str(directory / "events.comevt")
+        capsys.readouterr()
+        assert main(["replay-events", "--log", log, *scale, "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "1 shard(s)" in out
+        assert "VERIFY OK" in out
+
+    def test_replay_events_verifies_a_merged_recording(self, capsys, tmp_path):
+        """The shard count comes from the recording; no flag names it."""
+        scale = ["--requests", "60", "--workers", "30"]
+        record = str(tmp_path / "cluster.comevt")
+        cluster = ["replay-cluster", "--shards", "4", "--hetero", "--record"]
+        assert main([*cluster, record, *scale]) == 0
+        capsys.readouterr()
+        assert main(["replay-events", "--log", record, *scale, "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "4 shard(s)" in out
+        assert "VERIFY OK" in out
+
     def test_trace_writes_artifacts(self, capsys, tmp_path):
         import json
 

@@ -9,7 +9,9 @@ The anchor properties:
   so an N-shard cluster completes (at least) the single-shard matches
   and the sanitizer's cluster-wide Def. 2.5/2.6 checks hold;
 * **verified replay** — the merged cluster recording re-drives through
-  fresh shards to a byte-identical stream and row;
+  fresh shards to a byte-identical stream and row, via the same
+  :func:`~repro.service.replay.replay_event_log` entry point as a plain
+  gateway stream (the shard count comes from the recording);
 * **operations** — snapshot handoff leaves the final row byte-identical,
   and a mid-stream shard crash degrades to the survivors instead of
   taking the cluster down.
@@ -32,7 +34,6 @@ from repro.cluster import (
     merge_shard_streams,
     reach_from_events,
     recording_of,
-    replay_cluster_log,
     shard_streams_of,
     stop_tcp_cluster,
     tcp_cluster,
@@ -45,7 +46,7 @@ from repro.experiments.reporting import metrics_to_dict
 from repro.faults.crash import CrashPlan
 from repro.geo.point import Point
 from repro.obs.events import GatewayEvent, canonical_projection, read_events
-from repro.service import MatchingGateway
+from repro.service import MatchingGateway, replay_event_log
 from repro.service.dashboard import LiveState
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
@@ -338,13 +339,32 @@ class TestClusterRecordingAndReplay:
         path = tmp_path / "cluster.comevt"
         recording_of(router, logs, result, path)
         report = asyncio.run(
-            replay_cluster_log(path, scenario, algorithm="ramcom", config=config)
+            replay_event_log(path, scenario, algorithm="ramcom", config=config)
         )
         assert report.shards == 4
         assert report.stream_identical
         assert report.row_identical
         assert report.verified
         assert report.requests >= len(list(scenario.events.requests))
+
+    def test_merged_recording_replays_over_tcp(self, tmp_path):
+        """--tcp puts every shard gateway behind its own loopback server."""
+        scenario = build_scenario()
+        config = service_config()
+        plan = make_plan(scenario, 4)
+        router, logs, result = asyncio.run(
+            run_cluster(scenario, plan, config=config)
+        )
+        path = tmp_path / "cluster.comevt"
+        recording_of(router, logs, result, path)
+        report = asyncio.run(
+            replay_event_log(
+                path, scenario, algorithm="ramcom", config=config, tcp=True
+            )
+        )
+        assert report.mode == "tcp"
+        assert report.shards == 4
+        assert report.verified
 
     def test_replay_rejects_wrong_deployment(self, tmp_path):
         scenario = build_scenario()
@@ -357,14 +377,14 @@ class TestClusterRecordingAndReplay:
         recording_of(router, logs, result, path)
         with pytest.raises(ServiceError):
             asyncio.run(
-                replay_cluster_log(
+                replay_event_log(
                     path, scenario, algorithm="demcom", config=config
                 )
             )
         other = build_scenario(seed=9, requests=50, workers=25)
         with pytest.raises(ServiceError):
             asyncio.run(
-                replay_cluster_log(
+                replay_event_log(
                     path, other, algorithm="ramcom", config=config
                 )
             )
@@ -402,8 +422,8 @@ class TestClusterRecordingAndReplay:
         ]
         assert len(served) == len(set(served))
 
-    def test_single_gateway_recording_is_refused(self, tmp_path):
-        """A COMEVT1 stream without shard meta points at service.replay."""
+    def test_single_gateway_recording_replays_as_one_shard(self, tmp_path):
+        """A COMEVT1 stream without shard meta is one substream."""
         scenario = build_scenario()
         config = service_config()
 
@@ -427,15 +447,16 @@ class TestClusterRecordingAndReplay:
             await gateway.stop()
 
         asyncio.run(record_plain())
-        with pytest.raises(ServiceError, match="shard"):
-            asyncio.run(
-                replay_cluster_log(
-                    tmp_path / "plain.comevt",
-                    scenario,
-                    algorithm="ramcom",
-                    config=config,
-                )
+        report = asyncio.run(
+            replay_event_log(
+                tmp_path / "plain.comevt",
+                scenario,
+                algorithm="ramcom",
+                config=config,
             )
+        )
+        assert report.shards == 1
+        assert report.verified
 
 
 class TestHandoff:
