@@ -24,8 +24,6 @@ single gateway's counters.
 
 from __future__ import annotations
 
-import asyncio
-import json
 from pathlib import Path
 
 from repro.cluster.plan import ShardPlan
@@ -39,14 +37,14 @@ from repro.cluster.router import (
 )
 from repro.core.events import EventKind, EventStream
 from repro.core.simulator import Scenario, SimulatorConfig
-from repro.errors import InducedCrash, ReproError, ServiceError
+from repro.errors import InducedCrash
 from repro.faults.crash import CrashPlan
 from repro.faults.plan import RetryPolicy
 from repro.obs.events import EventLog, GatewayEvent
 from repro.service.client import GatewayClient
 from repro.service.clock import ServiceClock, VirtualClock
 from repro.service.gateway import MatchingGateway
-from repro.service.server import DEFAULT_HOST, MatchingServer, encode_response
+from repro.service.server import DEFAULT_HOST, JsonlServer, MatchingServer
 from repro.service.wire import request_from_wire, worker_from_wire
 
 __all__ = [
@@ -242,8 +240,16 @@ def recording_of(
     return merged
 
 
-class ClusterServer:
-    """Serves a :class:`ClusterRouter` over JSONL/TCP."""
+class ClusterServer(JsonlServer):
+    """Serves a :class:`ClusterRouter` over JSONL/TCP, lock-step.
+
+    Not pipelined: :meth:`ClusterRouter.submit_request` awaits the home
+    shard's answer and then forwarded ones, so concurrent submissions
+    could reach a second shard out of line order and change which
+    platform a cross-shard request cooperates with.
+    """
+
+    pipelined = False
 
     def __init__(
         self,
@@ -254,85 +260,29 @@ class ClusterServer:
         logs: list[EventLog] | None = None,
         record: str | Path | None = None,
     ):
+        super().__init__(host, port)
         self.router = router
         self.clock = clock
-        self.host = host
-        self.port = port
         #: Per-shard event logs; with ``record`` set, their merged
         #: cluster-ordered recording is written at drain.
         self.logs = logs
         self.record = Path(record) if record is not None else None
-        self._server: asyncio.base_events.Server | None = None
         self._result: ClusterResult | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port); valid after :meth:`start`."""
-        if self._server is None:
-            raise ServiceError("cluster server not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
 
     async def start(self) -> tuple[str, int]:
         """Start every shard and the front listener."""
         await self.router.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        return self.address
+        return await self._listen()
 
     async def stop(self) -> None:
-        """Close the listener and stop the shards."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Close the listener and the connections, then stop the shards."""
+        await self._close()
         await self.router.stop()
 
-    async def serve_forever(self) -> None:
-        """Block serving connections until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._answer(line)
-                writer.write(encode_response(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-write; nothing to answer
-        finally:
-            writer.close()
-
-    async def _answer(self, line: bytes) -> dict:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"ok": False, "verb": None, "error": f"bad JSON: {error}"}
-        if not isinstance(payload, dict):
-            return {
-                "ok": False,
-                "verb": None,
-                "error": "payload must be an object",
-            }
-        verb = payload.get("verb")
-        try:
-            return await self._dispatch(verb, payload)
-        except InducedCrash as error:
-            # A shard died and no survivor could take the arrival — the
-            # cluster front stays up and reports the degradation.
-            return {"ok": False, "verb": verb, "error": f"shard lost: {error}"}
-        except (ReproError, ValueError, TypeError) as error:
-            return {"ok": False, "verb": verb, "error": str(error)}
+    def _crash_answer(self, verb: object, error: InducedCrash) -> dict:
+        # A shard died and no survivor could take the arrival — the
+        # cluster front stays up and reports the degradation.
+        return {"ok": False, "verb": verb, "error": f"shard lost: {error}"}
 
     async def _dispatch(self, verb: object, payload: dict) -> dict:
         router = self.router

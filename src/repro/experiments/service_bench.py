@@ -13,7 +13,8 @@ four ways —
     in-process with the ``COMEVT1`` event log on (file-backed
     :class:`~repro.obs.events.EventLog`) — the cost of live ops;
 ``tcp``
-    the full JSONL-over-TCP stack on loopback.
+    the full JSONL-over-TCP stack on loopback, driven through one
+    pipelined connection and checked against ``Simulator.run``.
 
 Each section records sustained requests/sec and p50/p95/p99 end-to-end
 latency.  The ``journal_overhead`` and ``event_overhead`` sections carry
@@ -38,12 +39,16 @@ from pathlib import Path
 from repro.core import SimulatorConfig
 from repro.core.events import EventKind
 from repro.core.simulator import Scenario
+from repro.errors import ServiceError
+from repro.experiments.reporting import golden_row
 from repro.service import (
-    GatewayClient,
     JournalConfig,
     MatchingGateway,
     MatchingServer,
+    request_to_wire,
+    worker_to_wire,
 )
+from repro.service.server import encode_response
 from repro.utils.timer import Stopwatch
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
@@ -200,28 +205,50 @@ def _disabled_event_check_seconds(iterations: int = 200_000) -> float:
 
 
 async def _bench_tcp(scenario: Scenario, config: SimulatorConfig) -> dict:
-    """Full stack: JSONL codec + loopback TCP + the decision loop."""
+    """Full stack: JSONL codec + loopback TCP + the decision loop.
+
+    One raw connection keeps up to :data:`_PIPELINE_WINDOW` lines
+    unanswered, topping the window up half a window at a time, like
+    :func:`_drive_gateway` over the wire.  Raises :class:`ServiceError`
+    unless every answer is ok and the drained row equals
+    ``Simulator.run``'s on the same trace.
+    """
+    lines = [
+        encode_response({"verb": "worker", "worker": worker_to_wire(event.worker)})
+        if event.kind is EventKind.WORKER
+        else encode_response(
+            {"verb": "request", "request": request_to_wire(event.request)}
+        )
+        for event in scenario.events
+    ]
     server = MatchingServer(
         MatchingGateway(scenario=scenario, algorithm="ramcom", config=config)
     )
     host, port = await server.start()
     latencies: list[float] = []
-    decided = 0
     try:
-        async with GatewayClient(host, port) as client:
-            watch = Stopwatch().start()
-            for event in scenario.events:
-                if event.kind is EventKind.WORKER:
-                    await client.submit_worker(event.worker)
-                else:
-                    outcome = await client.submit_request(event.request)
-                    latencies.append(outcome.latency_ms)
-                    decided += 1
-            elapsed = watch.stop()
-            await client.drain()
+        reader, writer = await asyncio.open_connection(host, port)
+        watch = Stopwatch().start()
+        sent = 0
+        for answered in range(len(lines)):
+            if len(lines) > sent and sent - answered <= _PIPELINE_WINDOW // 2:
+                top = min(len(lines), answered + _PIPELINE_WINDOW)
+                writer.write(b"".join(lines[sent:top]))
+                sent = top
+            response = json.loads(await reader.readline())
+            if not response.get("ok"):
+                raise ServiceError(f"tcp bench: {response.get('error')}")
+            if response["verb"] == "request":
+                latencies.append(response["outcome"]["latency_ms"])
+        elapsed = watch.stop()
+        writer.write(encode_response({"verb": "drain"}))
+        drained = json.loads(await reader.readline())
+        writer.close()
     finally:
         await server.stop()
-    return _section(decided, elapsed, latencies)
+    if drained.get("metrics") != golden_row(scenario, "ramcom", config):
+        raise ServiceError("tcp bench: drained row differs from Simulator.run")
+    return _section(len(latencies), elapsed, latencies)
 
 
 #: Paired repetitions of the two in-process sections.  Shared-machine

@@ -3,7 +3,13 @@
 :class:`GatewayClient` speaks the one-JSON-object-per-line protocol of
 :class:`~repro.service.server.MatchingServer`.  Calls are serialized with
 a lock (the protocol answers in submission order per connection), so one
-client instance is safe to share between tasks.
+client instance is safe to share between tasks.  The client is
+lock-step — one line out, its answer back — so the server never has a
+backlog to group-commit on its behalf.  The server itself pipelines:
+a raw connection may keep up to
+:data:`~repro.service.server.PIPELINE_WINDOW` lines unanswered and read
+the answers in line order (``repro.experiments.service_bench`` drives
+its ``tcp`` section that way).
 
 Pass a :class:`~repro.faults.RetryPolicy` as ``reconnect`` and the
 client survives a server crash/restart transparently: a dropped

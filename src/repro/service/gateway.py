@@ -231,6 +231,11 @@ class MatchingGateway:
         self.journal_config: JournalConfig | None = None
         self._journal: Journal | None = None
         self._journaled_workers: set[str] = set()
+        #: Job futures of journaled arrivals still on the queue, by id:
+        #: a duplicate submitted before the first is applied (a pipelined
+        #: client's retry) waits on the first instead of re-entering.
+        self._inflight_workers: dict[str, asyncio.Future] = {}
+        self._inflight_requests: dict[str, asyncio.Future] = {}
         self._last_checkpoint_seq = 0
         # COMEVT1 event stream (repro.obs.events).  The sink is a
         # gateway-level concern, never session state: the session gets
@@ -486,6 +491,20 @@ class MatchingGateway:
 
     def _new_future(self) -> asyncio.Future:
         return asyncio.get_running_loop().create_future()
+
+    def _enqueue(self, kind: str, payload: object) -> asyncio.Future:
+        """Put one job on the decision queue; returns its future.
+
+        Synchronous on purpose: the queue is unbounded, so a job enters
+        it the moment its submit call starts, before the caller first
+        suspends.  Callers that start submissions in order (a pipelined
+        connection, a window of tasks) therefore enqueue in that order —
+        the ordering the byte-identical replay rests on.
+        """
+        assert self._queue is not None
+        future = self._new_future()
+        self._queue.put_nowait((kind, payload, future))
+        return future
 
     def _ensure_running(self) -> None:
         if self.crash_error is not None:
@@ -800,19 +819,35 @@ class MatchingGateway:
         no-op — the arrival was durably applied the first time.
         """
         self._ensure_running()
-        assert self._queue is not None
-        if self._journal is not None and worker.worker_id in self._journaled_workers:
-            self.registry.counter("service_dedup_total").inc(
-                platform=worker.platform_id, entity="worker"
-            )
-            return
+        if self._journal is not None:
+            first = self._inflight_workers.get(worker.worker_id)
+            if first is not None or worker.worker_id in self._journaled_workers:
+                self.registry.counter("service_dedup_total").inc(
+                    platform=worker.platform_id, entity="worker"
+                )
+                if first is not None:
+                    # Acknowledge the duplicate once the first is durable.
+                    await asyncio.shield(first)
+                return
         worker = self._canonical_worker(worker)
         self.registry.counter("service_workers_total").inc(
             platform=worker.platform_id
         )
-        future = self._new_future()
-        await self._queue.put(("worker", worker, future))
-        await future
+        future = self._enqueue("worker", worker)
+        await self._settle(self._inflight_workers, worker.worker_id, future)
+
+    async def _settle(
+        self, inflight: dict[str, asyncio.Future], key: str, future: asyncio.Future
+    ) -> object:
+        """Await an arrival's job; while it is queued, a journaled gateway
+        lists it in ``inflight`` for duplicates to wait on."""
+        if self._journal is None:
+            return await future
+        inflight[key] = future
+        try:
+            return await future
+        finally:
+            del inflight[key]
 
     async def submit_request(self, request: Request) -> ServiceOutcome:
         """Deliver one request; returns its outcome (or ``shed``).
@@ -823,19 +858,27 @@ class MatchingGateway:
         With journaling enabled, a request id that already has a durable
         non-``shed`` outcome (a client retry after a crash) is answered
         from the outcome log without re-entering the engine — retries
-        never double-apply.  A previously *shed* request is not deduped:
-        shedding means it never entered the engine, so a retry is a
-        legitimate new attempt.
+        never double-apply.  A duplicate of a request still on the queue
+        waits for the first one's decision and answers it.  A previously
+        *shed* request is not deduped: shedding means it never entered
+        the engine, so a retry is a legitimate new attempt.
         """
         self._ensure_running()
         assert self._queue is not None
+        request_id = request.request_id
         if self._journal is not None:
-            recorded = self._outcomes.get(request.request_id)
-            if recorded is not None and recorded.status != STATUS_SHED:
+            recorded = self._outcomes.get(request_id)
+            first = self._inflight_requests.get(request_id)
+            if first is not None or (
+                recorded is not None and recorded.status != STATUS_SHED
+            ):
                 self.registry.counter("service_dedup_total").inc(
                     platform=request.platform_id, entity="request"
                 )
-                return recorded
+                if first is None:
+                    return recorded
+                decided = await asyncio.shield(first)
+                return self._outcomes.get(request_id, decided)
         request = self._canonical_request(request)
         watch = Stopwatch().start()
         if not self.admission.admit(self._queue.qsize()):
@@ -853,14 +896,11 @@ class MatchingGateway:
                 # Durably record / emit the shed answer (on the decision
                 # loop, so the append and the event serialize with
                 # decision records) before the caller sees it.
-                future = self._new_future()
-                await self._queue.put(("shed", (request, outcome), future))
-                await future
+                await self._enqueue("shed", (request, outcome))
             return outcome
-        future = self._new_future()
-        await self._queue.put(("request", request, future))
+        future = self._enqueue("request", request)
         self.registry.gauge("service_queue_depth").set(self._queue.qsize())
-        outcome = await future
+        outcome = await self._settle(self._inflight_requests, request_id, future)
         elapsed = watch.stop()
         self.registry.histogram("service_latency_seconds").observe(
             elapsed, platform=request.platform_id
@@ -890,9 +930,7 @@ class MatchingGateway:
         )
         outcome = ServiceOutcome(request.request_id, STATUS_SHED)
         self._outcomes[request.request_id] = outcome
-        future = self._new_future()
-        await self._queue.put(("shed", (request, outcome), future))
-        await future
+        await self._enqueue("shed", (request, outcome))
         return outcome
 
     async def drain(self) -> SimulationResult:
@@ -904,10 +942,7 @@ class MatchingGateway:
         gateway answers no further arrivals.
         """
         self._ensure_running()
-        assert self._queue is not None
-        future = self._new_future()
-        await self._queue.put(("finalize", None, future))
-        result = await future
+        result = await self._enqueue("finalize", None)
         await self.stop()
         return result
 
@@ -918,10 +953,7 @@ class MatchingGateway:
         decisions — never mid-claim.  Restore with :meth:`from_snapshot`.
         """
         self._ensure_running()
-        assert self._queue is not None
-        future = self._new_future()
-        await self._queue.put(("snapshot", path, future))
-        return await future
+        return await self._enqueue("snapshot", path)
 
     def outcome_of(self, request_id: str) -> ServiceOutcome | None:
         """The recorded outcome of a request (None if unknown)."""
@@ -953,6 +985,9 @@ class MatchingGateway:
                 "fsync": self.journal_config.fsync,
                 "records": (
                     self._journal.next_seq if self._journal is not None else 0
+                ),
+                "commits": (
+                    self._journal.commits if self._journal is not None else 0
                 ),
                 "last_checkpoint_seq": self._last_checkpoint_seq,
             }

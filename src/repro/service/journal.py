@@ -280,6 +280,9 @@ class Journal:
         self._fsync = fsync
         self._fsync_interval = fsync_interval
         self._since_sync = 0
+        #: Commits that wrote records, since this handle was opened; with
+        #: :attr:`next_seq` it shows how many records a commit covers.
+        self.commits = 0
         #: Frames appended since the last commit; written in one OS call.
         self._buffer = bytearray()
         self._crash = crash
@@ -458,6 +461,7 @@ class Journal:
         self._file.write(self._buffer)
         self._file.flush()
         self._buffer.clear()
+        self.commits += 1
         if self._fsync == "always":
             # Synchronous by contract: the ack that follows this commit
             # promises OS-crash durability.

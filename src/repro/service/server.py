@@ -36,18 +36,31 @@ the full schema):
     virtual clock.
 
 Entity ids must be unique per run (the engine enforces global uniqueness
-of worker ids; requests are keyed by id in the outcome log).  Submissions
-are answered in order per connection; concurrent connections interleave
-at whole-decision granularity through the gateway's serialized queue.
+of worker ids; requests are keyed by id in the outcome log).  Concurrent
+connections interleave at whole-decision granularity through the
+gateway's serialized queue.
+
+**Pipelining.**  A client need not wait for an answer before sending
+its next line.  The server reads ahead up to :data:`PIPELINE_WINDOW`
+(64) unanswered lines per connection.  A ``request``, ``worker`` or
+``shed`` line is dispatched the moment it is read, so its job enters the
+decision queue in line order; every other line (``ping``, ``outcome``,
+``stats``, ``snapshot``, ``drain``, unknown verbs, malformed JSON) is a
+*barrier*, dispatched only once every earlier line has been answered.
+Answers go out strictly in line order, consecutive ready answers joined
+into one write.  What a client can observe on one connection is the
+lock-step behaviour; only the timing changes — and the decision loop,
+seeing a backlog, covers a window's records with one journal commit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from collections import deque
 
 from repro.errors import InducedCrash, ReproError, ServiceError
-from repro.service.gateway import MatchingGateway
+from repro.service.gateway import _GROUP_COMMIT_MAX, MatchingGateway
 
 # Entity codecs live in repro.service.wire (shared with the journal);
 # re-exported here for backward compatibility.
@@ -59,8 +72,10 @@ from repro.service.wire import (
 )
 
 __all__ = [
+    "JsonlServer",
     "MatchingServer",
     "DEFAULT_HOST",
+    "PIPELINE_WINDOW",
     "encode_response",
     "request_to_wire",
     "request_from_wire",
@@ -70,35 +85,104 @@ __all__ = [
 
 DEFAULT_HOST = "127.0.0.1"
 
+#: Unanswered lines one connection may have in flight.  Equal to the
+#: gateway's group-commit cap, so a full window is covered by one journal
+#: commit, and far below ``AdmissionPolicy.max_pending`` (1024), so a
+#: single client never sheds its own requests.
+PIPELINE_WINDOW = _GROUP_COMMIT_MAX
+
+#: Verbs dispatched without waiting for earlier answers; every other
+#: line is a barrier.  A tuple: a client's verb may be unhashable.
+PIPELINED_VERBS = ("request", "worker", "shed")
+
 
 def encode_response(response: dict) -> bytes:
-    """Frame one JSONL protocol response (shared with the cluster front
-    door, which must not serialize next to event-sink code itself)."""
+    """Frame one JSONL protocol line — a response, or a request line for
+    a raw client (shared with modules that must not serialize next to
+    event-sink code themselves)."""
     return json.dumps(response, sort_keys=True).encode() + b"\n"
 
 
-# -- the server --------------------------------------------------------------
+#: Verb slot of a line that is not a JSON object; its "payload" is the
+#: error answer.
+_MALFORMED = object()
 
 
-class MatchingServer:
-    """Serves a :class:`MatchingGateway` over JSONL/TCP."""
+def _parse(line: bytes) -> tuple[object, dict]:
+    """A line's verb and payload (see :data:`_MALFORMED`)."""
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as error:
+        problem = f"bad JSON: {error}"
+    else:
+        if isinstance(payload, dict):
+            return payload.get("verb"), payload
+        problem = "payload must be an object"
+    return _MALFORMED, {"ok": False, "verb": None, "error": problem}
 
-    def __init__(
-        self,
-        gateway: MatchingGateway,
-        host: str = DEFAULT_HOST,
-        port: int = 0,
-    ):
-        self.gateway = gateway
+
+class _Responder:
+    """Writes one connection's pipelined answers strictly in line order.
+
+    Every dispatched line pushes its answer future; whenever one
+    completes, the ready prefix is written in one ``write``.  A failed or
+    cancelled answer (a kill point fired, or the loop is shutting down)
+    silences the connection for good: a dead process answers nothing
+    further.
+    """
+
+    __slots__ = ("_writer", "_pending", "_waiter", "_silent")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self._writer = writer
+        self._pending: deque[asyncio.Future] = deque()
+        self._waiter: asyncio.Future | None = None
+        self._silent = False
+
+    def push(self, answer: asyncio.Future) -> None:
+        self._pending.append(answer)
+        answer.add_done_callback(self._flush)
+
+    async def below(self, depth: int) -> None:
+        """Return once fewer than ``depth`` answers are outstanding."""
+        while len(self._pending) >= depth:
+            self._waiter = asyncio.get_running_loop().create_future()
+            await self._waiter
+
+    def _flush(self, _: asyncio.Future) -> None:
+        pending = self._pending
+        chunks: list[bytes] = []
+        while pending and pending[0].done():
+            answer = pending.popleft()
+            if answer.cancelled() or answer.exception() is not None:
+                self._silent = True
+            elif not self._silent:
+                chunks.append(encode_response(answer.result()))
+        if chunks and not self._silent and not self._writer.is_closing():
+            self._writer.write(b"".join(chunks))
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+
+class JsonlServer:
+    """The JSONL/TCP listener and connection loop of every front door.
+
+    Subclasses answer verbs in :meth:`_dispatch`.  With :attr:`pipelined`
+    set, each connection reads ahead and answers in order (see the
+    module docstring); without it, one line is answered before the next
+    is read.
+    """
+
+    #: Read ahead up to :data:`PIPELINE_WINDOW` lines per connection.
+    pipelined = True
+
+    def __init__(self, host: str = DEFAULT_HOST, port: int = 0):
         self.host = host
         self.port = port
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        # Fail-stop plumbing: when the gateway dies (induced kill point or
-        # real engine failure), drop every connection and the listener so
-        # clients observe exactly what a killed process looks like — EOF
-        # mid-call, connection refused afterwards.
-        gateway.on_crash = self._on_gateway_crash
+        #: Open connections and the tasks serving them.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -109,6 +193,125 @@ class MatchingServer:
         host, port = sock.getsockname()[:2]
         return host, port
 
+    async def _listen(self) -> tuple[str, int]:
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
+        return self.address
+
+    async def _close(self) -> None:
+        """Close the listener, drop every connection, and wait for their
+        handlers, so none is left to be cancelled mid-read."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        handlers = list(self._connections.values())
+        for writer in list(self._connections):
+            writer.transport.abort()
+        await asyncio.gather(*handlers, return_exceptions=True)
+
+    async def serve_forever(self) -> None:
+        """Block serving connections until cancelled."""
+        if self._server is None:
+            await self.start()
+        assert self._server is not None
+        await self._server.serve_forever()
+
+    async def start(self) -> tuple[str, int]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[writer] = task
+        try:
+            if self.pipelined:
+                await self._serve_pipelined(reader, writer)
+            else:
+                while line := await reader.readline():
+                    response = await self._answer(*_parse(line))
+                    writer.write(encode_response(response))
+                    await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # client went away mid-write; nothing to answer
+        except InducedCrash:
+            # The kill point fired inside this call: die without answering
+            # (the crash teardown already aborted the transport).
+            pass
+        finally:
+            self._connections.pop(writer, None)
+            writer.close()
+
+    async def _serve_pipelined(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        responder = _Responder(writer)
+        while line := await reader.readline():
+            verb, payload = _parse(line)
+            if verb in PIPELINED_VERBS:
+                await responder.below(PIPELINE_WINDOW)
+                # The task runs its submit up to the enqueue before any
+                # later line's task starts (tasks start in creation order
+                # and the gateway enqueues synchronously), so jobs reach
+                # the decision queue in line order.
+                responder.push(
+                    asyncio.create_task(self._answer(verb, payload))
+                )
+            else:
+                await responder.below(1)
+                response = await self._answer(verb, payload)
+                writer.write(encode_response(response))
+            await writer.drain()
+        # End of input (possibly a half-close): answer what was read.
+        await responder.below(1)
+
+    async def _answer(self, verb: object, payload: dict) -> dict:
+        if verb is _MALFORMED:
+            return payload
+        try:
+            return await self._dispatch(verb, payload)
+        except InducedCrash as error:
+            return self._crash_answer(verb, error)
+        except (ReproError, ValueError, TypeError) as error:
+            return {"ok": False, "verb": verb, "error": str(error)}
+
+    def _crash_answer(self, verb: object, error: InducedCrash) -> dict:
+        """Answer to a line whose call hit a kill point.
+
+        A single gateway never downgrades a kill point to an error
+        answer — a dead process cannot answer — so this re-raises.
+        """
+        raise error
+
+    async def _dispatch(  # pragma: no cover - abstract
+        self, verb: object, payload: dict
+    ) -> dict:
+        raise NotImplementedError
+
+
+# -- the server --------------------------------------------------------------
+
+
+class MatchingServer(JsonlServer):
+    """Serves a :class:`MatchingGateway` over JSONL/TCP, pipelined."""
+
+    def __init__(
+        self,
+        gateway: MatchingGateway,
+        host: str = DEFAULT_HOST,
+        port: int = 0,
+    ):
+        super().__init__(host, port)
+        self.gateway = gateway
+        # Fail-stop plumbing: when the gateway dies (induced kill point or
+        # real engine failure), drop every connection and the listener so
+        # clients observe exactly what a killed process looks like — EOF
+        # mid-call, connection refused afterwards.
+        gateway.on_crash = self._on_gateway_crash
+
     async def start(self) -> tuple[str, int]:
         """Start the gateway and the listener; returns the bound address.
 
@@ -116,17 +319,11 @@ class MatchingServer:
         from the return value.
         """
         await self.gateway.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        return self.address
+        return await self._listen()
 
     async def stop(self) -> None:
-        """Close the listener and stop the gateway loop."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Close the listener and the connections, then stop the gateway."""
+        await self._close()
         await self.gateway.stop()
 
     def _on_gateway_crash(self, error: BaseException) -> None:
@@ -137,52 +334,6 @@ class MatchingServer:
         for writer in list(self._connections):
             writer.transport.abort()
         self._connections.clear()
-
-    async def serve_forever(self) -> None:
-        """Block serving connections until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._answer(line)
-                writer.write(encode_response(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-write; nothing to answer
-        except InducedCrash:
-            # The kill point fired inside this call: die without answering
-            # (the crash teardown already aborted the transport).
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-
-    async def _answer(self, line: bytes) -> dict:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"ok": False, "verb": None, "error": f"bad JSON: {error}"}
-        if not isinstance(payload, dict):
-            return {"ok": False, "verb": None, "error": "payload must be an object"}
-        verb = payload.get("verb")
-        try:
-            return await self._dispatch(verb, payload)
-        except InducedCrash:
-            # Never downgrade a kill point to an error *response* — a dead
-            # process cannot answer.  Propagates to the connection handler.
-            raise
-        except (ReproError, ValueError, TypeError) as error:
-            return {"ok": False, "verb": verb, "error": str(error)}
 
     async def _dispatch(self, verb: object, payload: dict) -> dict:
         gateway = self.gateway

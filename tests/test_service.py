@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import socket
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core import Simulator, SimulatorConfig
 from repro.core.events import EventKind
 from repro.core.registry import algorithm_factory
 from repro.errors import ServiceError
+from repro.faults import CrashPlan
 from repro.experiments.metrics import AlgorithmMetrics
 from repro.experiments.reporting import metrics_to_dict
 from repro.service import (
@@ -24,6 +27,7 @@ from repro.service import (
     AdmissionController,
     AdmissionPolicy,
     GatewayClient,
+    JournalConfig,
     MatchingGateway,
     MatchingServer,
     RealTimeClock,
@@ -31,6 +35,7 @@ from repro.service import (
     VirtualClock,
     drive_trace,
     read_snapshot,
+    recover_gateway,
     request_from_wire,
     request_to_wire,
     worker_from_wire,
@@ -60,6 +65,56 @@ def golden_row(scenario, algorithm: str, config: SimulatorConfig) -> str:
     return json.dumps(
         metrics_to_dict(AlgorithmMetrics.from_simulation(result)), sort_keys=True
     )
+
+
+def wire_line(verb: str, **fields) -> bytes:
+    return json.dumps({"verb": verb, **fields}).encode() + b"\n"
+
+
+def trace_lines(scenario) -> tuple[list[bytes], list[tuple[str, str]]]:
+    """A trace as protocol lines, and the (verb, id) each answer carries."""
+    lines: list[bytes] = []
+    expected: list[tuple[str, str]] = []
+    for event in scenario.events:
+        if event.kind is EventKind.WORKER:
+            lines.append(wire_line("worker", worker=worker_to_wire(event.worker)))
+            expected.append(("worker", event.worker.worker_id))
+        else:
+            lines.append(
+                wire_line("request", request=request_to_wire(event.request))
+            )
+            expected.append(("request", event.request.request_id))
+    return lines, expected
+
+
+def answer_key(answer: dict) -> tuple[str, str]:
+    if answer["verb"] == "worker":
+        return "worker", answer["worker_id"]
+    return answer["verb"], answer["outcome"]["request_id"]
+
+
+def raw_burst(host: str, port: int, lines: list[bytes]) -> list[dict]:
+    """``sendall`` every line at once on a plain socket, half-close, and
+    read answers until the server closes the connection."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(b"".join(lines))
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(1 << 16):
+            received += chunk
+    return [json.loads(line) for line in received.splitlines()]
+
+
+def serve_burst(gateway: MatchingGateway, lines: list[bytes]) -> list[dict]:
+    async def main():
+        server = MatchingServer(gateway)
+        host, port = await server.start()
+        try:
+            return await asyncio.to_thread(raw_burst, host, port, lines)
+        finally:
+            await server.stop()
+
+    return asyncio.run(main())
 
 
 async def submit_event(target, event, clock=None) -> None:
@@ -190,6 +245,33 @@ class TestGatewayEquivalence:
 
 
 class TestGatewayLifecycle:
+    def test_submissions_enqueue_before_their_first_suspension(self):
+        # What the pipelined server's line order rests on: a submit call
+        # puts its job on the decision queue synchronously, so calls
+        # started in order enqueue in order.
+        workers = [make_worker("w0", "A", t=0.0)]
+        requests = [make_request("r0", "A", t=1.0), make_request("r1", "B", t=2.0)]
+        scenario = make_scenario(workers, requests)
+
+        async def main():
+            gateway = MatchingGateway(scenario=scenario, config=service_config())
+            await gateway.start()
+            depths = []
+            for call in (
+                gateway.submit_worker(workers[0]),
+                gateway.submit_request(requests[0]),
+                gateway.replay_shed(requests[1]),
+            ):
+                waited_on = call.send(None)  # run to the first suspension
+                assert isinstance(waited_on, asyncio.Future)
+                assert not waited_on.done()
+                depths.append(gateway.stats()["pending"])
+                call.close()
+            await gateway.stop()
+            return depths
+
+        assert asyncio.run(main()) == [1, 2, 3]
+
     def test_submit_before_start_raises(self):
         gateway = MatchingGateway(scenario=build_scenario(requests=5, workers=3))
 
@@ -415,6 +497,188 @@ class TestServerProtocol:
         assert not bad_request["ok"] and "missing field" in bad_request["error"]
         assert not not_json["ok"] and "bad JSON" in not_json["error"]
         assert missing["ok"] and missing["outcome"] is None
+
+    @pytest.mark.parametrize("algorithm", ["demcom", "ramcom"])
+    def test_pipelined_burst_answers_in_order_and_matches_batch(
+        self, algorithm
+    ):
+        scenario = build_scenario(seed=11, requests=60, workers=30)
+        config = service_config()
+        lines, expected = trace_lines(scenario)
+        answers = serve_burst(
+            MatchingGateway(scenario=scenario, algorithm=algorithm, config=config),
+            lines + [wire_line("drain")],
+        )
+        assert len(answers) == len(lines) + 1
+        assert all(answer["ok"] for answer in answers)
+        assert [answer_key(answer) for answer in answers[:-1]] == expected
+        assert all(
+            answer["outcome"]["status"] != STATUS_SHED
+            for answer in answers
+            if answer["verb"] == "request"
+        )
+        drained = json.dumps(answers[-1]["metrics"], sort_keys=True)
+        assert drained == golden_row(scenario, algorithm, config)
+
+    def test_pipelined_barrier_sees_earlier_request_decided(self):
+        scenario = build_scenario(requests=10, workers=6)
+        lines, expected = trace_lines(scenario)
+        first = next(
+            index for index, (verb, _) in enumerate(expected) if verb == "request"
+        )
+        request_id = expected[first][1]
+        burst = lines[: first + 1] + [
+            wire_line("outcome", request_id=request_id),
+            wire_line("stats"),
+        ]
+        answers = serve_burst(
+            MatchingGateway(scenario=scenario, config=service_config()), burst
+        )
+        decided, looked_up, stats = answers[first], answers[-2], answers[-1]
+        assert looked_up["ok"] and looked_up["outcome"] is not None
+        assert looked_up["outcome"]["status"] == decided["outcome"]["status"]
+        assert looked_up["outcome"]["worker_id"] == decided["outcome"]["worker_id"]
+        assert stats["stats"]["decided"] == 1
+
+    def test_malformed_line_mid_burst_is_answered_in_place(self):
+        scenario = build_scenario(seed=3, requests=12, workers=6)
+        config = service_config()
+        lines, expected = trace_lines(scenario)
+        burst = (
+            lines[:2]
+            + [b"this is not json\n", wire_line("frobnicate")]
+            + lines[2:]
+            + [wire_line("drain")]
+        )
+        answers = serve_burst(
+            MatchingGateway(scenario=scenario, config=config), burst
+        )
+        assert len(answers) == len(burst)
+        bad_json, unknown = answers[2], answers[3]
+        assert not bad_json["ok"] and "bad JSON" in bad_json["error"]
+        assert not unknown["ok"] and "unknown verb" in unknown["error"]
+        rest = answers[:2] + answers[4:-1]
+        assert all(answer["ok"] for answer in rest)
+        assert [answer_key(answer) for answer in rest] == expected
+        drained = json.dumps(answers[-1]["metrics"], sort_keys=True)
+        assert drained == golden_row(scenario, "ramcom", config)
+
+    @pytest.mark.parametrize("algorithm", ["demcom", "ramcom"])
+    def test_pipelined_crash_answers_nothing_after_the_kill_point(
+        self, tmp_path, algorithm
+    ):
+        scenario = build_scenario(seed=17, requests=30, workers=12)
+        config = service_config()
+        lines, expected = trace_lines(scenario)
+        gateway = MatchingGateway(
+            scenario=scenario,
+            algorithm=algorithm,
+            config=config,
+            journal=JournalConfig(directory=tmp_path),
+            crash_plan=CrashPlan.at("ack", 6),
+        )
+        answers = serve_burst(gateway, lines + [wire_line("drain")])
+        assert gateway.crash_error is not None
+        # Only answers released before the kill point may have left, in
+        # line order; the crashed line and everything after stay silent.
+        assert len(answers) <= 6
+        assert all(answer["ok"] for answer in answers)
+        assert [answer_key(answer) for answer in answers] == expected[
+            : len(answers)
+        ]
+        recovered, report = recover_gateway(tmp_path)
+        assert report.records_replayed > 0
+        # The client resends the whole trace: dedup absorbs what the
+        # journal already holds.
+        answers = serve_burst(recovered, lines + [wire_line("drain")])
+        assert all(answer["ok"] for answer in answers)
+        assert [answer_key(answer) for answer in answers[:-1]] == expected
+        drained = json.dumps(answers[-1]["metrics"], sort_keys=True)
+        assert drained == golden_row(scenario, algorithm, config)
+
+    def test_pipelining_group_commits_and_lock_step_does_not(self, tmp_path):
+        scenario = build_scenario(seed=5, requests=40, workers=20)
+        config = service_config()
+        lines, __ = trace_lines(scenario)
+        answers = serve_burst(
+            MatchingGateway(
+                scenario=scenario,
+                config=config,
+                journal=JournalConfig(directory=tmp_path / "pipelined"),
+            ),
+            lines + [wire_line("stats")],
+        )
+        pipelined = answers[-1]["stats"]["journal"]
+
+        async def lock_step():
+            server = MatchingServer(
+                MatchingGateway(
+                    scenario=scenario,
+                    config=config,
+                    journal=JournalConfig(directory=tmp_path / "lock-step"),
+                )
+            )
+            host, port = await server.start()
+            try:
+                async with GatewayClient(host, port) as client:
+                    for event in scenario.events:
+                        await submit_event(client, event)
+                    return (await client.stats())["journal"]
+            finally:
+                await server.stop()
+
+        serialized = asyncio.run(lock_step())
+        assert pipelined["records"] == serialized["records"]
+        assert pipelined["commits"] < pipelined["records"]
+        assert serialized["commits"] == serialized["records"]
+
+    def test_disconnect_mid_window_and_stop_log_nothing(self, caplog):
+        scenario = build_scenario(seed=9, requests=60, workers=30)
+        config = service_config()
+        lines, __ = trace_lines(scenario)
+
+        def send_and_vanish(host: str, port: int) -> None:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(b"".join(lines))
+
+        async def vanishing_client():
+            server = MatchingServer(
+                MatchingGateway(scenario=scenario, config=config)
+            )
+            host, port = await server.start()
+            try:
+                await asyncio.to_thread(send_and_vanish, host, port)
+                # The gateway outlives the client's window.  (How many of
+                # its lines got decided depends on whether the client's
+                # close raced its answers into a reset.)
+                async with GatewayClient(host, port) as client:
+                    return await client.drain()
+            finally:
+                await server.stop()
+
+        async def stop_mid_window(sock: socket.socket):
+            server = MatchingServer(
+                MatchingGateway(scenario=scenario, config=config)
+            )
+            host, port = await server.start()
+            await asyncio.to_thread(sock.connect, (host, port))
+            sock.sendall(b"".join(lines[:40]))  # fits the socket buffers
+            first = await asyncio.to_thread(sock.recv, 1 << 16)
+            await server.stop()  # the client is still connected
+            return json.loads(first.split(b"\n")[0])
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            drained = asyncio.run(vanishing_client())
+            with socket.socket() as sock:
+                sock.settimeout(30)
+                first = asyncio.run(stop_mid_window(sock))
+        assert drained["algorithm"] == "RamCOM"
+        assert first["ok"]
+        assert not [
+            record
+            for record in caplog.records
+            if record.levelno >= logging.WARNING
+        ]
 
     def test_client_raises_on_error_response(self):
         scenario = build_scenario(requests=5, workers=3)

@@ -541,6 +541,41 @@ class TestJournaledDedup:
         assert stats["journal"]["records"] >= 4  # meta + checkpoint + ops
 
 
+    def test_in_flight_duplicates_wait_for_the_first(self, tmp_path):
+        workers = [make_worker("w0", "A", t=0.0)]
+        requests = [make_request("r0", "A", t=1.0)]
+        scenario = make_scenario(workers, requests)
+
+        async def main():
+            gateway = MatchingGateway(
+                scenario=scenario,
+                config=service_config(),
+                journal=journal_config(tmp_path),
+            )
+            await gateway.start()
+            # Both copies are queued before either is applied (a
+            # pipelined client's retry): the second waits for the first.
+            await asyncio.gather(
+                gateway.submit_worker(workers[0]),
+                gateway.submit_worker(workers[0]),
+            )
+            first, second = await asyncio.gather(
+                gateway.submit_request(requests[0]),
+                gateway.submit_request(requests[0]),
+            )
+            stats = gateway.stats()
+            await gateway.stop()
+            return first, second, stats
+
+        first, second, stats = asyncio.run(main())
+        assert not stats["crashed"]
+        assert first.status == "serve_inner"
+        assert second.matches(first)
+        dedup = stats["metrics"]["counters"]["service_dedup_total"]
+        assert sum(series["value"] for series in dedup) == 2
+        assert stats["journal"]["records"] == 4  # meta + checkpoint + ops
+
+
 class TestTcpCrashRecovery:
     """Satellite #1: a reconnecting client rides through a server crash,
     a supervisor recovers on the same port, and the drained row still
