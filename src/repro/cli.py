@@ -12,14 +12,14 @@ Subcommands regenerate the paper's experiments from a terminal:
 * ``bench`` — the hot-path performance benchmark (docs/PERFORMANCE.md);
 * ``lint`` — run the ``comlint`` project-invariant static analyzer
   (docs/STATIC_ANALYSIS.md);
-* ``serve`` — run the matching engine as a long-lived JSONL/TCP service
-  (docs/SERVICE.md);
-* ``replay-serve`` — replay a trace through an ephemeral service under
-  the virtual clock; ``--verify`` asserts byte-identity with the batch
-  simulator;
-* ``replay-events`` — re-drive a recorded ``COMEVT1`` event log and
-  verify the canonical stream and metrics row reproduce byte-identically
-  (docs/DASHBOARD.md);
+* ``serve [--shards N]`` — run the matching engine as a long-lived
+  JSONL/TCP service: one gateway, or an N-shard cluster behind one front
+  door (docs/SERVICE.md, docs/CLUSTER.md);
+* ``replay`` — drive a generated trace through an ephemeral N-shard
+  deployment under the virtual clock and record it, or re-drive a
+  recorded ``COMEVT1`` log (``--log``); ``--verify`` asserts the canonical
+  stream and metrics row reproduce byte-identically (docs/DASHBOARD.md);
+* ``soak`` — crash→recover chaos soak (docs/RESILIENCE.md);
 * ``quickstart`` — a tiny end-to-end demo run;
 * ``datasets`` — the simulated Table-III statistics.
 
@@ -293,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--scenario",
-            type=str,
-            default=None,
             help="scenario JSON (from workloads.save_scenario); default: synthetic",
         )
         sub.add_argument("--requests", type=int, default=DEFAULT_DEMO_REQUESTS)
@@ -304,18 +302,73 @@ def build_parser() -> argparse.ArgumentParser:
             "--service-duration", type=float, default=DEFAULT_SERVICE_DURATION
         )
 
+    def _add_deployment_flags(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--events",
+            help=(
+                "record the COMEVT1 stream here (N > 1 shards: the merged "
+                "recording, written at drain; serve --journal recovery "
+                "resumes it); replay --log verifies it"
+            ),
+        )
+        sub.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            help="shard gateways (default: 1 = one plain gateway; docs/CLUSTER.md)",
+        )
+        sub.add_argument(
+            "--cell-km",
+            type=float,
+            default=2.0,
+            help="shard plan grid cell edge in km (default: 2.0)",
+        )
+        sub.add_argument(
+            "--hetero",
+            action="store_true",
+            help=(
+                "density-aware shard plan: split hot cells instead of "
+                "uniform column stripes (docs/CLUSTER.md#shard-plans)"
+            ),
+        )
+
     serve = subparsers.add_parser(
         "serve",
         help=(
-            "run the matching engine as a long-lived JSONL/TCP service "
-            "(docs/SERVICE.md)"
+            "run the matching engine as a long-lived JSONL/TCP service; "
+            "--shards N > 1 puts N shards behind one front door "
+            "(docs/SERVICE.md, docs/CLUSTER.md)"
         ),
     )
     _add_service_scenario_flags(serve)
+    _add_deployment_flags(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=0, help="TCP port (0 = ephemeral, printed)"
     )
+    serve.add_argument(
+        "--shard-base-port",
+        type=int,
+        default=0,
+        help="shard k listens on base+k (default: 0 = ephemeral, printed)",
+    )
+    serve.add_argument(
+        "--journal",
+        help=(
+            "COMWAL1 journal directory; one holding a checkpoint is "
+            "recovered (docs/RESILIENCE.md); with N > 1 shards, fresh "
+            "journals in <dir>/shard-<k>"
+        ),
+    )
+    serve.add_argument(
+        "--sanitize-concurrency",
+        action="store_true",
+        help=(
+            "runtime concurrency sanitizer: ownership guards plus the "
+            "event-loop stall detector (docs/STATIC_ANALYSIS.md)"
+        ),
+    )
+    # Flags below configure one gateway: usage errors with --shards N > 1.
     serve.add_argument(
         "--real-time",
         action="store_true",
@@ -334,20 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission bound: shed requests beyond this queue depth (0 = off)",
     )
     serve.add_argument(
-        "--restore",
-        type=str,
-        default=None,
-        help="boot from a snapshot file instead of a fresh scenario",
-    )
-    serve.add_argument(
-        "--journal",
-        type=str,
-        default=None,
-        help=(
-            "directory for the COMWAL1 write-ahead journal; if it already "
-            "holds a checkpoint the gateway auto-recovers the pre-crash "
-            "state (docs/RESILIENCE.md)"
-        ),
+        "--restore", help="boot from a snapshot file instead of a fresh scenario"
     )
     serve.add_argument(
         "--fsync",
@@ -368,24 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal records between COMSNAP1 checkpoints (default: 4096)",
     )
     serve.add_argument(
-        "--events",
-        type=str,
-        default=None,
-        help=(
-            "record a COMEVT1 event log at this path (replayable with "
-            "replay-events --verify; resumed across restarts under "
-            "--journal recovery)"
-        ),
-    )
-    serve.add_argument(
         "--dashboard",
         type=int,
         default=None,
         metavar="PORT",
-        help=(
-            "serve the live HTTP+SSE ops dashboard on this port "
-            "(0 = ephemeral, printed; docs/DASHBOARD.md)"
-        ),
+        help="live HTTP+SSE ops dashboard port (0 = ephemeral; docs/DASHBOARD.md)",
     )
     serve.add_argument(
         "--dashboard-cell-km",
@@ -393,30 +420,36 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="heatmap grid resolution in km (default: 1.0)",
     )
-    serve.add_argument(
-        "--sanitize-concurrency",
-        action="store_true",
-        help=(
-            "enable the runtime concurrency sanitizer: ownership guards "
-            "on decision-loop-owned state plus the event-loop stall "
-            "detector (docs/STATIC_ANALYSIS.md)"
-        ),
-    )
 
     replay = subparsers.add_parser(
-        "replay-serve",
+        "replay",
         help=(
-            "replay a trace through an ephemeral service under the virtual "
-            "clock; --verify asserts byte-identity with the batch simulator"
+            "record a generated trace driven through an ephemeral N-shard "
+            "deployment, or re-drive a recording (--log); --verify fails "
+            "unless it reproduces byte-identically"
         ),
     )
     _add_service_scenario_flags(replay)
+    _add_deployment_flags(replay)
+    replay.add_argument(
+        "--log",
+        help=(
+            "re-drive this .comevt recording instead of a generated trace "
+            "(its meta names the shard count)"
+        ),
+    )
+    replay.add_argument(
+        "--tcp",
+        action="store_true",
+        help="put every gateway behind its own loopback JSONL/TCP server",
+    )
     replay.add_argument(
         "--verify",
         action="store_true",
         help=(
-            "also run Simulator.run on the same scenario and fail unless "
-            "the metric rows are byte-identical"
+            "fail unless replaying the recording reproduces its canonical "
+            "stream and metrics row (and, shed-free on 1 shard, "
+            "Simulator.run's row) byte for byte"
         ),
     )
     replay.add_argument(
@@ -424,50 +457,30 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "checkpoint after this many events, restore into a second "
-            "gateway, and finish the stream from the snapshot (recovery "
-            "drill; composes with --verify)"
+            "recovery drill (1 shard, in process): after this many events, "
+            "hand the state through a snapshot to a fresh gateway"
         ),
     )
     replay.add_argument(
-        "--output", type=str, default=None, help="write the metrics JSON here"
+        "--crash-shard",
+        type=int,
+        default=None,
+        metavar="K",
+        help="fail-stop shard K mid-stream; exit 1 unless the router fails over",
     )
-
-    replay_events = subparsers.add_parser(
-        "replay-events",
-        help=(
-            "re-drive a recorded COMEVT1 event log through the engine; "
-            "--verify fails unless the canonical stream and metrics row "
-            "reproduce byte-identically (docs/DASHBOARD.md)"
-        ),
+    replay.add_argument(
+        "--crash-index",
+        type=int,
+        default=16,
+        help="kill-point boundary index on the crashed shard (default: 16)",
     )
-    _add_service_scenario_flags(replay_events)
-    replay_events.add_argument(
-        "--log",
-        type=str,
-        required=True,
-        help=(
-            "the recorded .comevt stream (from serve --events, soak, or a "
-            "merged cluster recording — the shard count comes from its meta)"
-        ),
+    replay.add_argument(
+        "--crash-channel",
+        choices=["journal_append", "journal_torn", "checkpoint", "ack"],
+        default="ack",
+        help="crash channel for --crash-shard (default: ack)",
     )
-    replay_events.add_argument(
-        "--tcp",
-        action="store_true",
-        help=(
-            "put every replaying gateway behind its own loopback JSONL/TCP "
-            "server instead of driving it in process (adds wire-codec "
-            "coverage)"
-        ),
-    )
-    replay_events.add_argument(
-        "--verify",
-        action="store_true",
-        help="exit non-zero unless every byte-identity held",
-    )
-    replay_events.add_argument(
-        "--output", type=str, default=None, help="write the replay report here"
-    )
+    replay.add_argument("--output", help="write the report JSON here")
 
     soak = subparsers.add_parser(
         "soak",
@@ -521,132 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--output", type=str, default=None, help="write the JSON report here"
-    )
-
-    def _add_cluster_topology_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=4,
-            help="shard gateway count (default: 4)",
-        )
-        sub.add_argument(
-            "--cell-km",
-            type=float,
-            default=2.0,
-            help="shard plan grid cell edge in km (default: 2.0)",
-        )
-        sub.add_argument(
-            "--hetero",
-            action="store_true",
-            help=(
-                "heterogeneity-aware plan: split hot cells into half-size "
-                "subcells from the trace's arrival density instead of "
-                "uniform column stripes (docs/CLUSTER.md#shard-plans)"
-            ),
-        )
-
-    serve_cluster = subparsers.add_parser(
-        "serve-cluster",
-        help=(
-            "run an N-shard gateway cluster behind one JSONL/TCP front "
-            "door with spatial routing (docs/CLUSTER.md)"
-        ),
-    )
-    _add_service_scenario_flags(serve_cluster)
-    _add_cluster_topology_flags(serve_cluster)
-    serve_cluster.add_argument("--host", default="127.0.0.1")
-    serve_cluster.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="front-door TCP port (0 = ephemeral, printed)",
-    )
-    serve_cluster.add_argument(
-        "--shard-base-port",
-        type=int,
-        default=0,
-        help=(
-            "shard k's own JSONL server listens on base+k "
-            "(default: 0 = ephemeral ports, printed)"
-        ),
-    )
-    serve_cluster.add_argument(
-        "--journal-root",
-        type=str,
-        default=None,
-        help=(
-            "arm per-shard COMWAL1 journals under this directory "
-            "(<root>/shard-<k>; default: unjournaled)"
-        ),
-    )
-    serve_cluster.add_argument(
-        "--record",
-        type=str,
-        default=None,
-        help=(
-            "write the merged cluster-ordered COMEVT1 recording here at "
-            "drain (replayable with replay-events --verify)"
-        ),
-    )
-
-    replay_cluster = subparsers.add_parser(
-        "replay-cluster",
-        help=(
-            "route the trace through an ephemeral N-shard cluster under "
-            "the virtual clock, record the merged stream, and --verify "
-            "its byte-identical replay (docs/CLUSTER.md)"
-        ),
-    )
-    _add_service_scenario_flags(replay_cluster)
-    _add_cluster_topology_flags(replay_cluster)
-    replay_cluster.add_argument(
-        "--tcp",
-        action="store_true",
-        help=(
-            "put every shard behind its own loopback JSONL server and "
-            "route through GatewayClient (adds wire + reconnect coverage)"
-        ),
-    )
-    replay_cluster.add_argument(
-        "--record",
-        type=str,
-        default=None,
-        help="write the merged recording here (default: temporary file)",
-    )
-    replay_cluster.add_argument(
-        "--verify",
-        action="store_true",
-        help=(
-            "re-drive the merged recording through a fresh cluster and "
-            "fail unless the canonical stream and cluster row reproduce "
-            "byte-identically (skipped when a crash is induced)"
-        ),
-    )
-    replay_cluster.add_argument(
-        "--crash-shard",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "induce a fail-stop on shard K mid-stream and require the "
-            "router to fail over to the survivors (exit 1 otherwise)"
-        ),
-    )
-    replay_cluster.add_argument(
-        "--crash-index",
-        type=int,
-        default=16,
-        help="kill-point boundary index on the crashed shard (default: 16)",
-    )
-    replay_cluster.add_argument(
-        "--crash-channel",
-        choices=["journal_append", "journal_torn", "checkpoint", "ack"],
-        default="ack",
-        help="crash channel for --crash-shard (default: ack)",
-    )
-    replay_cluster.add_argument(
-        "--output", type=str, default=None, help="write the report JSON here"
     )
 
     subparsers.add_parser("quickstart", help="tiny end-to-end demo")
@@ -978,7 +865,7 @@ def _save_report(path: str, payload: dict) -> None:
 
 
 def _service_scenario(args: argparse.Namespace):
-    """The scenario a ``serve``/``replay-serve`` invocation operates on."""
+    """The scenario a ``serve``/``replay``/``soak`` invocation operates on."""
     if args.scenario:
         from repro.workloads import load_scenario
 
@@ -1000,7 +887,7 @@ def _service_config(args: argparse.Namespace):
     Response times are not measured: the service layer reports its own
     end-to-end latency histogram, and dropping the engine-side wall-clock
     read makes the metric row a deterministic function of the scenario —
-    the property ``replay-serve --verify`` checks.
+    the property ``replay --verify`` checks.
     """
     from repro.core import SimulatorConfig
 
@@ -1014,10 +901,90 @@ def _service_config(args: argparse.Namespace):
     )
 
 
+#: Flags (by dest) that work in one mode of ``serve``/``replay`` only; a
+#: flag given outside its mode is a usage error, never silently ignored.
+_ONE_GATEWAY_FLAGS = frozenset(
+    "real_time speed max_pending restore fsync fsync_interval "
+    "checkpoint_every dashboard dashboard_cell_km".split()
+)
+_SHARD_LAYOUT_FLAGS = frozenset({"cell_km", "hetero", "shard_base_port"})
+_CRASH_FLAGS = frozenset({"crash_shard", "crash_index", "crash_channel"})
+_TRACE_FLAGS = _CRASH_FLAGS | {"shards", "cell_km", "hetero", "events", "snapshot_at"}
+
+
+def _flag_conflict(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> str | None:
+    """Why a ``serve``/``replay`` flag combination is unusable, if it is.
+
+    A flag counts as given when its value differs from its default.
+    """
+    if args.command not in ("serve", "replay"):
+        return None
+    if args.shards < 1:
+        return f"--shards must be >= 1, got {args.shards}"
+    crash = args.command == "replay" and args.crash_shard is not None
+    if crash and not 0 <= args.crash_shard < args.shards:
+        return (
+            f"--crash-shard {args.crash_shard} out of range for "
+            f"{args.shards} shard(s)"
+        )
+    if args.command == "serve":
+        rules = [
+            (
+                args.restore,
+                {"journal", "events"},
+                "not with --restore: a journal carries its own checkpoint, "
+                "and an event log begun mid-run never verifies",
+            ),
+            (args.shards > 1, _ONE_GATEWAY_FLAGS, "one gateway only (--shards 1)"),
+            (args.shards == 1, _SHARD_LAYOUT_FLAGS, "need --shards N > 1"),
+        ]
+    else:
+        rules = [
+            (args.log, _TRACE_FLAGS, "shape a generated trace, not --log"),
+            # The drill hands shard 0 of an in-process deployment over.
+            (
+                args.snapshot_at is not None,
+                _CRASH_FLAGS | {"shards", "tcp"},
+                "not with --snapshot-at",
+            ),
+            (not crash, _CRASH_FLAGS, "need --crash-shard"),
+            (crash, {"verify"}, "not with --crash-shard: degraded runs never verify"),
+        ]
+    defaults = vars(parser.parse_args([args.command]))
+    for applies, names, reason in rules:
+        given = [
+            f"--{name.replace('_', '-')}"
+            for name, value in vars(args).items()
+            if name in names and value != defaults[name]
+        ]
+        if applies and given:
+            return f"{', '.join(given)}: {reason}"
+    return None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ConfigurationError
+    serving = _serve_cluster(args) if args.shards > 1 else _serve_gateway(args)
+    try:
+        asyncio.run(serving)
+    except KeyboardInterrupt:
+        print("stopped")
+    return 0
+
+
+def _serve_gateway(args: argparse.Namespace):
+    """``serve --shards 1``: one gateway behind the pipelined
+    :class:`~repro.service.server.MatchingServer`.
+
+    The gateway is built here, before the event loop runs, so its
+    construction is setup rather than a claim by the serving task.
+    Returns the serving coroutine.
+    """
+    import asyncio
+
     from repro.obs.events import EventLog
     from repro.service import (
         AdmissionPolicy,
@@ -1031,54 +998,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     clock = RealTimeClock(speed=args.speed) if args.real_time else None
     admission = AdmissionPolicy(max_pending=args.max_pending)
-    if args.restore and args.journal:
-        raise ConfigurationError(
-            "--restore and --journal are mutually exclusive: a journal "
-            "directory carries its own checkpoint to recover from"
-        )
-    if args.restore:
-        gateway = MatchingGateway.from_snapshot(
-            args.restore, clock=clock, admission=admission
-        )
-        if args.events:
-            gateway.attach_events(
-                EventLog(args.events, registry=gateway.registry)
-            )
-        print(f"restored: {args.restore}")
-    elif args.journal:
-        journal_config = JournalConfig(
+    journal = None
+    if args.journal:
+        journal = JournalConfig(
             directory=args.journal,
             fsync=args.fsync,
             fsync_interval=args.fsync_interval,
             checkpoint_every=args.checkpoint_every,
         )
-        if journal_config.checkpoint_path.exists():
-            gateway, report = recover_gateway(
-                args.journal,
-                fsync=args.fsync,
-                fsync_interval=args.fsync_interval,
-                checkpoint_every=args.checkpoint_every,
-                clock=clock,
-                admission=admission,
-                events=args.events,
-            )
-            print(
-                f"recovered: {args.journal} "
-                f"({report.records_replayed} record(s) replayed, "
-                f"{report.torn_bytes_dropped} torn byte(s) dropped, "
-                f"{report.recovery_seconds * 1e3:.1f} ms)"
-            )
-        else:
-            gateway = MatchingGateway(
-                scenario=_service_scenario(args),
-                algorithm=args.algorithm,
-                config=_service_config(args),
-                clock=clock,
-                admission=admission,
-                journal=journal_config,
-                events=args.events,
-            )
-            print(f"journal: {journal_config.journal_path} ({args.fsync})")
+    if args.restore:
+        gateway = MatchingGateway.from_snapshot(
+            args.restore, clock=clock, admission=admission
+        )
+        print(f"restored: {args.restore}")
+    elif journal is not None and journal.checkpoint_path.exists():
+        gateway, report = recover_gateway(
+            args.journal,
+            fsync=args.fsync,
+            fsync_interval=args.fsync_interval,
+            checkpoint_every=args.checkpoint_every,
+            clock=clock,
+            admission=admission,
+            events=args.events,
+        )
+        print(
+            f"recovered: {args.journal} "
+            f"({report.records_replayed} record(s) replayed, "
+            f"{report.torn_bytes_dropped} torn byte(s) dropped, "
+            f"{report.recovery_seconds * 1e3:.1f} ms)"
+        )
     else:
         gateway = MatchingGateway(
             scenario=_service_scenario(args),
@@ -1086,8 +1034,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config=_service_config(args),
             clock=clock,
             admission=admission,
+            journal=journal,
             events=args.events,
         )
+        if journal is not None:
+            print(f"journal: {journal.journal_path} ({args.fsync})")
     if args.events:
         print(f"event log: {args.events} (COMEVT1)")
     if args.dashboard is not None and not isinstance(gateway.events, EventLog):
@@ -1123,87 +1074,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 await dashboard.stop()
             await server.stop()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("stopped")
-    return 0
-
-
-def _cmd_replay_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.service import (
-        GatewayClient,
-        MatchingGateway,
-        MatchingServer,
-        drive_trace,
-    )
-
-    scenario = _service_scenario(args)
-    config = _service_config(args)
-
-    async def _replay() -> dict:
-        gateway = MatchingGateway(
-            scenario=scenario, algorithm=args.algorithm, config=config
-        )
-        server = MatchingServer(gateway)
-        host, port = await server.start()
-        events = list(scenario.events)
-        try:
-            async with GatewayClient(host, port) as client:
-                if args.snapshot_at is None:
-                    return await drive_trace(client, scenario.events)
-                import tempfile
-                from pathlib import Path
-
-                cut = max(0, min(args.snapshot_at, len(events)))
-                for event in events[:cut]:
-                    await _submit_event(client, event)
-                with tempfile.TemporaryDirectory() as tmp:
-                    path = await client.snapshot(str(Path(tmp) / "mid.snap"))
-                    print(f"checkpointed after {cut} events: {path}")
-                    restored = MatchingGateway.from_snapshot(path)
-                    restored_server = MatchingServer(restored)
-                    r_host, r_port = await restored_server.start()
-                    try:
-                        async with GatewayClient(r_host, r_port) as tail:
-                            for event in events[cut:]:
-                                await _submit_event(tail, event)
-                            return await tail.drain()
-                    finally:
-                        await restored_server.stop()
-        finally:
-            await server.stop()
-
-    metrics = asyncio.run(_replay())
-    print(json.dumps(metrics, indent=2, sort_keys=True))
-    if args.output:
-        _save_report(args.output, metrics)
-    if args.verify:
-        from repro.experiments.reporting import golden_row
-
-        served_row = json.dumps(metrics, sort_keys=True)
-        golden = json.dumps(
-            golden_row(scenario, args.algorithm, config), sort_keys=True
-        )
-        if served_row != golden:
-            print("VERIFY FAIL: served metrics differ from Simulator.run")
-            print(f"  served: {served_row}")
-            print(f"  golden: {golden}")
-            return 1
-        print("VERIFY OK: served metrics byte-identical to Simulator.run")
-    return 0
+    return _serve()
 
 
 def _cluster_plan(args: argparse.Namespace, scenario):
-    """The shard plan a cluster command operates on."""
+    """The shard plan a ``serve``/``replay`` invocation lays out."""
     from repro.cluster import ShardPlan, reach_from_events
-    from repro.errors import ConfigurationError
 
-    if args.shards < 1:
-        raise ConfigurationError(f"--shards must be >= 1, got {args.shards}")
     reach = reach_from_events(scenario.events)
     if args.hetero:
         return ShardPlan.from_density(
@@ -1214,78 +1091,78 @@ def _cluster_plan(args: argparse.Namespace, scenario):
     )
 
 
-def _cmd_serve_cluster(args: argparse.Namespace) -> int:
+async def _serve_cluster(args: argparse.Namespace) -> None:
+    """``serve --shards N > 1``: shard gateways behind loopback servers
+    and one lock-step :class:`~repro.cluster.server.ClusterServer`."""
     import asyncio
+    from pathlib import Path
 
     from repro.cluster import ClusterServer, stop_tcp_cluster, tcp_cluster
 
     scenario = _service_scenario(args)
-    config = _service_config(args)
     plan = _cluster_plan(args, scenario)
-    journal_dirs = None
-    if args.journal_root:
-        from pathlib import Path
-
-        journal_dirs = {
-            shard_id: Path(args.journal_root) / f"shard-{shard_id}"
-            for shard_id in range(plan.shard_count)
-        }
-
-    async def _serve() -> None:
-        router, logs, servers, clock = await tcp_cluster(
-            scenario,
-            plan,
-            algorithm=args.algorithm,
-            config=config,
-            host=args.host,
-            base_port=args.shard_base_port,
-            journal_dirs=journal_dirs,
-            sanitize=True,
-        )
-        front = ClusterServer(
-            router,
-            clock,
-            host=args.host,
-            port=args.port,
-            logs=logs,
-            record=args.record,
-        )
-        try:
-            host, port = await front.start()
-            print(
-                f"cluster front door on {host}:{port} "
-                f"({plan.shard_count} shard(s), cell {plan.cell_km} km, "
-                f"{'density' if args.hetero else 'uniform'} plan)"
-            )
-            for shard_id, server in enumerate(servers):
-                shard_host, shard_port = server.address
-                cells = len(plan.cells_of(shard_id))
-                print(
-                    f"  shard {shard_id}: {shard_host}:{shard_port} "
-                    f"({cells} cell(s))"
-                )
-            if args.record:
-                print(f"merged recording at drain: {args.record}")
-            print("verbs: ping request worker shed outcome stats drain")
-            await front.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await front.stop()
-            await stop_tcp_cluster(router, servers)
-
+    router, logs, servers, clock = await tcp_cluster(
+        scenario,
+        plan,
+        algorithm=args.algorithm,
+        config=_service_config(args),
+        host=args.host,
+        base_port=args.shard_base_port,
+        journal_dirs=(
+            {k: Path(args.journal) / f"shard-{k}" for k in range(args.shards)}
+            if args.journal
+            else None
+        ),
+        sanitize=True,
+    )
+    front = ClusterServer(
+        router, clock, host=args.host, port=args.port, logs=logs, record=args.events
+    )
     try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("cluster stopped")
-    return 0
+        host, port = await front.start()
+        print(
+            f"cluster front door on {host}:{port} "
+            f"({plan.shard_count} shard(s), cell {plan.cell_km} km, "
+            f"{'density' if args.hetero else 'uniform'} plan)"
+        )
+        for shard_id, server in enumerate(servers):
+            shard_host, shard_port = server.address
+            cells = len(plan.cells_of(shard_id))
+            print(f"  shard {shard_id}: {shard_host}:{shard_port} ({cells} cell(s))")
+        if args.events:
+            print(f"merged recording at drain: {args.events}")
+        print("verbs: ping request worker shed outcome stats drain")
+        await front.serve_forever()
+    except asyncio.CancelledError:
+        pass
+    finally:
+        await front.stop()
+        await stop_tcp_cluster(router, servers)
 
 
-def _cmd_replay_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-    import contextlib
+def _cmd_replay(args: argparse.Namespace) -> int:
     import tempfile
     from pathlib import Path
+
+    scenario = _service_scenario(args)
+    config = _service_config(args)
+    if args.log is not None:
+        report, status = _replay_recording(args, args.log, scenario, config)
+    else:
+        with tempfile.TemporaryDirectory(prefix="com-replay-") as scratch:
+            report, status = _replay_trace(args, scenario, config, Path(scratch))
+    if args.output:
+        _save_report(args.output, report)
+    return status
+
+
+def _replay_trace(
+    args: argparse.Namespace, scenario, config, scratch
+) -> tuple[dict, int]:
+    """Route the generated trace through an ephemeral N-shard deployment
+    and record it; then judge the crash drill, or ``--verify``."""
+    import asyncio
+    import dataclasses
 
     from repro.cluster import (
         drive_cluster,
@@ -1294,142 +1171,103 @@ def _cmd_replay_cluster(args: argparse.Namespace) -> int:
         stop_tcp_cluster,
         tcp_cluster,
     )
+    from repro.core.events import EventStream
     from repro.faults.crash import CrashPlan
+
+    plan = _cluster_plan(args, scenario)
+    crash_plans = None
+    journal_dirs = None
+    if args.crash_shard is not None:
+        crash_plans = {
+            args.crash_shard: CrashPlan.at(args.crash_channel, args.crash_index)
+        }
+        # Every crash channel sits on the journal path, so the doomed
+        # shard gets one even when the others run bare.
+        journal_dirs = {args.crash_shard: scratch / "journal"}
+    record = args.events or str(scratch / "run.comevt")
+    events = list(scenario.events)
+    cut = min(max(0, args.snapshot_at or 0), len(events))
+    snapshot = scratch / "mid.snap"
+
+    async def _run():
+        options = dict(
+            algorithm=args.algorithm,
+            config=config,
+            journal_dirs=journal_dirs,
+            crash_plans=crash_plans,
+            sanitize=True,
+        )
+        servers = []
+        if args.tcp:
+            router, logs, servers, _ = await tcp_cluster(scenario, plan, **options)
+        else:
+            router, logs, _ = local_cluster(scenario, plan, **options)
+        await router.start()
+        try:
+            if args.snapshot_at is not None:
+                await drive_cluster(router, scenario.events, stop_after=cut)
+                await router.handoff(0, snapshot)
+                print(f"checkpointed after {cut} events: {snapshot}")
+            result = await drive_cluster(router, EventStream(events[cut:]))
+            recording_of(router, logs, result, record)
+        finally:
+            await stop_tcp_cluster(router, servers)
+        return result
+
+    result = asyncio.run(_run())
+    completed = sum(result.row["completed"].values())
+    print(
+        f"drained: {plan.shard_count} shard(s), {result.forwards} forward(s), "
+        f"{result.cross_shard_serves} cross-shard serve(s), "
+        f"completed {completed}"
+    )
+    print(f"recording: {record}")
+    report = {
+        "shards": plan.shard_count,
+        "mode": "tcp" if args.tcp else "in-process",
+        "completed": completed,
+        **dataclasses.asdict(result),
+    }
+    if args.crash_shard is None:
+        if not args.verify:
+            return report, 0
+        report["replay"], status = _replay_recording(args, record, scenario, config)
+        return report, status
+    report["degraded_ok"] = (
+        args.crash_shard in result.crashed_shards and result.failovers >= 1
+    )
+    if not report["degraded_ok"]:
+        print(
+            f"DEGRADED FAIL: crash on shard {args.crash_shard} did not fire "
+            f"or the router never failed over (crashed="
+            f"{result.crashed_shards}, failovers={result.failovers})"
+        )
+        return report, 1
+    print(
+        f"DEGRADED OK: shard {args.crash_shard} fail-stopped "
+        f"({args.crash_channel}@{args.crash_index}); router failed over "
+        f"{result.failovers} arrival route(s), lost {result.lost_workers} "
+        f"worker(s), survivors drained clean"
+    )
+    return report, 0
+
+
+def _replay_recording(
+    args: argparse.Namespace, path: str, scenario, config
+) -> tuple[dict, int]:
+    """Re-drive a recording with :func:`~repro.service.replay_event_log`
+    and print what held; with ``--verify``, the VERIFY verdict too."""
+    import asyncio
+
     from repro.service import replay_event_log
 
-    scenario = _service_scenario(args)
-    config = _service_config(args)
-    plan = _cluster_plan(args, scenario)
-
-    with contextlib.ExitStack() as stack:
-        crash_plans = None
-        journal_dirs = None
-        if args.crash_shard is not None:
-            if not 0 <= args.crash_shard < plan.shard_count:
-                print(
-                    f"--crash-shard {args.crash_shard} out of range for "
-                    f"{plan.shard_count} shard(s)",
-                    file=sys.stderr,
-                )
-                return 2
-            crash_plans = {
-                args.crash_shard: CrashPlan.at(
-                    args.crash_channel, args.crash_index
-                )
-            }
-            # Every crash channel sits on the journal path, so the
-            # doomed shard gets one even when the others run bare.
-            journal_dirs = {
-                args.crash_shard: Path(
-                    stack.enter_context(
-                        tempfile.TemporaryDirectory(prefix="com-cluster-")
-                    )
-                )
-            }
-        record = args.record or str(
-            Path(
-                stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="com-cluster-rec-")
-                )
-            )
-            / "cluster.comevt"
+    report = asyncio.run(
+        replay_event_log(
+            path, scenario, algorithm=args.algorithm, config=config, tcp=args.tcp
         )
-
-        async def _run():
-            if args.tcp:
-                router, logs, servers, _clock = await tcp_cluster(
-                    scenario,
-                    plan,
-                    algorithm=args.algorithm,
-                    config=config,
-                    journal_dirs=journal_dirs,
-                    crash_plans=crash_plans,
-                    sanitize=True,
-                )
-            else:
-                router, logs, _clock = local_cluster(
-                    scenario,
-                    plan,
-                    algorithm=args.algorithm,
-                    config=config,
-                    journal_dirs=journal_dirs,
-                    crash_plans=crash_plans,
-                    sanitize=True,
-                )
-                servers = None
-            await router.start()
-            try:
-                result = await drive_cluster(router, scenario.events)
-                recording_of(router, logs, result, record)
-            finally:
-                if servers is not None:
-                    await stop_tcp_cluster(router, servers)
-                else:
-                    await router.stop()
-            return result
-
-        result = asyncio.run(_run())
-        completed = sum(result.row["completed"].values())
-        print(
-            f"cluster drained: {plan.shard_count} shard(s), "
-            f"{result.forwards} forward(s), "
-            f"{result.cross_shard_serves} cross-shard serve(s), "
-            f"completed {completed}"
-        )
-        print(f"merged recording: {record}")
-
-        report: dict = {
-            "shards": plan.shard_count,
-            "mode": "tcp" if args.tcp else "in-process",
-            "hetero": bool(args.hetero),
-            "forwards": result.forwards,
-            "cross_shard_serves": result.cross_shard_serves,
-            "failovers": result.failovers,
-            "crashed_shards": result.crashed_shards,
-            "lost_workers": result.lost_workers,
-            "completed": completed,
-            "metrics": result.row,
-        }
-        status = 0
-        if args.crash_shard is not None:
-            degraded = (
-                args.crash_shard in result.crashed_shards
-                and result.failovers >= 1
-            )
-            report["degraded_ok"] = degraded
-            if degraded:
-                print(
-                    f"DEGRADED OK: shard {args.crash_shard} fail-stopped "
-                    f"({args.crash_channel}@{args.crash_index}); router "
-                    f"failed over {result.failovers} arrival route(s), "
-                    f"lost {result.lost_workers} worker(s), survivors "
-                    f"drained clean"
-                )
-            else:
-                print(
-                    f"DEGRADED FAIL: crash on shard {args.crash_shard} did "
-                    f"not fire or the router never failed over "
-                    f"(crashed={result.crashed_shards}, "
-                    f"failovers={result.failovers})",
-                )
-                status = 1
-        elif args.verify:
-            verify_report = asyncio.run(
-                replay_event_log(
-                    record, scenario, algorithm=args.algorithm, config=config
-                )
-            )
-            report["replay"] = verify_report.as_dict()
-            status = _print_replay(verify_report, record, verify=True)
-        if args.output:
-            _save_report(args.output, report)
-        return status
-
-
-def _print_replay(report, source: str, verify: bool) -> int:
-    """Print a replay report; with ``verify``, its VERIFY verdict too."""
+    )
     print(
-        f"replayed {source} ({report.mode}, {report.shards} shard(s)): "
+        f"replayed {path} ({report.mode}, {report.shards} shard(s)): "
         f"{report.recorded_events} recorded event(s), "
         f"{report.workers} worker(s), {report.requests} request(s), "
         f"{report.sheds} shed(s), {report.crashes_recorded} crash marker(s)"
@@ -1438,36 +1276,16 @@ def _print_replay(report, source: str, verify: bool) -> int:
         f"  stream {'identical' if report.stream_identical else 'DIVERGED'}, "
         f"metrics row {'identical' if report.row_identical else 'DIVERGED'}"
     )
-    if not verify:
-        return 0
+    if not args.verify:
+        return report.as_dict(), 0
     if not report.verified:
         print("VERIFY FAIL: replay did not reproduce the recorded stream")
-        return 1
+        return report.as_dict(), 1
     print(
         "VERIFY OK: canonical event stream and metrics row "
         "byte-identical to the recording"
     )
-    return 0
-
-
-def _cmd_replay_events(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service import replay_event_log
-
-    report = asyncio.run(
-        replay_event_log(
-            args.log,
-            _service_scenario(args),
-            algorithm=args.algorithm,
-            config=_service_config(args),
-            tcp=args.tcp,
-        )
-    )
-    status = _print_replay(report, args.log, args.verify)
-    if args.output:
-        _save_report(args.output, report.as_dict())
-    return status
+    return report.as_dict(), 0
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
@@ -1533,17 +1351,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         f"(max recovery {report.max_recovery_seconds * 1e3:.1f} ms)"
     )
     return 0
-
-
-async def _submit_event(client, event) -> None:
-    from repro.core.events import EventKind
-
-    if event.kind is EventKind.WORKER:
-        assert event.worker is not None
-        await client.submit_worker(event.worker)
-    else:
-        assert event.request is not None
-        await client.submit_request(event.request)
 
 
 def _cmd_quickstart(_: argparse.Namespace) -> int:
@@ -1630,10 +1437,7 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "lint": _cmd_lint,
     "serve": _cmd_serve,
-    "serve-cluster": _cmd_serve_cluster,
-    "replay-serve": _cmd_replay_serve,
-    "replay-cluster": _cmd_replay_cluster,
-    "replay-events": _cmd_replay_events,
+    "replay": _cmd_replay,
     "soak": _cmd_soak,
     "quickstart": _cmd_quickstart,
     "datasets": _cmd_datasets,
@@ -1643,7 +1447,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    conflict = _flag_conflict(parser, args)
+    if conflict is not None:
+        parser.error(f"{args.command}: {conflict}")
     return _COMMANDS[args.command](args)
 
 

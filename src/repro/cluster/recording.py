@@ -18,12 +18,13 @@ exactly the single-gateway replay identity, cluster-wide.
 
 The cluster ``meta`` event carries ``shards`` and the plan, so a
 recording says what shape it has:
-:func:`~repro.service.replay.replay_event_log` (``replay-events
+:func:`~repro.service.replay.replay_event_log` (``replay --log FILE
 --verify``) splits it with :func:`shard_streams_of`, re-drives every
 shard, and re-merges with :func:`merge_shard_streams` and
-:func:`~repro.cluster.router.merge_rows` — no shard count is passed in.  The degenerate single-shard merge is
-the identity: a 1-shard cluster recording is byte-identical to the
-wrapped gateway's own stream, so it replays as a plain recording.
+:func:`~repro.cluster.router.merge_rows` — no shard count is passed in.
+The degenerate single-shard merge is the identity: a 1-shard cluster
+recording is byte-identical to the wrapped gateway's own stream, so it
+replays as a plain recording.
 """
 
 from __future__ import annotations

@@ -608,8 +608,10 @@ class ClusterRouter:
 
         Drains nothing — the shard's decision loop checkpoints *between*
         decisions (snapshot job), stops, and a new gateway restores from
-        the checkpoint on the same shared clock.  Only meaningful for
-        local shards; remote shard processes snapshot/restore themselves.
+        the checkpoint on the same shared clock and continues the shard's
+        event stream behind an ops ``recovered`` marker, so the recording
+        still replays byte-identically.  Only meaningful for local shards;
+        remote shard processes snapshot/restore themselves.
         """
         shard = self.shards[shard_id]
         if not isinstance(shard, LocalShard):
@@ -623,6 +625,7 @@ class ClusterRouter:
         await old.stop()
         restored = MatchingGateway.from_snapshot(path, clock=old.clock)
         restored.shard_info = dict(old.shard_info or {})
+        restored.attach_events(old.events, recovered=True)
         await restored.start()
         shard.gateway = restored
 

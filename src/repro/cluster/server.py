@@ -12,8 +12,8 @@ shard gateways in the two supported topologies:
     Every shard gateway sits behind its own loopback
     :class:`MatchingServer` and the router reaches it through a
     :class:`GatewayClient` (reconnect machinery included) — the wire
-    topology ``com-repro serve-cluster`` boots and the cluster bench
-    measures.
+    topology ``com-repro serve --shards N`` (N > 1) boots and the
+    cluster bench measures.
 
 :class:`ClusterServer` exposes the router over the same JSONL protocol
 as a single gateway (ping / worker / request / shed / outcome / stats /
@@ -188,13 +188,12 @@ async def drive_cluster(
 ) -> ClusterResult | None:
     """Route a trace through the cluster in arrival order, then drain.
 
-    ``stop_after`` (counted in arrivals) stops early *without* draining
-    and returns ``None`` — the mid-stream hook the handoff and failover
-    drills use; the caller keeps submitting and drains itself.
+    ``stop_after`` (counted in arrivals) stops after that many *without*
+    draining and returns ``None`` — the mid-stream hook the handoff and
+    failover drills use; the caller keeps submitting and drains itself.
     """
-    driven = 0
-    for event in events:
-        if stop_after is not None and driven >= stop_after:
+    for driven, event in enumerate(events):
+        if driven == stop_after:
             return None
         if event.kind is EventKind.WORKER:
             assert event.worker is not None
@@ -202,8 +201,7 @@ async def drive_cluster(
         else:
             assert event.request is not None
             await router.submit_request(event.request)
-        driven += 1
-    return await router.drain()
+    return None if stop_after is not None else await router.drain()
 
 
 async def stop_tcp_cluster(

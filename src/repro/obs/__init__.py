@@ -15,7 +15,7 @@ Zero-dependency observability for the COM engine, in three pillars:
   append-only JSONL stream of arrivals/decisions/sheds/breaker-trips
   behind the :class:`EventSink` seam (:data:`NULL_EVENT_SINK` default),
   whose canonical projection replays byte-identically
-  (``com-repro replay-events --verify``; docs/DASHBOARD.md).
+  (``com-repro replay --log FILE --verify``; docs/DASHBOARD.md).
 
 Layering: ``repro.obs`` sits below :mod:`repro.core` and imports nothing
 from the rest of the package (mirroring :mod:`repro.utils`).  See

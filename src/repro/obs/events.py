@@ -11,7 +11,7 @@ serves two masters at once:
 * **replay** — the *canonical* subset of the stream is a complete,
   deterministic record of the run's inputs and outputs.  Re-driving the
   recorded arrivals through a fresh engine regenerates the canonical
-  stream **byte-identically** (``com-repro replay-events --verify``),
+  stream **byte-identically** (``com-repro replay --log FILE --verify``),
   which unifies the event log with the journal/trace/replay machinery.
 
 Event taxonomy:

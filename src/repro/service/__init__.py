@@ -23,7 +23,7 @@ at a time over a socket:
 - :mod:`~repro.service.dashboard` / :mod:`~repro.service.replay` — live
   ops over the ``COMEVT1`` event stream (:mod:`repro.obs.events`): a
   stdlib HTTP + SSE dashboard, and verified byte-identical replay of
-  recorded streams (``com-repro replay-events --verify``).
+  recorded streams (``com-repro replay --log FILE --verify``).
 
 See docs/SERVICE.md for the protocol and operational guidance,
 docs/DASHBOARD.md for the event schema and live-ops endpoints, and

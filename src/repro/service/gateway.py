@@ -42,7 +42,7 @@ Layers around the session:
   resolution and shed is emitted to the ``COMEVT1`` stream on the
   decision loop *after* its journal append, so events never outrun
   durability; the canonical projection of the stream replays
-  byte-identically (``com-repro replay-events --verify``) and the live
+  byte-identically (``com-repro replay --log FILE --verify``) and the live
   dashboard (:mod:`repro.service.dashboard`) tails it over SSE.
 
 The gateway is asyncio-native and transport-agnostic; the JSONL-over-TCP

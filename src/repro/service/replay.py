@@ -34,10 +34,10 @@ Three identities are checked:
    agrees with its shard count; replaying a foreign stream raises
    :class:`~repro.errors.ServiceError` instead of diverging quietly.
 
-``com-repro replay-events --verify`` is the CLI face of this module; the
-soak harness (:mod:`repro.service.soak`) runs the same verification over
-streams recorded under induced crashes, and ``replay-cluster --verify``
-over the merged recordings it writes.
+``com-repro replay --verify`` is the CLI face of this module — over a
+recording given with ``--log``, or over the one it just recorded from a
+generated trace; the soak harness (:mod:`repro.service.soak`) runs the
+same verification over streams recorded under induced crashes.
 """
 
 from __future__ import annotations

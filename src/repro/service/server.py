@@ -21,7 +21,7 @@ the full schema):
     ``shareable`` / ``departure``).
 ``shed``
     Re-apply a recorded shed decision (replay path; bypasses admission —
-    used by ``com-repro replay-events --tcp``).
+    used by ``com-repro replay --log FILE --tcp``).
 ``outcome``
     Query a previously submitted request's outcome (deferred requests
     resolve asynchronously on batch flushes).

@@ -61,25 +61,98 @@ class TestParser:
         assert args.speed == 60.0
         assert args.max_pending == 1024
 
-    def test_replay_serve_arguments(self):
+    def test_replay_arguments(self):
         args = build_parser().parse_args(
-            ["replay-serve", "--algorithm", "demcom", "--verify"]
+            ["replay", "--algorithm", "demcom", "--verify"]
         )
-        assert args.command == "replay-serve"
+        assert args.command == "replay"
         assert args.algorithm == "demcom"
         assert args.verify is True
         assert args.snapshot_at is None
+        assert args.shards == 1
+        assert args.log is None
 
     def test_shared_defaults_are_hoisted(self):
         from repro.cli import DEFAULT_SERVICE_DURATION
 
         table = build_parser().parse_args(["table", "V"])
-        replay = build_parser().parse_args(["replay-serve"])
+        replay = build_parser().parse_args(["replay"])
         assert (
             table.service_duration
             == replay.service_duration
             == DEFAULT_SERVICE_DURATION
         )
+
+    @pytest.mark.parametrize(
+        "removed", ["serve-cluster", "replay-serve", "replay-cluster", "replay-events"]
+    )
+    def test_retired_service_commands_are_rejected(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([removed])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+#: Flags that configure one gateway: ``serve --shards 2`` refuses each.
+SINGLE_GATEWAY_FLAGS = [
+    ["--real-time"],
+    ["--speed", "60"],
+    ["--max-pending", "8"],
+    ["--restore", "X.snap"],
+    ["--fsync", "always"],
+    ["--fsync-interval", "16"],
+    ["--checkpoint-every", "64"],
+    ["--dashboard", "0"],
+    ["--dashboard-cell-km", "0.5"],
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--shards", "0"],
+            ["serve", "--shards", "0"],
+            ["serve", "--restore", "X.snap", "--journal", "dir"],
+            ["serve", "--restore", "X.snap", "--events", "run.comevt"],
+            ["serve", "--hetero"],
+            ["serve", "--cell-km", "3"],
+            ["serve", "--shard-base-port", "9000"],
+            *(["serve", "--shards", "2", *flag] for flag in SINGLE_GATEWAY_FLAGS),
+            ["replay", "--shards", "2", "--crash-shard", "5"],
+            ["replay", "--crash-shard", "1"],
+            ["replay", "--crash-index", "3"],
+            ["replay", "--crash-channel", "checkpoint"],
+            ["replay", "--shards", "2", "--crash-shard", "1", "--verify"],
+            ["replay", "--snapshot-at", "5", "--shards", "2"],
+            ["replay", "--snapshot-at", "5", "--tcp"],
+            ["replay", "--log", "run.comevt", "--shards", "2"],
+            ["replay", "--log", "run.comevt", "--events", "out.comevt"],
+            ["replay", "--log", "run.comevt", "--snapshot-at", "5"],
+            ["replay", "--log", "run.comevt", "--crash-shard", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_combination_is_a_usage_error(self, argv, capsys, monkeypatch):
+        """Exit 2 with one argparse error line — never a traceback, never a
+        silently ignored flag — before any handler runs, so no socket is
+        ever opened."""
+        import repro.cli
+
+        def handler_ran(_args):
+            raise AssertionError("the command handler ran")
+
+        for command in ("serve", "replay"):
+            monkeypatch.setitem(repro.cli._COMMANDS, command, handler_ran)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("com-repro: error:")
+        if argv[:3] == ["serve", "--shards", "2"]:
+            assert "one gateway only" in errors[0]
 
 
 class TestCommands:
@@ -135,72 +208,66 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "random-order" in out
 
-    def test_replay_serve_verify(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "flags, scale, expected",
+        [
+            # One gateway (the default single shard): the recording's
+            # verified replay includes the Simulator.run golden row.
+            (["--verify"], ["30", "15"], ["1 shard(s)", "VERIFY OK"]),
+            # Recovery drill: checkpoint mid-stream, finish from the snapshot.
+            (
+                ["--snapshot-at", "20", "--verify"],
+                ["30", "15"],
+                ["checkpointed after 20 events", "VERIFY OK"],
+            ),
+            (
+                ["--shards", "2", "--tcp", "--verify"],
+                ["60", "30"],
+                ["tcp, 2 shard(s)", "VERIFY OK"],
+            ),
+            (
+                ["--shards", "4", "--hetero", "--crash-shard", "2"],
+                ["150", "60"],
+                ["DEGRADED OK: shard 2 fail-stopped"],
+            ),
+        ],
+        ids=["one-gateway", "snapshot-drill", "tcp-2-shards", "crash-drill"],
+    )
+    def test_replay_generated_trace(self, flags, scale, expected, capsys, tmp_path):
         import json
 
-        output = tmp_path / "served.json"
-        assert (
-            main(
-                [
-                    "replay-serve",
-                    "--requests",
-                    "30",
-                    "--workers",
-                    "15",
-                    "--verify",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
+        output = tmp_path / "report.json"
+        requests, workers = scale
+        argv = ["replay", "--requests", requests, "--workers", workers, *flags]
+        assert main([*argv, "--output", str(output)]) == 0
         out = capsys.readouterr().out
-        assert "VERIFY OK" in out
-        metrics = json.loads(output.read_text())
-        assert metrics["algorithm"] == "RamCOM"
+        for line in expected:
+            assert line in out
+        report = json.loads(output.read_text())
+        assert report["row"]["algorithm"] == "RamCOM"
 
-    def test_replay_serve_snapshot_drill(self, capsys):
-        assert (
-            main(
-                [
-                    "replay-serve",
-                    "--requests",
-                    "30",
-                    "--workers",
-                    "15",
-                    "--snapshot-at",
-                    "20",
-                    "--verify",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "checkpointed after 20 events" in out
-        assert "VERIFY OK" in out
-
-    def test_replay_events_verifies_a_plain_recording(self, capsys, tmp_path):
-        scale = ["--requests", "40", "--workers", "15"]
-        directory = tmp_path / "soak"
-        soak = ["soak", "--cycles", "1", "--directory", str(directory)]
-        assert main([*soak, *scale]) == 0
-        log = str(directory / "events.comevt")
-        capsys.readouterr()
-        assert main(["replay-events", "--log", log, *scale, "--verify"]) == 0
-        out = capsys.readouterr().out
-        assert "1 shard(s)" in out
-        assert "VERIFY OK" in out
-
-    def test_replay_events_verifies_a_merged_recording(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "record, in_directory, scale, shards",
+        [
+            # soak records into <directory>/events.comevt.
+            (["soak", "--cycles", "1", "--directory"], "events.comevt", "40 15", 1),
+            (["replay", "--shards", "4", "--hetero", "--events"], "", "60 30", 4),
+        ],
+        ids=["plain", "merged"],
+    )
+    def test_replay_log_verifies_a_recording(
+        self, record, in_directory, scale, shards, capsys, tmp_path
+    ):
         """The shard count comes from the recording; no flag names it."""
-        scale = ["--requests", "60", "--workers", "30"]
-        record = str(tmp_path / "cluster.comevt")
-        cluster = ["replay-cluster", "--shards", "4", "--hetero", "--record"]
-        assert main([*cluster, record, *scale]) == 0
+        requests, workers = scale.split()
+        scale = ["--requests", requests, "--workers", workers]
+        target = tmp_path / "recorded"
+        assert main([*record, str(target), *scale]) == 0
+        log = str(target / in_directory)
         capsys.readouterr()
-        assert main(["replay-events", "--log", record, *scale, "--verify"]) == 0
+        assert main(["replay", "--log", log, *scale, "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "4 shard(s)" in out
+        assert f"{shards} shard(s)" in out
         assert "VERIFY OK" in out
 
     def test_trace_writes_artifacts(self, capsys, tmp_path):

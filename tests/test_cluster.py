@@ -461,13 +461,16 @@ class TestClusterRecordingAndReplay:
 
 class TestHandoff:
     def test_handoff_preserves_the_final_row(self, tmp_path):
-        """drain → snapshot → restore mid-stream changes nothing."""
+        """drain → snapshot → restore mid-stream changes nothing — and the
+        restored gateway continues the shard's event stream, so the
+        merged recording still replays byte-identically."""
         scenario = build_scenario(seed=3, requests=80, workers=40)
         config = service_config()
         plan = make_plan(scenario, 4)
+        record = tmp_path / "handoff.comevt"
 
         async def interrupted():
-            router, _logs, _clock = local_cluster(
+            router, logs, _clock = local_cluster(
                 scenario, plan, config=config
             )
             await router.start()
@@ -480,7 +483,9 @@ class TestHandoff:
                         await router.submit_worker(event.worker)
                     else:
                         await router.submit_request(event.request)
-                return await router.drain()
+                result = await router.drain()
+                recording_of(router, logs, result, record)
+                return result
             finally:
                 await router.stop()
 
@@ -491,6 +496,12 @@ class TestHandoff:
         assert json.dumps(handed_off.row, sort_keys=True) == json.dumps(
             baseline.row, sort_keys=True
         )
+        assert any(event.kind == "recovered" for event in read_events(record))
+        report = asyncio.run(
+            replay_event_log(record, scenario, algorithm="ramcom", config=config)
+        )
+        assert report.shards == 4
+        assert report.verified
 
     def test_handoff_guards(self, tmp_path):
         scenario = build_scenario()

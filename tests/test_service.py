@@ -462,7 +462,7 @@ class TestSnapshotRestore:
 
 
 class TestServerProtocol:
-    def test_protocol_verbs_and_errors(self):
+    def test_protocol_verbs_and_errors(self, tmp_path):
         scenario = build_scenario(requests=8, workers=4)
 
         async def main():
@@ -486,12 +486,20 @@ class TestServerProtocol:
                 await writer.drain()
                 not_json = json.loads(await reader.readline())
                 missing = await raw({"verb": "outcome", "request_id": "nope"})
+                snapshot = await raw(
+                    {"verb": "snapshot", "path": str(tmp_path / "wire.snap")}
+                )
                 writer.close()
-                return ping, unknown, bad_request, not_json, missing
+                return ping, unknown, bad_request, not_json, missing, snapshot
             finally:
                 await server.stop()
 
-        ping, unknown, bad_request, not_json, missing = asyncio.run(main())
+        ping, unknown, bad_request, not_json, missing, snapshot = asyncio.run(
+            main()
+        )
+        assert snapshot["ok"]
+        restored = MatchingGateway.from_snapshot(snapshot["path"])
+        assert restored.scenario.name == scenario.name
         assert ping["ok"] and ping["virtual"] is True
         assert not unknown["ok"] and "unknown verb" in unknown["error"]
         assert not bad_request["ok"] and "missing field" in bad_request["error"]
