@@ -128,7 +128,7 @@ class AcceptanceEstimator:
     def set_history(self, worker_id: Hashable, values: Sequence[float]) -> None:
         """Register (or replace) a worker's history (rates or raw values,
         matching the estimator's mode)."""
-        self._histories[worker_id] = sorted(float(v) for v in values)
+        self._histories[worker_id] = sorted(map(float, values))
 
     def record_completion(
         self, worker_id: Hashable, payment: float, request_value: float

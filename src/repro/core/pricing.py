@@ -30,17 +30,28 @@ without changing a bit of the answer:
   (:meth:`~repro.core.acceptance.AcceptanceEstimator.snapshot`) and each
   candidate keeps a monotone cursor into its sorted history in place of a
   ``bisect`` per (payment, candidate) — offers never decrease, so the
-  cursor always equals ``bisect_right``.
+  cursor always equals ``bisect_right``;
+* the sweep keeps one factor ``1 - pr(v', w)`` per candidate, in candidate
+  order, and a heap of the cursors' next history values, so a payment
+  touches only the candidates whose cursor it moves; the product
+  ``math.prod(factors)`` is recomputed only when some factor changed and
+  is reused as-is otherwise (grid points between breakpoints).
 
-The product multiplies the same factors in the same candidate order and
-the ``(expected, payment)`` argmax does not depend on evaluation order, so
+The product multiplies the same factors in the same candidate order
+(``x * 1.0 == x`` stands in for the reference's skipped zero-probability
+candidates, and a probability-one candidate's exact ``0.0`` factor zeroes
+the rest just as the reference's early exit does) and the
+``(expected, payment)`` argmax does not depend on evaluation order, so
 quotes are bit-identical to the reference path (``fast_path=False``),
 which evaluates every payment in build order; see
-docs/PERFORMANCE.md#pruned-mer-quote.
+docs/PERFORMANCE.md#pruned-mer-quote and
+docs/PERFORMANCE.md#factor-list-mer-sweep.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
@@ -178,19 +189,31 @@ class MaximumExpectedRevenuePricer:
         worker_ids: Sequence[Hashable],
         payments: list[float],
     ) -> tuple[float, float, float, int]:
-        """Ascending sweep with a strict revenue-bound stop and monotone
-        per-candidate history cursors; bit-identical to
-        :meth:`_quote_reference` (docs/PERFORMANCE.md#pruned-mer-quote)."""
+        """Ascending sweep with a strict revenue-bound stop over a list of
+        per-candidate factors that only changes where a history cursor
+        moves; bit-identical to :meth:`_quote_reference`
+        (docs/PERFORMANCE.md#factor-list-mer-sweep)."""
         payments.sort()
         rows = self.estimator.snapshot(worker_ids).rows
         relative = self.estimator.mode == "relative"
         cold_factor = 1.0 - self.estimator.default_probability
-        # One [history, size, cursor] per candidate, in candidate order.
-        # The cursor is bisect_right(history, offer) at the last offer the
-        # candidate was evaluated at; offers never decrease, so it only
-        # moves forward.  Candidates after an early product collapse lag
-        # behind and catch up at the next payment.
-        states = [[history, size, 0] for history, size in rows]
+        # factors[i] is candidate i's 1 - pr(offer) at the current offer, in
+        # candidate order: 1.0 - position / size for a warm candidate whose
+        # cursor sits at position = bisect_right(history, offer), and for a
+        # cold one 1.0 until the first positive payment, cold_factor after.
+        # Every factor starts at 1.0, so the empty offer's product is 1.0.
+        factors = [1.0] * len(rows)
+        cold = [index for index, (history, _) in enumerate(rows) if history is None]
+        # One (next history value, candidate, cursor) entry per warm
+        # candidate whose cursor can still move; offers never decrease, so
+        # an entry pops exactly when the offer passes its value.
+        cursors = [
+            (history[0], index, 0)
+            for index, (history, _) in enumerate(rows)
+            if history is not None
+        ]
+        heapq.heapify(cursors)
+        none_accepts = 1.0
         best_payment = request_value
         best_expected = -1.0
         best_probability = 0.0
@@ -206,29 +229,30 @@ class MaximumExpectedRevenuePricer:
                 break
             evaluated += 1
             offer = payment / request_value if relative else payment
-            cold = cold_factor if payment > 0 else 1.0
-            none_accepts = 1.0
-            for state in states:
-                history, size, position = state
-                if history is None:
-                    none_accepts *= cold
+            moved = False
+            if cold and payment > 0:
+                for index in cold:
+                    factors[index] = cold_factor
+                cold = []
+                moved = True
+            while cursors and cursors[0][0] <= offer:
+                _, index, position = cursors[0]
+                history, size = rows[index]
+                position += 1
+                while position < size and history[position] <= offer:
+                    position += 1
+                factors[index] = 1.0 - position / size
+                if position < size:
+                    heapq.heapreplace(cursors, (history[position], index, position))
                 else:
-                    if position < size and history[position] <= offer:
-                        position += 1
-                        while position < size and history[position] <= offer:
-                            position += 1
-                        state[2] = position
-                    if position == 0:
-                        # Probability 0: multiplying by 1.0 is a no-op.
-                        continue
-                    if position == size:
-                        # Probability exactly 1.0: the product collapses,
-                        # matching the reference early-exit.
-                        none_accepts = 0.0
-                        break
-                    none_accepts *= 1.0 - position / size
-                if none_accepts == 0.0:
-                    break
+                    heapq.heappop(cursors)
+                moved = True
+            if moved:
+                # The reference's left fold over the same factors in the
+                # same order: x * 1.0 == x stands in for its skipped
+                # zero-probability candidates, and a collapsed candidate's
+                # exact 0.0 factor zeroes the rest as its early exit does.
+                none_accepts = math.prod(factors)
             probability = 1.0 - none_accepts
             expected = margin * probability
             if expected > best_expected or (

@@ -5,6 +5,9 @@ ordered by arrival time (paper §II-A, Table II).  The list is backed by a
 :class:`~repro.geo.grid_index.GridIndex` so that "which waiting workers can
 serve request r" — the time + range + 1-by-1 eligibility query every
 algorithm issues per request — costs O(candidates) instead of O(|W|).
+The query is one pass over the covered grid buckets that applies every
+filter and takes the distance at once
+(docs/PERFORMANCE.md#one-pass-candidate-query).
 
 A worker assigned to a request is removed immediately (1-by-1 + invariable
 constraints); with the reentry extension the simulator re-adds the worker at
@@ -14,6 +17,7 @@ a later time with a fresh arrival timestamp.
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Iterator
 
 from repro.core.entities import Request, Worker
@@ -114,25 +118,46 @@ class WaitingList:
         when a road network is set, Euclidean otherwise).  Exposing the
         sorted tuples lets :class:`~repro.core.exchange.CooperationExchange`
         k-way-merge per-platform results without re-sorting.
+
+        One pass over the grid buckets within the largest live radius does
+        the whole query: per stored point it forms ``dx, dy`` once, applies
+        the time constraint and the worker's own range test
+        (:meth:`Worker.arrived_before` and :meth:`Worker.can_reach`, the
+        same float operations inlined), and takes the Euclidean distance
+        as ``math.hypot(dx, dy)`` (:meth:`Point.distance_to`).  The
+        pool-wide ``squared <= max_radius**2`` prefilter is implied by the
+        worker's own test, because squaring preserves ``radius <=
+        max_radius`` under rounding.  Worker ids are unique keys, so a
+        plain tuple sort orders by ``(distance, worker_id)`` and never
+        compares two workers.
         """
-        candidate_ids = self._index.query_radius(request.location, self._max_radius)
+        location = request.location
+        request_x = location.x
+        request_y = location.y
+        request_time = request.arrival_time
+        workers = self._workers
+        road_network = self.road_network
         eligible: list[tuple[float, str, Worker]] = []
-        for worker_id in candidate_ids:
-            worker = self._workers[worker_id]
-            if not worker.arrived_before(request):
-                continue
-            if not worker.can_reach(request):
-                continue
-            if self.road_network is None:
-                distance = worker.location.distance_to(request.location)
-            else:
-                distance = self.road_network.distance(
-                    worker.location, request.location
-                )
-                if distance > worker.service_radius:
+        for bucket in self._index.buckets_within(location, self._max_radius):
+            for worker_id, point in bucket.items():
+                worker = workers[worker_id]
+                if not worker.arrival_time <= request_time:
                     continue
-            eligible.append((distance, worker_id, worker))
-        eligible.sort(key=lambda item: (item[0], item[1]))
+                dx = point.x - request_x
+                dy = point.y - request_y
+                radius = worker.service_radius
+                if not dx * dx + dy * dy <= radius * radius:
+                    continue
+                if road_network is None:
+                    distance = math.hypot(dx, dy)
+                else:
+                    # Road distance dominates Euclidean, so the disk test
+                    # above stays a sound prefilter.
+                    distance = road_network.distance(worker.location, location)
+                    if distance > radius:
+                        continue
+                eligible.append((distance, worker_id, worker))
+        eligible.sort()
         return eligible
 
     def nearest_eligible(self, request: Request) -> Worker | None:

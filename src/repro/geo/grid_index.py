@@ -78,26 +78,42 @@ class GridIndex:
         """Return the stored location of ``key``."""
         return self._locations[key]
 
+    def buckets_within(
+        self, center: Point, radius: float
+    ) -> Iterator[dict[Hashable, Point]]:
+        """The non-empty ``key -> point`` buckets of every cell that can
+        hold a point of the closed disk ``(center, radius)``.
+
+        The cells form the ``ceil(radius / cell_size)``-ring square around
+        the centre cell, visited column by column.  Points in them may lie
+        outside the disk: callers apply their own distance test, which
+        lets a caller fuse it with its own filters in one pass
+        (:meth:`repro.core.waiting_list.WaitingList.eligible_with_distance`).
+        The buckets are live; do not mutate the index while iterating.
+        """
+        if radius < 0:
+            raise ConfigurationError(f"radius must be non-negative, got {radius}")
+        reach = int(math.ceil(radius / self.cell_size))
+        center_x, center_y = self._cell_of(center)
+        cells = self._cells
+        for cell_x in range(center_x - reach, center_x + reach + 1):
+            for cell_y in range(center_y - reach, center_y + reach + 1):
+                bucket = cells.get((cell_x, cell_y))
+                if bucket:
+                    yield bucket
+
     def query_radius(self, center: Point, radius: float) -> list[Hashable]:
         """All keys within the closed disk ``(center, radius)``.
 
         Results are unordered; callers needing determinism should sort.
         """
-        if radius < 0:
-            raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        reach = int(math.ceil(radius / self.cell_size))
-        center_cell = self._cell_of(center)
         radius_squared = radius * radius
-        found: list[Hashable] = []
-        for cell_x in range(center_cell[0] - reach, center_cell[0] + reach + 1):
-            for cell_y in range(center_cell[1] - reach, center_cell[1] + reach + 1):
-                bucket = self._cells.get((cell_x, cell_y))
-                if not bucket:
-                    continue
-                for key, point in bucket.items():
-                    if point.squared_distance_to(center) <= radius_squared:
-                        found.append(key)
-        return found
+        return [
+            key
+            for bucket in self.buckets_within(center, radius)
+            for key, point in bucket.items()
+            if point.squared_distance_to(center) <= radius_squared
+        ]
 
     def nearest(self, center: Point) -> tuple[Hashable, float] | None:
         """The closest key to ``center`` and its distance, or ``None`` if empty.

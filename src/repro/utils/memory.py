@@ -54,6 +54,39 @@ def _container_size(obj: object) -> int:
     return sys.getsizeof(obj)
 
 
+#: Node kinds, resolved once per class by :func:`_layout_of`.
+_VALUE, _ATOMIC, _MAPPING, _SEQUENCE, _OBJECT = range(5)
+
+#: Sentinel for a declared but unset slot.
+_UNSET = object()
+
+
+def _layout_of(cls: type) -> tuple[int, tuple[str, ...]]:
+    """The kind of ``cls``'s instances and, for plain objects, the slot
+    names to follow.
+
+    The checks and their order are the per-node ``isinstance`` tests the
+    walk used to make, asked once of the class: value before atomic
+    (``bool`` is both), ``Mapping`` (the ABC, so ``OrderedDict`` and
+    ``MappingProxyType`` qualify) before the sequence types.  The slot
+    names are ``cls.__slots__`` as attribute lookup finds it — the class's
+    own declaration, or the nearest base's — with a bare string meaning
+    one slot.
+    """
+    if issubclass(cls, _VALUE_TYPES):
+        return _VALUE, ()
+    if issubclass(cls, _ATOMIC_TYPES):
+        return _ATOMIC, ()
+    if issubclass(cls, Mapping):
+        return _MAPPING, ()
+    if issubclass(cls, (list, tuple, set, frozenset)):
+        return _SEQUENCE, ()
+    slots = getattr(cls, "__slots__", ())
+    if isinstance(slots, str):
+        slots = (slots,)
+    return _OBJECT, tuple(slots)
+
+
 def approximate_size_bytes(obj: object, _seen: set[int] | None = None) -> int:
     """Recursively approximate the memory footprint of ``obj`` in bytes.
 
@@ -62,41 +95,56 @@ def approximate_size_bytes(obj: object, _seen: set[int] | None = None) -> int:
     except plain numbers, which count per reference so the result is a
     function of the data's *values*, not of interpreter-level object
     sharing.  Atomic immutables are counted with plain ``sys.getsizeof``.
+
+    Each class's kind and slot names are resolved once per call
+    (:func:`_layout_of`) rather than per node; a walk meets a handful of
+    classes over tens of thousands of nodes
+    (docs/PERFORMANCE.md#per-class-memory-walk).
     """
-    if isinstance(obj, _VALUE_TYPES):
-        return sys.getsizeof(obj)
-    if _seen is None:
-        _seen = set()
-    object_id = id(obj)
-    if object_id in _seen:
-        return 0
-    _seen.add(object_id)
+    seen = set() if _seen is None else _seen
+    layouts: dict[type, tuple[int, tuple[str, ...]]] = {}
+    getsizeof = sys.getsizeof
 
-    size = _container_size(obj)
-    if isinstance(obj, _ATOMIC_TYPES):
+    def walk(node: object) -> int:
+        cls = type(node)
+        layout = layouts.get(cls)
+        if layout is None:
+            layout = layouts[cls] = _layout_of(cls)
+        kind, slots = layout
+        if kind == _VALUE:
+            return getsizeof(node)
+        node_id = id(node)
+        if node_id in seen:
+            return 0
+        seen.add(node_id)
+
+        size = _container_size(node)
+        if kind == _ATOMIC:
+            return size
+
+        if kind == _MAPPING:
+            for key, value in node.items():  # type: ignore[attr-defined]
+                size += walk(key)
+                size += walk(value)
+            return size
+
+        if kind == _SEQUENCE:
+            for item in node:  # type: ignore[attr-defined]
+                size += walk(item)
+            return size
+
+        instance_dict = getattr(node, "__dict__", None)
+        if instance_dict is not None:
+            size += walk(instance_dict)
+        for slot in slots:
+            # One lookup where hasattr + getattr made two: both swallow
+            # exactly AttributeError (an unset slot).
+            value = getattr(node, slot, _UNSET)
+            if value is not _UNSET:
+                size += walk(value)
         return size
 
-    if isinstance(obj, Mapping):
-        for key, value in obj.items():
-            size += approximate_size_bytes(key, _seen)
-            size += approximate_size_bytes(value, _seen)
-        return size
-
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            size += approximate_size_bytes(item, _seen)
-        return size
-
-    instance_dict = getattr(obj, "__dict__", None)
-    if instance_dict is not None:
-        size += approximate_size_bytes(instance_dict, _seen)
-    slots = getattr(type(obj), "__slots__", ())
-    if isinstance(slots, str):
-        slots = (slots,)
-    for slot in slots:
-        if hasattr(obj, slot):
-            size += approximate_size_bytes(getattr(obj, slot), _seen)
-    return size
+    return walk(obj)
 
 
 class MemoryMeter:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exchange import CooperationExchange
 from repro.core.waiting_list import WaitingList
 from repro.errors import SimulationError
+from repro.geo import BoundingBox, RoadNetwork
 
 from conftest import make_request, make_worker
 
@@ -88,6 +92,127 @@ class TestWaitingList:
         waiting.clear()
         assert len(waiting) == 0
         assert waiting.eligible_for(make_request()) == []
+
+
+def _brute_force(waiting: WaitingList, request) -> list:
+    """Scan every waiting worker with the entity predicates; the oracle for
+    the fused one-pass query."""
+    eligible = []
+    for worker in waiting.workers():
+        if not worker.arrived_before(request) or not worker.can_reach(request):
+            continue
+        if waiting.road_network is None:
+            distance = worker.location.distance_to(request.location)
+        else:
+            distance = waiting.road_network.distance(
+                worker.location, request.location
+            )
+            if distance > worker.service_radius:
+                continue
+        eligible.append((distance, worker.worker_id, worker))
+    eligible.sort(key=lambda entry: (entry[0], entry[1]))
+    return eligible
+
+
+@lru_cache(maxsize=1)
+def _road_network() -> RoadNetwork:
+    return RoadNetwork.grid(
+        BoundingBox.square(4.0), spacing_km=0.5, blocked_fraction=0.2, seed=3
+    )
+
+
+#: Cell edges (multiples of both cell sizes) and mirrored offsets, so points
+#: land on cell boundaries, exactly on a radius, and at equal distances.
+_EDGES = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+
+
+def _coordinate(low: float, high: float):
+    return st.one_of(
+        st.sampled_from([v for v in _EDGES if low <= v <= high]),
+        st.floats(min_value=low, max_value=high),
+    )
+
+
+@st.composite
+def _pools(draw, road: bool):
+    """A waiting list, some departures and a request.
+
+    Coordinates mix cell edges with arbitrary floats; radii include the
+    edge spacings, so a worker one radius from an edge-aligned request is
+    exactly on its disk boundary; arrival times straddle the request's.
+    """
+    low, high = (0.0, 4.0) if road else (-3.0, 4.0)
+    cell = draw(st.sampled_from([0.5, 1.0, 1.3]))
+    waiting = WaitingList(
+        cell_size_km=cell, road_network=_road_network() if road else None
+    )
+    count = draw(st.integers(min_value=0, max_value=25))
+    for index in range(count):
+        waiting.add(
+            make_worker(
+                f"w{draw(st.integers(0, 99)):02d}-{index}",
+                t=draw(st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+                x=draw(_coordinate(low, high)),
+                y=draw(_coordinate(low, high)),
+                radius=draw(
+                    st.one_of(
+                        st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+                        st.floats(min_value=0.05, max_value=3.0),
+                    )
+                ),
+            )
+        )
+    # Departures shrink the live radius bound the grid scan stops at.
+    if count:
+        departed = draw(st.lists(st.sampled_from(waiting.workers()), unique=True))
+        for worker in departed:
+            waiting.remove(worker.worker_id)
+    request = make_request(
+        t=2.0, x=draw(_coordinate(low, high)), y=draw(_coordinate(low, high))
+    )
+    return waiting, request
+
+
+class TestFusedEligibilityQuery:
+    """``eligible_with_distance`` (one pass over the grid buckets) against a
+    scan of every waiting worker."""
+
+    @given(_pools(road=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, case):
+        waiting, request = case
+        assert waiting.eligible_with_distance(request) == _brute_force(
+            waiting, request
+        )
+
+    @given(_pools(road=True))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force_on_roads(self, case):
+        waiting, request = case
+        assert waiting.eligible_with_distance(request) == _brute_force(
+            waiting, request
+        )
+
+    def test_equal_distances_tie_break_by_id(self):
+        waiting = WaitingList()
+        for worker_id, x, y in (("d", 1.0, 0.0), ("b", -1.0, 0.0), ("c", 0.0, 1.0)):
+            waiting.add(make_worker(worker_id, x=x, y=y, radius=1.0))
+        waiting.add(make_worker("a", x=0.0, y=-1.0, radius=1.0))
+        entries = waiting.eligible_with_distance(make_request(x=0.0, y=0.0))
+        # Each worker sits exactly on its own radius, on a cell edge.
+        assert [(d, worker_id) for d, worker_id, _ in entries] == [
+            (1.0, "a"),
+            (1.0, "b"),
+            (1.0, "c"),
+            (1.0, "d"),
+        ]
+
+    def test_late_arrivals_are_excluded(self):
+        waiting = WaitingList()
+        waiting.add(make_worker("on-time", t=1.0, x=0.2))
+        waiting.add(make_worker("late", t=1.0000001, x=0.1))
+        entries = waiting.eligible_with_distance(make_request(t=1.0))
+        assert [worker_id for _, worker_id, _ in entries] == ["on-time"]
 
 
 class TestCooperationExchange:

@@ -266,6 +266,81 @@ class TestPrunedQuote:
         assert quote.expected_revenue == 0.0
         assert quote.acceptance_probability == 0.0
 
+    # Factor-list sweep edge cases: each pins the incremental product
+    # (factors touched only where a cursor moves, the product reused when
+    # none does) against the reference's left fold per payment.
+
+    @staticmethod
+    def _check(acceptance, value, worker_ids, **knobs):
+        pruned = MaximumExpectedRevenuePricer(acceptance, fast_path=True, **knobs)
+        reference = MaximumExpectedRevenuePricer(
+            acceptance, fast_path=False, **knobs
+        )
+        quote = pruned.quote(value, worker_ids)
+        assert _quote_bits(quote) == _quote_bits(reference.quote(value, worker_ids))
+        return quote, pruned
+
+    def test_collapse_at_candidate_zero(self):
+        # w0 accepts every offer from 1.0 on: its 0.0 factor zeroes the
+        # product ahead of every other candidate.
+        acceptance = AcceptanceEstimator(mode="absolute")
+        acceptance.set_history("w0", [1.0])
+        acceptance.set_history("w1", [4.0, 8.0, 9.5])
+        quote, _ = self._check(acceptance, 10.0, ["w0", "w1"])
+        assert quote.acceptance_probability == 1.0
+
+    def test_cursors_move_only_after_the_collapse_point(self):
+        # w1 collapses at 0.6; w0's and w2's cursors keep moving past it,
+        # and w2 only starts moving once the product is already zero.
+        acceptance = AcceptanceEstimator(mode="absolute")
+        acceptance.set_history("w0", [0.2, 2.0, 5.0, 7.0])
+        acceptance.set_history("w1", [0.4, 0.6])
+        acceptance.set_history("w2", [3.0, 3.5, 6.0])
+        self._check(acceptance, 10.0, ["w0", "w1", "w2"])
+        self._check(acceptance, 10.0, ["w2", "w0", "w1"], max_breakpoints=2)
+
+    def test_grid_runs_that_move_no_cursor(self):
+        # Every history value sits above 85% of the grid, so long runs of
+        # grid points reuse the product unchanged.
+        acceptance = AcceptanceEstimator()
+        acceptance.set_history("w0", [0.86, 0.93])
+        acceptance.set_history("w1", [0.9, 0.97, 0.99])
+        self._check(acceptance, 20.0, ["w0", "w1"])
+        self._check(
+            acceptance, 20.0, ["w0", "w1"], include_history_breakpoints=False
+        )
+
+    def test_duplicate_history_values_across_candidates(self):
+        acceptance = AcceptanceEstimator(mode="absolute")
+        acceptance.set_history("w0", [3.0, 3.0, 5.0])
+        acceptance.set_history("w1", [3.0, 5.0, 5.0, 5.0])
+        acceptance.set_history("w2", [2.0, 3.0])
+        self._check(acceptance, 8.0, ["w0", "w1", "w2"])
+        self._check(acceptance, 8.0, ["w2", "w1", "w0"], grid_steps=4)
+
+    @pytest.mark.parametrize("default_probability", [0.0, 0.3, 1.0])
+    def test_cold_candidates(self, default_probability):
+        acceptance = AcceptanceEstimator(
+            default_probability=default_probability, mode="absolute"
+        )
+        acceptance.set_history("warm", [2.5, 6.0])
+        self._check(acceptance, 10.0, ["cold0", "warm", "cold1"])
+        self._check(acceptance, 10.0, ["cold0", "cold1"])
+
+    def test_underflowing_grid_payment_keeps_cold_factor_one(self):
+        # v / 50 rounds to 0.0, so every grid payment is 0.0: a cold
+        # candidate's probability there is 0, not the default, exactly as
+        # in the reference.  The warm breakpoints are positive payments.
+        value = 1e-322
+        acceptance = AcceptanceEstimator(default_probability=0.5, mode="absolute")
+        assert value / 50 == 0.0
+        quote, pruned = self._check(acceptance, value, ["cold"])
+        assert (quote.payment, quote.acceptance_probability) == (0.0, 0.0)
+        assert pruned.payments_evaluated == 50
+        acceptance.set_history("warm", [5e-324, value])
+        self._check(acceptance, value, ["cold", "warm"])
+        self._check(acceptance, value, ["warm", "cold"])
+
 
 def _golden_scenario():
     workers = [
