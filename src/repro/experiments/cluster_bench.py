@@ -130,7 +130,7 @@ async def _drive_substream(
     await gateway.start()
     watch = Stopwatch().start()
     try:
-        for kind, entity in recorded_arrivals(substream):
+        for kind, entity, __ in recorded_arrivals(substream, scenario):
             clock.advance_to(entity.arrival_time)
             window.append(
                 asyncio.create_task(

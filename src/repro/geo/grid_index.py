@@ -30,7 +30,7 @@ class GridIndex:
     ----------
     cell_size:
         Edge length of a grid cell.  Choose close to the typical query
-        radius; queries enumerate ``ceil(r / cell_size)``-ring neighbourhoods.
+        radius; a query enumerates the cells of its disk's bounding square.
     """
 
     def __init__(self, cell_size: float):
@@ -84,20 +84,29 @@ class GridIndex:
         """The non-empty ``key -> point`` buckets of every cell that can
         hold a point of the closed disk ``(center, radius)``.
 
-        The cells form the ``ceil(radius / cell_size)``-ring square around
-        the centre cell, visited column by column.  Points in them may lie
-        outside the disk: callers apply their own distance test, which
-        lets a caller fuse it with its own filters in one pass
+        The cells cover the disk's bounding square, padded by a relative
+        margin far above float rounding error: a point whose *rounded*
+        distance test passes may lie just outside the exact square (at
+        ``x = -1e-300`` it sits in cell -1, yet its distance to a centre
+        at ``x = radius`` rounds to exactly ``radius``).  Cells are
+        visited column by column.  Points in them may lie outside the
+        disk: callers apply their own distance test, which lets a caller
+        fuse it with its own filters in one pass
         (:meth:`repro.core.waiting_list.WaitingList.eligible_with_distance`).
         The buckets are live; do not mutate the index while iterating.
         """
         if radius < 0:
             raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        reach = int(math.ceil(radius / self.cell_size))
-        center_x, center_y = self._cell_of(center)
+        x, y, size = center.x, center.y, self.cell_size
+        pad = radius + 1e-12 * (abs(x) + abs(y) + radius) + 1e-300
+        rows = range(
+            math.floor((y - pad) / size), math.floor((y + pad) / size) + 1
+        )
         cells = self._cells
-        for cell_x in range(center_x - reach, center_x + reach + 1):
-            for cell_y in range(center_y - reach, center_y + reach + 1):
+        for cell_x in range(
+            math.floor((x - pad) / size), math.floor((x + pad) / size) + 1
+        ):
+            for cell_y in rows:
                 bucket = cells.get((cell_x, cell_y))
                 if bucket:
                     yield bucket

@@ -53,7 +53,6 @@ from repro.service.journal import (
     JOURNAL_FORMAT,
     Journal,
     JournalConfig,
-    JournalRecord,
     scan_journal,
 )
 from repro.service.recovery import RecoveryReport, recover_gateway
@@ -73,7 +72,6 @@ __all__ = [
     "JOURNAL_FORMAT",
     "Journal",
     "JournalConfig",
-    "JournalRecord",
     "MatchingGateway",
     "MatchingServer",
     "RealTimeClock",

@@ -55,6 +55,7 @@ import asyncio
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 from repro.core.base import Decision, DecisionKind
 from repro.core.entities import Request, Worker
@@ -91,7 +92,7 @@ STATUS_DEFERRED = "deferred"
 STATUS_SHED = "shed"
 
 #: Job kinds whose acknowledgement waits on a journal commit.
-_JOURNALED_KINDS = frozenset(("worker", "request", "shed"))
+_JOURNALED_KINDS = frozenset(("worker", "decision", "shed"))
 
 #: Group-commit cap: release acks at least every this many journaled jobs
 #: even while the queue stays non-empty, bounding both ack latency under
@@ -161,6 +162,12 @@ class ServiceOutcome:
 def _retrieve_exception(task: asyncio.Task) -> None:
     if not task.cancelled():
         task.exception()
+
+
+def _to_wire(entity: Worker | Request) -> dict:
+    if isinstance(entity, Worker):
+        return worker_to_wire(entity)
+    return request_to_wire(entity)
 
 
 def _outcome_from_decision(request: Request, decision: Decision) -> ServiceOutcome:
@@ -267,7 +274,16 @@ class MatchingGateway:
     ) -> "MatchingGateway":
         """Rebuild a gateway from a :meth:`snapshot` checkpoint."""
         session, outcomes, _meta = read_snapshot(path)
-        gateway = cls(session=session, clock=clock, admission=admission)
+        return cls._restored(
+            session, outcomes, clock=clock, admission=admission
+        )
+
+    @classmethod
+    def _restored(
+        cls, session: SimulationSession, outcomes: dict, **kwargs: Any
+    ) -> "MatchingGateway":
+        """A gateway over a restored session and its outcome log."""
+        gateway = cls(session=session, **kwargs)
         gateway._outcomes = {
             request_id: ServiceOutcome.from_dict(payload)
             for request_id, payload in outcomes.items()
@@ -293,13 +309,7 @@ class MatchingGateway:
         )
         if self._monitor is not None:
             self._journal.guard = self._monitor.guard("journal-buffer")
-        self._journal.append(
-            "meta",
-            format=JOURNAL_FORMAT,
-            algorithm=self._session.algorithm_name,
-            scenario=self.scenario.name,
-            fsync=config.fsync,
-        )
+        self._journal.append("meta", 0.0, **self._meta(JOURNAL_FORMAT))
         self._write_checkpoint()
 
     def _attach_journal(
@@ -335,7 +345,9 @@ class MatchingGateway:
             self.journal_config.checkpoint_path,
             meta={"journal_seq": journal_seq, "journal_format": JOURNAL_FORMAT},
         )
-        self._journal.append("checkpoint", journal_seq=journal_seq)
+        self._journal.append(
+            "checkpoint", self._session.last_event_time, journal_seq=journal_seq
+        )
         self._journal.commit()
         self._last_checkpoint_seq = journal_seq
         self.registry.counter("service_checkpoints_total").inc()
@@ -387,9 +399,9 @@ class MatchingGateway:
             self.on_crash(error)
 
     # -- the COMEVT1 event stream --------------------------------------------
-    # Canonical events (worker / request / decision / resolution / shed /
-    # drain) are emitted on the decision loop, *after* the operation's
-    # journal append succeeds, so the event stream never runs ahead of
+    # Canonical events (worker / decision / resolution / shed / drain) are
+    # emitted on the decision loop, *after* the same record's journal
+    # append succeeds (_record), so the stream never runs ahead of
     # durability: a kill point inside an append loses the record AND the
     # event together, and the retry after recovery regenerates both
     # exactly once.  Ops events (breaker / metrics / crash / recovered)
@@ -421,15 +433,63 @@ class MatchingGateway:
             )
             return
         if not isinstance(sink, EventLog) or sink.next_seq == 0:
-            sink.emit(
-                "meta",
-                0.0,
-                schema=EVENT_SCHEMA,
-                format=EVENT_FORMAT,
-                algorithm=self._session.algorithm_name,
-                scenario=self.scenario.name,
-                platforms=list(self.scenario.platform_ids),
-            )
+            sink.emit("meta", 0.0, **self._meta(EVENT_FORMAT))
+
+    def _meta(self, format: int) -> dict:
+        """The ``meta`` record both logs open with, in log ``format``."""
+        return {
+            "schema": EVENT_SCHEMA,
+            "format": format,
+            "algorithm": self._session.algorithm_name,
+            "scenario": self.scenario.name,
+            "platforms": list(self.scenario.platform_ids),
+        }
+
+    def _record(
+        self,
+        kind: str,
+        at: float,
+        entity: Worker | Request | None,
+        **fields: Any,
+    ) -> None:
+        """The one emission point: journal one record, then emit it.
+
+        ``entity`` (``None`` for a resolution) is journaled as a bare
+        ``ref`` when it IS the scenario's object — the checkpoint holds the
+        scenario.  A resolution's event waits for its triggering arrival's
+        append (if a kill point eats that append, the copy recovery+retry
+        regenerates must be the stream's only one), then precedes it.
+        """
+        journal = self._journal
+        if entity is None:  # a resolution
+            if journal is not None:
+                journal.append(kind, at, **fields)
+                if self._events.enabled:
+                    self._pending_resolution_events.append((at, fields))
+            elif self._events.enabled:
+                self._emit_canonical(kind, at, **fields)
+            return
+        if isinstance(entity, Worker):
+            key, ref = "worker", entity.worker_id
+            interned = (self._worker_index or {}).get(ref) is entity
+        else:
+            key, ref = "request", entity.request_id
+            interned = (self._request_index or {}).get(ref) is entity
+        wire = _to_wire(entity) if self._events.enabled else None
+        if journal is not None:
+            if not interned:
+                journal.append(
+                    kind, at, **{key: wire or _to_wire(entity)}, **fields
+                )
+            elif kind == "worker":
+                journal.append_worker_ref(ref, at)
+            elif kind == "decision":
+                journal.append_request_ref(ref, at, **fields)
+            else:
+                journal.append(kind, at, ref=ref, **fields)
+        if wire is not None:
+            self._flush_resolution_events()
+            self._emit_canonical(kind, at, **{key: wire}, **fields)
 
     def _emit_canonical(self, kind: str, at: float, **fields: object) -> None:
         """Emit one canonical event plus the periodic metrics snapshot."""
@@ -623,34 +683,17 @@ class MatchingGateway:
             if not future.done():
                 future.set_exception(ServiceError("gateway stopped"))
 
-    def _process(self, kind: str, payload: object) -> None:
+    def _process(self, kind: str, payload: object) -> Any:
+        """Apply one job: the decision loop's step and recovery's re-drive
+        (which runs before the journal and events are attached)."""
         if kind == "worker":
             assert isinstance(payload, Worker)
             self._session.submit_worker(payload)
+            self._record("worker", payload.arrival_time, payload)
             if self._journal is not None:
-                # Encoding sits on the ack critical path: an arrival that
-                # IS the scenario's canonical entity (the interning path)
-                # journals as a bare ref — the checkpoint already holds
-                # the scenario, so the id alone reproduces it on replay.
-                if (
-                    self._worker_index is not None
-                    and self._worker_index.get(payload.worker_id) is payload
-                ):
-                    self._journal.append_worker_ref(payload.worker_id)
-                else:
-                    self._journal.append(
-                        "worker", worker=worker_to_wire(payload)
-                    )
                 self._journaled_workers.add(payload.worker_id)
-            if self._events.enabled:
-                self._flush_resolution_events()
-                self._emit_canonical(
-                    "worker",
-                    payload.arrival_time,
-                    worker=worker_to_wire(payload),
-                )
             return None
-        if kind == "request":
+        if kind == "decision":
             assert isinstance(payload, Request)
             decision = self._session.submit_request(payload)
             outcome = _outcome_from_decision(payload, decision)
@@ -658,62 +701,29 @@ class MatchingGateway:
             self.registry.counter("service_decisions_total").inc(
                 platform=payload.platform_id, status=outcome.status
             )
-            if self._journal is not None:
-                if (
-                    self._request_index is not None
-                    and self._request_index.get(payload.request_id) is payload
-                ):
-                    self._journal.append_request_ref(
-                        payload.request_id,
-                        outcome.status,
-                        outcome.worker_id,
-                        outcome.payment,
-                    )
-                else:
-                    self._journal.append(
-                        "request",
-                        request=request_to_wire(payload),
-                        outcome={
-                            "status": outcome.status,
-                            "worker_id": outcome.worker_id,
-                            "payment": outcome.payment,
-                        },
-                    )
+            # One record per request: the arrival (full wire entity or
+            # ref, enough to re-drive the engine) and the decision it
+            # produced travel together.
+            self._record(
+                "decision",
+                payload.arrival_time,
+                payload,
+                platform=payload.platform_id,
+                status=outcome.status,
+                worker=outcome.worker_id,
+                payment=outcome.payment,
+            )
             if self._events.enabled:
-                self._flush_resolution_events()
-                # One event per request: the arrival (full wire entity,
-                # enough to re-drive the engine on replay) and the
-                # decision it produced travel together — half the
-                # hot-path emissions of a separate arrival event.
-                self._emit_canonical(
-                    "decision",
-                    payload.arrival_time,
-                    request=request_to_wire(payload),
-                    platform=payload.platform_id,
-                    status=outcome.status,
-                    worker=outcome.worker_id,
-                    payment=outcome.payment,
-                )
                 self._maybe_emit_breaker()
             return outcome
         if kind == "shed":
             request, outcome = payload  # type: ignore[misc]
             assert isinstance(request, Request)
             assert isinstance(outcome, ServiceOutcome)
-            if self._journal is not None:
-                self._journal.append(
-                    "shed",
-                    request_id=outcome.request_id,
-                    outcome=outcome.as_dict(),
-                )
-            if self._events.enabled:
-                self._flush_resolution_events()
-                self._emit_canonical(
-                    "shed",
-                    request.arrival_time,
-                    request=request_to_wire(request),
-                    status=STATUS_SHED,
-                )
+            self._outcomes[outcome.request_id] = outcome
+            self._record(
+                "shed", request.arrival_time, request, status=STATUS_SHED
+            )
             return outcome
         if kind == "finalize":
             self.result = self._session.finalize()
@@ -754,32 +764,19 @@ class MatchingGateway:
         self.registry.counter("service_decisions_total").inc(
             platform=request.platform_id, status=f"flushed_{outcome.status}"
         )
-        if self._journal is not None:
-            # Runs inside _process (flushes happen while an arrival is
-            # being applied), so the resolution lands in the journal just
-            # before the arrival that triggered it — replay regenerates
-            # it at exactly that point.
-            self._journal.append("resolution", outcome=outcome.as_dict())
-        if self._events.enabled:
-            fields = {
-                "request": request.request_id,
-                "platform": request.platform_id,
-                "status": outcome.status,
-                "worker": outcome.worker_id,
-                "payment": outcome.payment,
-            }
-            if self._journal is not None:
-                # Hold the event until the triggering arrival's own append
-                # succeeds: if the journal_append kill point eats that
-                # arrival, the regenerated resolution after recovery+retry
-                # must be the stream's only copy.
-                self._pending_resolution_events.append(
-                    (self._session.last_event_time, fields)
-                )
-            else:
-                self._emit_canonical(
-                    "resolution", self._session.last_event_time, **fields
-                )
+        # Runs inside _process, so the resolution lands in both logs just
+        # before the arrival that triggered it — a re-drive regenerates
+        # it at exactly that point.
+        self._record(
+            "resolution",
+            self._session.last_event_time,
+            None,
+            request=request.request_id,
+            platform=request.platform_id,
+            status=outcome.status,
+            worker=outcome.worker_id,
+            payment=outcome.payment,
+        )
 
     # -- replay interning ----------------------------------------------------
     # A submitted entity that matches its canonical object in the gateway's
@@ -898,7 +895,7 @@ class MatchingGateway:
                 # decision records) before the caller sees it.
                 await self._enqueue("shed", (request, outcome))
             return outcome
-        future = self._enqueue("request", request)
+        future = self._enqueue("decision", request)
         self.registry.gauge("service_queue_depth").set(self._queue.qsize())
         outcome = await self._settle(self._inflight_requests, request_id, future)
         elapsed = watch.stop()
@@ -929,7 +926,6 @@ class MatchingGateway:
             platform=request.platform_id, status=STATUS_SHED
         )
         outcome = ServiceOutcome(request.request_id, STATUS_SHED)
-        self._outcomes[request.request_id] = outcome
         await self._enqueue("shed", (request, outcome))
         return outcome
 

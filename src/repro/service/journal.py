@@ -18,31 +18,36 @@ CRC32-framed records::
     | len: u32 | crc: u32 | payload (len B)  |   big-endian, CRC of payload
     +----------+----------+------------------+
 
-A payload is one compact JSON object — ``seq`` and ``kind`` first, then
-kind-specific fields in deterministic insertion order (the writer never
-sorts keys: encoding sits on the acknowledgement critical path, and
-insertion order is already a pure function of the record) — carrying a
-contiguous ``seq`` number, a ``kind`` and kind-specific fields:
+A payload is one ``COMEVT1`` event (:mod:`repro.obs.events`) — the
+``kind`` / ``seq`` / ``time`` envelope plus the event's fields — in the
+event log's own encoding (:func:`~repro.obs.events.encode_canonical`:
+sorted keys, compact separators).  ``seq`` is contiguous from 0.  The
+kinds are the event log's canonical kinds, with the same field names,
+plus one journal-only kind:
 
 ``meta``
-    journal birth certificate: algorithm, scenario name, journal format;
-``worker`` / ``request``
+    journal birth certificate, the event ``meta`` fields (``format`` is
+    :data:`JOURNAL_FORMAT`);
+``worker`` / ``decision``
     one accepted arrival — either the full entity in wire-dict shape or,
     when the arrival is the scenario's own canonical entity (replay
     interning), just a ``ref`` carrying its id (the checkpoint already
     holds the scenario, and the slim record keeps the ack critical path
-    cheap); requests also carry the decided outcome (status, worker,
-    payment), which recovery verifies replayed decisions against;
+    cheap); a decision also carries the decided outcome (``platform``,
+    ``status``, ``worker``, ``payment``), which recovery verifies its
+    re-driven decision against;
 ``resolution``
-    a deferred request resolved asynchronously on a batch flush (replay
-    regenerates these — the record exists so the outcome log survives a
-    crash without replay);
+    a deferred request resolved asynchronously on a batch flush
+    (re-driving regenerates these — the record exists so the outcome log
+    survives a crash without replay);
 ``shed``
-    a request refused by admission control (never entered the engine, so
-    replay must *not* re-submit it);
+    a request refused by admission control (``request`` or ``ref``,
+    ``status``); it never entered the engine, so recovery restores its
+    answer without deciding it again;
 ``checkpoint``
-    a ``COMSNAP1`` checkpoint landed; records before it are covered by
-    the snapshot and recovery replays only the suffix.
+    journal only: a ``COMSNAP1`` checkpoint landed; records before
+    ``journal_seq`` are covered by the snapshot and recovery re-drives
+    only the suffix.
 
 Durability knobs
 ----------------
@@ -84,8 +89,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
-from repro.errors import ConfigurationError, JournalError
+from repro.errors import ConfigurationError, EventLogError, JournalError
 from repro.faults.crash import CrashInjector
+from repro.obs.events import GatewayEvent, encode_canonical
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.analysis.concurrency import OwnershipGuard
@@ -95,13 +101,12 @@ __all__ = [
     "JOURNAL_MAGIC",
     "FSYNC_POLICIES",
     "JournalConfig",
-    "JournalRecord",
     "Journal",
     "scan_journal",
 ]
 
-#: Bump when the record schema changes.
-JOURNAL_FORMAT = 1
+#: Bump when the record schema changes (2: records are COMEVT1 events).
+JOURNAL_FORMAT = 2
 
 JOURNAL_MAGIC = b"COMWAL1\n"
 
@@ -119,8 +124,6 @@ def _plain(text: str) -> bool:
         and '"' not in text
         and "\\" not in text
     )
-
-
 
 
 @dataclass(frozen=True)
@@ -177,31 +180,10 @@ class JournalConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class JournalRecord:
-    """One decoded journal record."""
-
-    seq: int
-    kind: str
-    fields: dict
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "JournalRecord":
-        fields = dict(payload)
-        try:
-            seq = fields.pop("seq")
-            kind = fields.pop("kind")
-        except KeyError as error:
-            raise JournalError(
-                f"journal record missing field {error}"
-            ) from error
-        return cls(seq=int(seq), kind=str(kind), fields=fields)
-
-
-@dataclass(frozen=True, slots=True)
 class _Scan:
     """Result of walking a journal file."""
 
-    records: list[JournalRecord]
+    records: list[GatewayEvent]
     valid_bytes: int
     torn_bytes: int
 
@@ -209,7 +191,7 @@ class _Scan:
 def _scan_blob(blob: bytes, path: Path) -> _Scan:
     if not blob.startswith(JOURNAL_MAGIC):
         raise JournalError(f"{path}: not a COMWAL1 journal")
-    records: list[JournalRecord] = []
+    records: list[GatewayEvent] = []
     offset = len(JOURNAL_MAGIC)
     end = len(blob)
     while offset < end:
@@ -238,7 +220,12 @@ def _scan_blob(blob: bytes, path: Path) -> _Scan:
             raise JournalError(
                 f"{path}: record at byte {start} is not JSON"
             ) from error
-        record = JournalRecord.from_payload(decoded)
+        try:
+            record = GatewayEvent.from_dict(decoded)
+        except EventLogError as error:
+            raise JournalError(
+                f"{path}: record at byte {start}: {error}"
+            ) from None
         if record.seq != len(records):
             raise JournalError(
                 f"{path}: record at byte {start} has seq {record.seq}, "
@@ -248,7 +235,7 @@ def _scan_blob(blob: bytes, path: Path) -> _Scan:
     return _Scan(records=records, valid_bytes=offset, torn_bytes=end - offset)
 
 
-def scan_journal(path: str | Path) -> list[JournalRecord]:
+def scan_journal(path: str | Path) -> list[GatewayEvent]:
     """Read every intact record of a journal (read-only; tolerates a torn
     tail without modifying the file)."""
     path = Path(path)
@@ -327,7 +314,7 @@ class Journal:
         fsync: str = "interval",
         fsync_interval: int = 256,
         crash: CrashInjector | None = None,
-    ) -> tuple["Journal", list[JournalRecord]]:
+    ) -> tuple["Journal", list[GatewayEvent]]:
         """Re-open after a crash: truncate any torn tail, return records.
 
         The returned journal appends after the last intact record; the
@@ -350,71 +337,79 @@ class Journal:
         """The sequence number the next append will carry."""
         return self._next_seq
 
-    def append(self, kind: str, **fields: object) -> int:
-        """Frame and buffer one record; returns its sequence number.
+    def append(self, kind: str, at: float, **fields: object) -> int:
+        """Frame and buffer one event record; returns its sequence number.
 
-        The record is *not* durable until :meth:`commit` flushes the
-        buffer.  Callers must commit before acknowledging anything the
-        record covers — the gateway group-commits, so one flush (and one
-        policy fsync) covers every record of a decision batch.
+        The arguments mirror :meth:`repro.obs.events.EventLog.emit`.  The
+        record is *not* durable until :meth:`commit` flushes the buffer.
+        Callers must commit before acknowledging anything the record
+        covers — the gateway group-commits, so one flush (and one policy
+        fsync) covers every record of a decision batch.
         """
         if self._file.closed:
             raise JournalError(f"{self.path}: journal is closed")
-        payload = {"seq": self._next_seq, "kind": kind, **fields}
-        encoded = json.dumps(payload, separators=(",", ":")).encode()
-        return self._append_encoded(encoded)
+        return self._append_encoded(
+            encode_canonical(
+                {"kind": kind, "seq": self._next_seq, "time": at, **fields}
+            )
+        )
 
-    def append_worker_ref(self, ref: str) -> int:
-        """Hot-path append of a worker ref record.
+    def append_worker_ref(self, ref: str, at: float) -> int:
+        """Hot-path append of a ``worker`` ref record.
 
         Produces the same JSON :meth:`append` would (pinned by the
         round-trip tests) without the generic encoder — ref records are
         the bulk of a replayed trace's journal and sit on the
         acknowledgement critical path, where ``json.dumps`` and kwargs
-        packing are ~5x the cost of an f-string.  An id that would need
+        packing are ~5x the cost of an f-string.  A value that would need
         JSON escaping falls back to the generic path.
         """
-        if not _plain(ref):
-            return self.append("worker", ref=ref)
+        if not (type(at) is float and math.isfinite(at) and _plain(ref)):
+            return self.append("worker", at, ref=ref)
         if self._file.closed:
             raise JournalError(f"{self.path}: journal is closed")
         return self._append_encoded(
-            f'{{"seq":{self._next_seq},"kind":"worker","ref":"{ref}"}}'.encode()
+            (
+                f'{{"kind":"worker","ref":"{ref}","seq":{self._next_seq},'
+                f'"time":{at!r}}}'
+            ).encode()
         )
 
     def append_request_ref(
         self,
         ref: str,
+        at: float,
+        platform: str,
         status: str,
-        worker_id: str | None,
+        worker: str | None,
         payment: float,
     ) -> int:
-        """Hot-path append of a request ref record (see
+        """Hot-path append of a ``decision`` ref record (see
         :meth:`append_worker_ref`)."""
-        if (
-            not _plain(ref)
-            or not _plain(status)
-            or not (worker_id is None or _plain(worker_id))
-            or not isinstance(payment, float)
-            or not math.isfinite(payment)
+        if not (
+            type(at) is float
+            and type(payment) is float
+            and math.isfinite(at + payment)  # inf and nan propagate
+            and _plain(f"{ref}{platform}{status}{worker or ''}")
         ):
             return self.append(
-                "request",
+                "decision",
+                at,
                 ref=ref,
-                outcome={
-                    "status": status,
-                    "worker_id": worker_id,
-                    "payment": payment,
-                },
+                platform=platform,
+                status=status,
+                worker=worker,
+                payment=payment,
             )
         if self._file.closed:
             raise JournalError(f"{self.path}: journal is closed")
-        encoded_worker = "null" if worker_id is None else f'"{worker_id}"'
+        encoded_worker = "null" if worker is None else f'"{worker}"'
         return self._append_encoded(
             (
-                f'{{"seq":{self._next_seq},"kind":"request","ref":"{ref}",'
-                f'"outcome":{{"status":"{status}",'
-                f'"worker_id":{encoded_worker},"payment":{payment!r}}}}}'
+                f'{{"kind":"decision","payment":{payment!r},'
+                f'"platform":"{platform}","ref":"{ref}",'
+                f'"seq":{self._next_seq},"status":"{status}",'
+                f'"time":{at!r},"worker":{encoded_worker}}}'
             ).encode()
         )
 

@@ -7,49 +7,44 @@ exists — and proceeds in four steps:
 
 1. load the latest checkpoint (atomic rotation means it is always a
    complete, CRC-verified snapshot; a crash mid-rotation leaves the
-   previous one);
+   previous one) and refuse one anchoring another journal format;
 2. open the journal, truncating any torn tail left by a crash
-   mid-append;
-3. replay the journal suffix (records with ``seq >=`` the checkpoint's
-   ``journal_seq``) through the deterministic engine — worker and
-   request arrivals re-enter :class:`~repro.core.simulator.
-   SimulationSession` exactly as the decision loop applied them, shed
-   records restore their outcome-log entries without touching the
-   engine, and every replayed decision is **verified against the
-   journaled outcome** (any divergence raises :class:`~repro.errors.
-   JournalError`: the journal no longer describes this engine, and
-   serving from it would silently corrupt results);
-4. hand the journal back to a fresh :class:`~repro.service.gateway.
-   MatchingGateway` with the dedup state (journaled request/worker ids)
+   mid-append; refuse it unless it reaches the checkpoint's
+   ``journal_seq`` and its ``meta`` passes the check a ``COMEVT1``
+   replay runs (:func:`~repro.service.replay.validate_meta`);
+3. decode the suffix with replay's arrival decoder
+   (:func:`~repro.service.replay.recorded_arrivals`) and apply each
+   arrival through ``MatchingGateway._process`` — the decision loop's
+   own step — before the journal and events are attached, so nothing
+   is recorded twice; every re-driven decision is **verified against
+   the journaled outcome** (any divergence raises
+   :class:`~repro.errors.JournalError`: the journal no longer describes
+   this engine, and serving from it would silently corrupt results);
+4. hand the journal back with the dedup state (journaled worker ids)
    rebuilt from the *full* record set, so client retries of
    pre-checkpoint operations are still absorbed.
 
 The recovered gateway is byte-identical to the crashed one: continuing
-the same trace and draining yields the same metrics row as an
-uninterrupted run — pinned by ``tests/test_service_journal.py`` at every
-kill-point boundary.
+the same trace and draining yields the same metrics row and canonical
+event stream as an uninterrupted run — pinned by
+``tests/test_service_journal.py`` at every kill-point boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.core.entities import Request, Worker
+from repro.core.entities import Worker
 from repro.errors import JournalError, ServiceError
 from repro.faults.crash import CrashPlan
 from repro.obs.events import EventLog
 from repro.service.admission import AdmissionPolicy
 from repro.service.clock import ServiceClock
-from repro.service.gateway import (
-    STATUS_SHED,
-    MatchingGateway,
-    ServiceOutcome,
-    _outcome_from_decision,
-)
-from repro.service.journal import Journal, JournalConfig, JournalRecord
+from repro.service.gateway import MatchingGateway
+from repro.service.journal import JOURNAL_FORMAT, Journal, JournalConfig
+from repro.service.replay import recorded_arrivals, validate_meta
 from repro.service.snapshot import read_snapshot
-from repro.service.wire import request_from_wire, worker_from_wire
 from repro.utils.timer import Stopwatch
 
 __all__ = ["RecoveryReport", "recover_gateway"]
@@ -71,91 +66,7 @@ class RecoveryReport:
     recovery_seconds: float
 
     def as_dict(self) -> dict:
-        return {
-            "checkpoint_seq": self.checkpoint_seq,
-            "journal_records": self.journal_records,
-            "records_replayed": self.records_replayed,
-            "torn_bytes_dropped": self.torn_bytes_dropped,
-            "recovery_seconds": self.recovery_seconds,
-        }
-
-
-def _replay_record(
-    gateway: MatchingGateway,
-    record: JournalRecord,
-    workers_by_id: dict[str, Worker],
-    requests_by_id: dict[str, Request],
-) -> None:
-    """Apply one suffix record to a bare (journal-less) gateway.
-
-    Worker/request records carry either the full wire entity or a bare
-    ``ref`` — the id of the scenario's canonical entity (the fast path
-    for replayed traces; the scenario itself travels in the checkpoint).
-    """
-    session = gateway._session
-    if record.kind == "worker":
-        ref = record.fields.get("ref")
-        if ref is not None:
-            try:
-                worker = workers_by_id[str(ref)]
-            except KeyError:
-                raise JournalError(
-                    f"journal seq {record.seq} references worker "
-                    f"{ref!r}, which is not in the scenario"
-                ) from None
-        else:
-            worker = gateway._canonical_worker(
-                worker_from_wire(record.fields["worker"])
-            )
-        session.submit_worker(worker)
-        return
-    if record.kind == "request":
-        ref = record.fields.get("ref")
-        if ref is not None:
-            try:
-                request = requests_by_id[str(ref)]
-            except KeyError:
-                raise JournalError(
-                    f"journal seq {record.seq} references request "
-                    f"{ref!r}, which is not in the scenario"
-                ) from None
-        else:
-            request = gateway._canonical_request(
-                request_from_wire(record.fields["request"])
-            )
-        brief = record.fields["outcome"]
-        journaled = ServiceOutcome(
-            request_id=request.request_id,
-            status=str(brief["status"]),
-            worker_id=brief.get("worker_id"),
-            payment=brief.get("payment", 0.0),
-        )
-        decision = session.submit_request(request)
-        outcome = _outcome_from_decision(request, decision)
-        if not outcome.matches(journaled):
-            raise JournalError(
-                f"replay diverged at journal seq {record.seq}: request "
-                f"{request.request_id!r} decided {outcome.as_dict()!r} "
-                f"but the journal recorded {journaled.as_dict()!r} — the "
-                f"journal does not describe this engine state"
-            )
-        gateway._outcomes[request.request_id] = outcome
-        return
-    if record.kind == "shed":
-        # Shed requests never entered the engine; only the answer the
-        # client saw is restored.  Skip if a later record decided the
-        # request for real (a retry after the shed) — replay applies
-        # records in order, so the decided outcome lands afterwards.
-        outcome = ServiceOutcome.from_dict(record.fields["outcome"])
-        gateway._outcomes[outcome.request_id] = outcome
-        return
-    if record.kind in ("meta", "checkpoint", "resolution"):
-        # meta/checkpoint are bookkeeping; resolutions regenerate through
-        # the session's on_resolution hook while arrivals replay.
-        return
-    raise JournalError(
-        f"journal seq {record.seq} has unknown kind {record.kind!r}"
-    )
+        return asdict(self)
 
 
 def recover_gateway(
@@ -180,7 +91,8 @@ def recover_gateway(
     the recovered gateway continues the stream — the journal-suffix
     replay itself emits nothing (those events are already in the file).
     Raises :class:`~repro.errors.JournalError` when the journal is
-    corrupt mid-file or diverges from the engine, and
+    corrupt mid-file, foreign to the checkpoint or of another format, or
+    diverges from the engine, and
     :class:`~repro.errors.ServiceError` when the checkpoint is damaged.
     """
     config = JournalConfig(
@@ -200,51 +112,66 @@ def recover_gateway(
             f"remove the journal directory and start fresh"
         )
     session, outcomes, meta = read_snapshot(config.checkpoint_path)
+    if meta.get("journal_format") != JOURNAL_FORMAT:
+        raise JournalError(
+            f"{config.checkpoint_path}: anchors a journal of format "
+            f"{meta.get('journal_format')!r}; this build reads format "
+            f"{JOURNAL_FORMAT}"
+        )
     checkpoint_seq = int(meta.get("journal_seq", 0))
-    gateway = MatchingGateway(
-        session=session, clock=clock, admission=admission, crash_plan=crash_plan
+    gateway = MatchingGateway._restored(
+        session,
+        outcomes,
+        clock=clock,
+        admission=admission,
+        crash_plan=crash_plan,
     )
-    gateway._outcomes = {
-        request_id: ServiceOutcome.from_dict(payload)
-        for request_id, payload in outcomes.items()
-    }
     journal, records = Journal.open(
         config.journal_path,
         fsync=config.fsync,
         fsync_interval=config.fsync_interval,
         crash=gateway._crash if gateway._crash.active else None,
     )
-    workers_by_id = {
-        worker.worker_id: worker for worker in gateway.scenario.events.workers
-    }
-    requests_by_id = {
-        request.request_id: request
-        for request in gateway.scenario.events.requests
-    }
-    replayed = 0
     try:
-        if records and checkpoint_seq > records[-1].seq + 1:
+        if checkpoint_seq > len(records):
             raise JournalError(
                 f"{config.journal_path}: checkpoint covers journal seq "
-                f"{checkpoint_seq} but the journal ends at seq "
-                f"{records[-1].seq} — journal and checkpoint are from "
-                f"different histories"
+                f"{checkpoint_seq} but the journal holds {len(records)} "
+                f"records — journal and checkpoint are from different "
+                f"histories"
             )
-        for record in records[checkpoint_seq:]:
-            _replay_record(gateway, record, workers_by_id, requests_by_id)
-            replayed += 1
+        validate_meta(
+            records,
+            session.scenario,
+            session.algorithm_name,
+            JOURNAL_FORMAT,
+            config.journal_path,
+            JournalError,
+        )
+        journaled_workers = {
+            entity.worker_id
+            for kind, entity, recorded in recorded_arrivals(
+                records[:checkpoint_seq], session.scenario, JournalError
+            )
+            if isinstance(entity, Worker)
+        }
+        for kind, entity, recorded in recorded_arrivals(
+            records[checkpoint_seq:], session.scenario, JournalError
+        ):
+            if isinstance(entity, Worker):
+                journaled_workers.add(entity.worker_id)
+            payload = (entity, recorded) if kind == "shed" else entity
+            outcome = gateway._process(kind, payload)
+            if recorded is not None and not outcome.matches(recorded):
+                raise JournalError(
+                    f"replay diverged: request {recorded.request_id!r} "
+                    f"decided {outcome.as_dict()!r} but the journal "
+                    f"recorded {recorded.as_dict()!r} — the journal does "
+                    f"not describe this engine state"
+                )
     except BaseException:
         journal.close()
         raise
-    journaled_workers = {
-        str(
-            record.fields["ref"]
-            if "ref" in record.fields
-            else record.fields["worker"]["id"]
-        )
-        for record in records
-        if record.kind == "worker"
-    }
     gateway._attach_journal(
         config, journal, journaled_workers, last_checkpoint_seq=checkpoint_seq
     )
@@ -267,7 +194,7 @@ def recover_gateway(
     report = RecoveryReport(
         checkpoint_seq=checkpoint_seq,
         journal_records=len(records),
-        records_replayed=replayed,
+        records_replayed=len(records) - checkpoint_seq,
         torn_bytes_dropped=journal.torn_bytes_dropped,
         recovery_seconds=watch.stop(),
     )

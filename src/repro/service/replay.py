@@ -34,6 +34,10 @@ Three identities are checked:
    agrees with its shard count; replaying a foreign stream raises
    :class:`~repro.errors.ServiceError` instead of diverging quietly.
 
+Journal records are ``COMEVT1`` events too, so the arrival decoder
+(:func:`recorded_arrivals`) and :func:`validate_meta` also serve crash
+recovery (:mod:`repro.service.recovery`).
+
 ``com-repro replay --verify`` is the CLI face of this module — over a
 recording given with ``--log``, or over the one it just recorded from a
 generated trace; the soak harness (:mod:`repro.service.soak`) runs the
@@ -43,7 +47,7 @@ same verification over streams recorded under induced crashes.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -54,7 +58,9 @@ from repro.core.simulator import Scenario, SimulatorConfig
 from repro.errors import ServiceError
 from repro.obs.events import (
     CANONICAL_KINDS,
+    EVENT_FORMAT,
     EVENT_SCHEMA,
+    OPS_KINDS,
     EventLog,
     GatewayEvent,
     canonical_projection,
@@ -63,7 +69,7 @@ from repro.obs.events import (
     row_digest,
 )
 from repro.service.clock import VirtualClock
-from repro.service.gateway import MatchingGateway
+from repro.service.gateway import STATUS_SHED, MatchingGateway, ServiceOutcome
 from repro.service.wire import request_from_wire, worker_from_wire
 
 if TYPE_CHECKING:
@@ -74,6 +80,7 @@ __all__ = [
     "ReplayReport",
     "recorded_arrivals",
     "replay_event_log",
+    "validate_meta",
 ]
 
 #: The submit call that re-drives each recorded arrival kind — the same
@@ -85,6 +92,17 @@ REDRIVE_VERBS = {
     "decision": "submit_request",
     "shed": "replay_shed",
 }
+
+_FROM_WIRE: dict[str, Callable[[dict], Worker | Request]] = {
+    "worker": worker_from_wire,
+    "request": request_from_wire,
+}
+
+#: Record kinds that carry no arrival: the remaining canonical kinds, the
+#: ops annotations and the journal-only ``checkpoint``.
+_SKIPPED_KINDS = (
+    CANONICAL_KINDS | OPS_KINDS | {"checkpoint"}
+) - REDRIVE_VERBS.keys()
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,55 +152,107 @@ class ReplayReport:
 
 
 def recorded_arrivals(
-    events: Iterable[GatewayEvent],
-) -> Iterator[tuple[str, Worker | Request]]:
-    """The re-drivable arrivals of a recorded stream, in stream order.
+    records: Iterable[GatewayEvent],
+    scenario: Scenario,
+    error: type[ServiceError] = ServiceError,
+) -> Iterator[tuple[str, Worker | Request, ServiceOutcome | None]]:
+    """The one arrival decoder for both logs (``COMEVT1`` and ``COMWAL1``).
 
-    Yields ``(kind, entity)`` for every ``worker``, ``decision`` and
-    ``shed`` event.  A decision event carries its arrival's full wire
-    entity, so re-driving it regenerates the decision fields; submit
-    each with :data:`REDRIVE_VERBS` ``[kind]``.
+    Yields ``(kind, entity, recorded outcome)`` per ``worker`` /
+    ``decision`` / ``shed`` record (outcome ``None`` for a worker).  A
+    ``ref`` resolves to the scenario's entity; a wire entity is decoded
+    and interned, as the live arrival was.  Submit each with
+    :data:`REDRIVE_VERBS` ``[kind]``.  An unknown kind, a dangling ``ref``
+    or a malformed record raises ``error``.
     """
-    for event in events:
-        if event.kind == "worker":
-            yield event.kind, worker_from_wire(event.fields["worker"])
-        elif event.kind in ("decision", "shed"):
-            yield event.kind, request_from_wire(event.fields["request"])
+    indexes: dict[str, dict[str, Worker | Request]] = {
+        "worker": {
+            worker.worker_id: worker for worker in scenario.events.workers
+        },
+        "request": {
+            request.request_id: request for request in scenario.events.requests
+        },
+    }
+    for record in records:
+        kind, fields = record.kind, record.fields
+        if kind not in REDRIVE_VERBS:
+            if kind not in _SKIPPED_KINDS:
+                raise error(
+                    f"record seq {record.seq} has unknown kind {kind!r}"
+                )
+            continue
+        key = "worker" if kind == "worker" else "request"
+        index = indexes[key]
+        try:
+            if "ref" in fields:
+                entity_id = fields["ref"]
+                entity = index[entity_id]
+            else:
+                entity_id = str(fields[key]["id"])
+                entity = _FROM_WIRE[key](fields[key])
+                if index.get(entity_id) == entity:
+                    entity = index[entity_id]
+            outcome: ServiceOutcome | None = None
+            if kind == "shed":
+                outcome = ServiceOutcome(entity_id, STATUS_SHED)
+            elif kind == "decision":
+                outcome = ServiceOutcome(
+                    entity_id,
+                    fields["status"],
+                    fields["worker"],
+                    fields["payment"],
+                )
+        except (KeyError, TypeError, ValueError, ServiceError) as problem:
+            raise error(
+                f"record seq {record.seq}: undecodable {kind} record — a ref "
+                f"not in the scenario or a malformed entity ({problem!r})"
+            ) from None
+        yield kind, entity, outcome
 
 
-def _validate_meta(
-    recorded: list[GatewayEvent],
+def validate_meta(
+    records: Iterable[GatewayEvent],
     scenario: Scenario,
     algorithm: str,
-    path: Path,
-) -> ShardPlan | None:
-    """Check the recording describes this deployment.
+    format: int,
+    source: object,
+    error: type[ServiceError] = ServiceError,
+) -> GatewayEvent:
+    """Check a log's ``meta`` record describes this deployment.
 
-    Returns the embedded shard plan of a merged cluster recording, or
-    ``None`` for a single-gateway stream.
+    ``algorithm`` is the display name (``algorithm_factory(...).name``);
+    ``format`` is the log's own format number.  Returns the meta record;
+    raises ``error`` naming every mismatched field.
     """
-    meta = next((event for event in recorded if event.kind == "meta"), None)
+    meta = next((record for record in records if record.kind == "meta"), None)
     if meta is None:
-        raise ServiceError(
-            f"{path}: stream has no meta event — not a complete COMEVT1 "
+        raise error(
+            f"{source}: stream has no meta event — not a complete COMEVT1 "
             f"recording"
         )
-    described = {
-        key: meta.fields.get(key)
-        for key in ("schema", "algorithm", "scenario", "platforms")
-    }
     expected = {
         "schema": EVENT_SCHEMA,
-        "algorithm": algorithm_factory(algorithm).name,
+        "format": format,
+        "algorithm": algorithm,
         "scenario": scenario.name,
         "platforms": list(scenario.platform_ids),
     }
-    if described != expected:
-        raise ServiceError(
-            f"{path}: stream meta {described!r} does not match the replay "
-            f"deployment {expected!r} — wrong scenario/algorithm for this "
-            f"recording"
+    mismatched = [
+        f"{key} {meta.fields.get(key)!r} (expected {value!r})"
+        for key, value in expected.items()
+        if meta.fields.get(key) != value
+    ]
+    if mismatched:
+        raise error(
+            f"{source}: meta does not match this deployment: "
+            + "; ".join(mismatched)
         )
+    return meta
+
+
+def _shard_plan(meta: GatewayEvent, path: Path) -> ShardPlan | None:
+    """The embedded shard plan of a merged cluster recording, or ``None``
+    for a single-gateway stream."""
     shards = meta.fields.get("shards")
     if shards is None:
         return None
@@ -235,7 +305,7 @@ async def _redrive(
         else:
             await gateway.start()
         target = client if client is not None else gateway
-        for kind, entity in recorded_arrivals(substream):
+        for kind, entity, __ in recorded_arrivals(substream, scenario):
             clock.advance_to(entity.arrival_time)
             counts[kind] += 1
             await getattr(target, REDRIVE_VERBS[kind])(entity)
@@ -271,7 +341,14 @@ async def replay_event_log(
     path = Path(path)
     config = config or SimulatorConfig()
     recorded = read_events(path)
-    plan = _validate_meta(recorded, scenario, algorithm, path)
+    meta = validate_meta(
+        recorded,
+        scenario,
+        algorithm_factory(algorithm).name,
+        EVENT_FORMAT,
+        path,
+    )
+    plan = _shard_plan(meta, path)
 
     if plan is None:
         substreams = [recorded]

@@ -87,6 +87,14 @@ class TestGridIndexBasics:
         assert len(index) == 0
 
 
+    def test_point_whose_rounded_distance_is_the_radius_is_found(self):
+        # -4.4e-269 lies in cell -1, outside the disk's exact bounding
+        # square, but its distance to x = 0.5 rounds to exactly 0.5.
+        index = GridIndex(cell_size=0.5)
+        index.insert("edge", Point(-4.4e-269, 0.0))
+        assert index.query_radius(Point(0.5, 0.0), 0.5) == ["edge"]
+
+
 class TestGridIndexVsBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(point_lists, coords, coords, st.floats(min_value=0, max_value=20))
