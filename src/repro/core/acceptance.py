@@ -115,6 +115,9 @@ class AcceptanceEstimator:
         self.default_probability = default_probability
         self.mode = mode
         self._histories: dict[Hashable, list[float]] = {}
+        #: The list each worker was loaded with, possibly shared with
+        #: reentry clones; never mutated (record_completion copies it).
+        self._loaded: dict[Hashable, list[float]] = {}
 
     def _normalize(self, payment: float, request_value: float) -> float:
         if self.mode == "absolute":
@@ -128,7 +131,22 @@ class AcceptanceEstimator:
     def set_history(self, worker_id: Hashable, values: Sequence[float]) -> None:
         """Register (or replace) a worker's history (rates or raw values,
         matching the estimator's mode)."""
-        self._histories[worker_id] = sorted(map(float, values))
+        history = sorted(map(float, values))
+        self._histories[worker_id] = self._loaded[worker_id] = history
+
+    def share_history(self, worker_id: Hashable, source_id: Hashable) -> bool:
+        """Load ``worker_id`` with the very list ``source_id`` was loaded
+        with — no copy, so reentry clones cost one reference each.
+
+        Returns False (and loads nothing) when ``source_id`` was never
+        loaded.  Growth made since by :meth:`record_completion` is not
+        shared: that goes to a private copy.
+        """
+        history = self._loaded.get(source_id)
+        if history is None:
+            return False
+        self._histories[worker_id] = self._loaded[worker_id] = history
+        return True
 
     def record_completion(
         self, worker_id: Hashable, payment: float, request_value: float
@@ -136,9 +154,14 @@ class AcceptanceEstimator:
         """Append one completed cooperative request to a worker's history.
 
         Keeps the history sorted; used by the simulator's online-learning
-        loop where histories grow as cooperative requests complete.
+        loop where histories grow as cooperative requests complete.  The
+        loaded list may be shared, so the first completion copies it.
         """
-        history = self._histories.setdefault(worker_id, [])
+        history = self._histories.get(worker_id)
+        if history is None:
+            history = self._histories[worker_id] = []
+        elif history is self._loaded.get(worker_id):
+            history = self._histories[worker_id] = history.copy()
         bisect.insort(history, self._normalize(payment, request_value))
 
     def has_history(self, worker_id: Hashable) -> bool:

@@ -42,6 +42,19 @@ class Request:
     location: Point
     value: float
 
+    def __reduce__(self):
+        # Positional: pickling skips dataclasses' per-object __getstate__.
+        return (
+            Request,
+            (
+                self.request_id,
+                self.platform_id,
+                self.arrival_time,
+                self.location,
+                self.value,
+            ),
+        )
+
     def __post_init__(self) -> None:
         if self.value <= 0:
             raise ConfigurationError(
@@ -86,6 +99,21 @@ class Worker:
     service_radius: float
     shareable: bool = field(default=True)
     departure_time: float | None = field(default=None)
+
+    def __reduce__(self):
+        # Positional: pickling skips dataclasses' per-object __getstate__.
+        return (
+            Worker,
+            (
+                self.worker_id,
+                self.platform_id,
+                self.arrival_time,
+                self.location,
+                self.service_radius,
+                self.shareable,
+                self.departure_time,
+            ),
+        )
 
     def __post_init__(self) -> None:
         if self.service_radius <= 0:

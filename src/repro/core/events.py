@@ -40,6 +40,10 @@ class ArrivalEvent:
     worker: Worker | None = None
     request: Request | None = None
 
+    def __reduce__(self):
+        # Positional: pickling skips dataclasses' per-object __getstate__.
+        return (ArrivalEvent, (self.time, self.kind, self.worker, self.request))
+
     def __post_init__(self) -> None:
         if self.kind is EventKind.WORKER and self.worker is None:
             raise ConfigurationError("WORKER event without a worker")

@@ -56,6 +56,20 @@ class MatchRecord:
     decision_time: float = 0.0
     pickup_distance: float = 0.0
 
+    def __reduce__(self):
+        # Positional: pickling skips dataclasses' per-object __getstate__.
+        return (
+            MatchRecord,
+            (
+                self.request,
+                self.worker,
+                self.kind,
+                self.payment,
+                self.decision_time,
+                self.pickup_distance,
+            ),
+        )
+
     def __post_init__(self) -> None:
         if self.kind is AssignmentKind.INNER and self.payment != 0.0:
             raise ConfigurationError("inner assignments carry no outer payment")

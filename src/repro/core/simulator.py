@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.analysis.concurrency import ConcurrencyMonitor, concurrency_from_env
 from repro.analysis.sanitizer import ConstraintSanitizer, sanitize_from_env
-from repro.behavior.worker_model import BehaviorOracle, WorkerBehavior
+from repro.behavior.worker_model import BehaviorOracle
 from repro.core.acceptance import AcceptanceEstimator
 from repro.core.base import Decision, DecisionKind, OnlineAlgorithm, PlatformContext
 from repro.core.entities import Request, Worker
@@ -891,41 +891,37 @@ class SimulationSession:
                     "worker_reentries_total", platform=worker.platform_id
                 )
             return_time = request.arrival_time + occupation
-            returned = self._reentered_worker(worker, request, return_time, scenario)
-            self.acceptance.set_history(
-                returned.worker_id, scenario.oracle.history_of(worker.worker_id)
-            )
+            returned = self._reentered_worker(worker, return_time)
+            # The clone starts from the base worker's loaded history, not
+            # from what this engagement has grown it to.
+            if not self.acceptance.share_history(
+                returned.worker_id, worker.worker_id
+            ):
+                self.acceptance.set_history(
+                    returned.worker_id, scenario.oracle.history_of(worker.worker_id)
+                )
             heapq.heappush(
                 self._reentry_heap,
                 (return_time, self._reentry_sequence, returned),
             )
 
     @staticmethod
-    def _reentered_worker(
-        worker: Worker, request: Request, return_time: float, scenario: Scenario
-    ) -> Worker:
+    def _reentered_worker(worker: Worker, return_time: float) -> Worker:
         """Clone a worker for reentry at their home location.
 
         The clone gets a fresh id (the 1-by-1 constraint is per engagement)
-        and inherits the original's behaviour in the oracle.  Re-entering at
-        the worker's *original* location (the "return home" model) keeps the
-        offline copy relaxation in :func:`repro.baselines.offline.
+        and inherits the original's behaviour: the oracle resolves
+        ``@reentry`` ids to the base worker, so the scenario is never
+        mutated (checkpoints encode it once; see
+        :mod:`repro.service.snapshot`).  Re-entering at the worker's
+        *original* location (the "return home" model) keeps the offline
+        copy relaxation in :func:`repro.baselines.offline.
         solve_offline_reentry` a true upper bound; see DESIGN.md §2.
         """
         base_id, _, suffix = worker.worker_id.partition("@reentry")
         generation = int(suffix) + 1 if suffix else 1
         new_id = f"{base_id}@reentry{generation}"
-        clone = replace(
-            worker,
-            worker_id=new_id,
-            arrival_time=return_time,
-        )
-        if new_id not in scenario.oracle:
-            original = scenario.oracle.behavior_of(worker.worker_id)
-            scenario.oracle.register(
-                WorkerBehavior(new_id, original.distribution, original.history)
-            )
-        return clone
+        return replace(worker, worker_id=new_id, arrival_time=return_time)
 
 
 class Simulator:

@@ -21,6 +21,10 @@ class Point:
     x: float
     y: float
 
+    def __reduce__(self):
+        # Positional: pickling skips dataclasses' per-object __getstate__.
+        return (Point, (self.x, self.y))
+
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)

@@ -81,7 +81,7 @@ from repro.obs.events import (
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.clock import ServiceClock, VirtualClock
 from repro.service.journal import JOURNAL_FORMAT, Journal, JournalConfig
-from repro.service.snapshot import read_snapshot, write_snapshot
+from repro.service.snapshot import EncodedScenario, read_snapshot, write_snapshot
 from repro.service.wire import request_to_wire, worker_to_wire
 from repro.utils.timer import Stopwatch
 
@@ -244,6 +244,9 @@ class MatchingGateway:
         self._inflight_workers: dict[str, asyncio.Future] = {}
         self._inflight_requests: dict[str, asyncio.Future] = {}
         self._last_checkpoint_seq = 0
+        #: The scenario section of this gateway's checkpoints, encoded at
+        #: the first one (the session never mutates its scenario).
+        self._encoded_scenario: EncodedScenario | None = None
         # COMEVT1 event stream (repro.obs.events).  The sink is a
         # gateway-level concern, never session state: the session gets
         # pickled into COMSNAP1 checkpoints and must stay free of file
@@ -339,11 +342,10 @@ class MatchingGateway:
         if self._crash.active:
             self._crash.fire("checkpoint")
         journal_seq = self._journal.next_seq
-        write_snapshot(
-            self._session,
-            self._outcome_log(),
+        self._snapshot_to(
             self.journal_config.checkpoint_path,
             meta={"journal_seq": journal_seq, "journal_format": JOURNAL_FORMAT},
+            durable=self.journal_config.fsync == "always",
         )
         self._journal.append(
             "checkpoint", self._session.last_event_time, journal_seq=journal_seq
@@ -351,6 +353,21 @@ class MatchingGateway:
         self._journal.commit()
         self._last_checkpoint_seq = journal_seq
         self.registry.counter("service_checkpoints_total").inc()
+
+    def _snapshot_to(
+        self, path: Path, meta: dict | None, durable: bool = False
+    ) -> Path:
+        """Write a ``COMSNAP1`` snapshot, encoding the scenario only once."""
+        if self._encoded_scenario is None:
+            self._encoded_scenario = EncodedScenario(self.scenario)
+        return write_snapshot(
+            self._session,
+            self._outcome_log(),
+            path,
+            meta=meta,
+            scenario=self._encoded_scenario,
+            durable=durable,
+        )
 
     def _maybe_checkpoint(self) -> None:
         assert self._journal is not None and self.journal_config is not None
@@ -744,12 +761,7 @@ class MatchingGateway:
                     "journal_seq": self._journal.next_seq,
                     "journal_format": JOURNAL_FORMAT,
                 }
-            return write_snapshot(
-                self._session,
-                self._outcome_log(),
-                Path(str(payload)),
-                meta=meta,
-            )
+            return self._snapshot_to(Path(str(payload)), meta)
         raise ServiceError(f"unknown gateway job kind {kind!r}")
 
     def _record_resolution(self, request: Request, decision: Decision) -> None:  # comlint: loop-entry

@@ -64,7 +64,11 @@ nothing acknowledged is lost on process crash — the common case —
 because acks are only released after the flush), ``"never"`` leaves
 syncing to the OS.  The threshold counts records, not wall seconds, so
 the sync schedule is a function of the trace and its batching, never of
-the clock.
+the clock.  Checkpoints follow the same promise: under ``"always"`` a
+rotated ``COMSNAP1`` file is fsynced before its atomic rename and its
+directory after it, so an OS crash cannot leave a torn checkpoint behind
+a journal that needs it; ``"interval"`` and ``"never"`` only flush
+checkpoints to the OS.
 
 Torn tails
 ----------
@@ -142,12 +146,13 @@ class JournalConfig:
         Write a ``COMSNAP1`` checkpoint every this many journal records
         (0 disables periodic checkpoints; the initial checkpoint that
         anchors recovery is always written).  Checkpoints bound recovery
-        *replay time*, not data loss — the journal alone bounds loss —
-        and each one pickles the full session on the decision path, so
-        the default cadence is deliberately coarse: replaying a few
-        thousand records takes well under a second at engine speed,
-        while checkpointing every few hundred would dominate serving
-        cost.
+        *replay time*, not data loss — the journal alone bounds loss.
+        Each one pickles the session's state on the decision path (the
+        scenario is encoded once per gateway and reused; see
+        :mod:`repro.service.snapshot`), so the default cadence is coarse:
+        replaying a few thousand records takes well under a second at
+        engine speed, while checkpointing every few hundred would
+        dominate serving cost.
     """
 
     directory: str | Path

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.entities import Request, Worker
 from repro.core.events import ArrivalEvent, EventKind, EventStream, merge_streams
+from repro.core.matching import AssignmentKind, MatchRecord
 from repro.errors import ConfigurationError
 from repro.geo.point import Point
 
@@ -138,3 +142,32 @@ class TestEventStream:
         b = EventStream.from_entities([make_worker("w2", "B", t=1)], [])
         merged = merge_streams([a, b])
         assert [w.worker_id for w in merged.workers] == ["w1", "w2"]
+
+
+def _records() -> list:
+    worker = make_worker("w", "B", 2.0, x=0.25)
+    shifted = Worker("s", "A", 1.0, Point(0.5, 0.5), 2.0, False, 9.0)
+    request = make_request("r", "A", 4.0, x=0.75, value=8.0)
+    return [
+        Point(1.5, -2.25),
+        request,
+        worker,
+        shifted,
+        ArrivalEvent.of_worker(worker),
+        ArrivalEvent.of_request(request),
+        MatchRecord(request, worker, AssignmentKind.OUTER, 3.5, 4.0, 0.5),
+        MatchRecord(request, shifted, AssignmentKind.INNER, decision_time=4.0),
+    ]
+
+
+class TestRecordRoundTrips:
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_round_trip_is_equal_and_same_type(self, record, round_trip):
+        restored = round_trip(record)
+        assert type(restored) is type(record)
+        assert restored == record

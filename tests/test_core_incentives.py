@@ -87,6 +87,21 @@ class TestAcceptanceEstimator:
         estimator.set_history("w", [0.5])
         assert estimator.has_history("w")
 
+    def test_shared_history_is_copied_on_write(self):
+        estimator = AcceptanceEstimator()
+        assert not estimator.share_history("clone", "ghost")
+        estimator.set_history("w", [0.5, 0.7])
+        estimator.record_completion("w", 9.0, 10.0)
+        # The clone gets the loaded history, not what "w" has grown to.
+        assert estimator.share_history("w@reentry1", "w")
+        assert estimator.share_history("w@reentry2", "w@reentry1")
+        assert estimator.history_size("w@reentry1") == 2
+        estimator.record_completion("w@reentry1", 1.0, 10.0)
+        assert estimator.history_size("w") == 3
+        assert estimator.history_size("w@reentry1") == 3
+        assert estimator.history_size("w@reentry2") == 2
+        assert estimator.support("w@reentry2") == (0.5, 0.7)
+
 
 class TestSampleCount:
     def test_lemma1_formula(self):

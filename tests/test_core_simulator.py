@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.baselines import TOTA
@@ -10,6 +13,7 @@ from repro.core.base import Decision, OnlineAlgorithm
 from repro.core.events import EventStream
 from repro.core.simulator import Scenario
 from repro.errors import ConfigurationError, SimulationError
+from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 from conftest import (
     make_fixed_rate_oracle,
@@ -251,6 +255,30 @@ class TestWorkerReentry:
         assert scenario.oracle.reservation("b", "r2") == scenario.oracle.reservation(
             "b@reentry1", "r2"
         )
+
+    @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM])
+    def test_reentry_leaves_the_scenario_unchanged(self, algorithm):
+        # Checkpoints encode the scenario once per gateway, so a run must
+        # never mutate it — reentry clones resolve to their base worker
+        # in the oracle instead of registering there.
+        scenario = SyntheticWorkload(
+            SyntheticWorkloadConfig(
+                request_count=60, worker_count=20, horizon_seconds=3600.0
+            )
+        ).build(seed=5)
+        behaviours = len(scenario.oracle)
+        digest = hashlib.sha256(pickle.dumps(scenario)).hexdigest()
+        config = SimulatorConfig(
+            worker_reentry=True,
+            service_duration=600.0,
+            measure_response_time=False,
+        )
+        result = Simulator(config).run(scenario, algorithm)
+        assert any(
+            "@reentry" in record.worker.worker_id for record in result.all_records()
+        )
+        assert len(scenario.oracle) == behaviours
+        assert hashlib.sha256(pickle.dumps(scenario)).hexdigest() == digest
 
 
 class TestCooperationFlag:

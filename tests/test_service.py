@@ -11,7 +11,10 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import pickle
 import socket
+import struct
+import zlib
 
 import pytest
 
@@ -36,11 +39,13 @@ from repro.service import (
     drive_trace,
     read_snapshot,
     recover_gateway,
+    write_snapshot,
     request_from_wire,
     request_to_wire,
     worker_from_wire,
     worker_to_wire,
 )
+from repro.service.snapshot import EncodedScenario
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 from conftest import make_request, make_scenario, make_worker
@@ -124,6 +129,21 @@ async def submit_event(target, event, clock=None) -> None:
         await target.submit_worker(event.worker)
     else:
         await target.submit_request(event.request)
+
+
+def mid_trace_session(scenario, config=None):
+    """A session that has applied the first half of ``scenario``."""
+    session = Simulator(config or service_config()).session(
+        scenario, algorithm_factory("demcom")
+    )
+    events = list(scenario.events)
+    for event in events[: len(events) // 2]:
+        session.advance_to(event.time)
+        if event.kind is EventKind.WORKER:
+            session.submit_worker(event.worker)
+        else:
+            session.submit_request(event.request)
+    return session
 
 
 class TestClocks:
@@ -459,6 +479,64 @@ class TestSnapshotRestore:
         path.write_bytes(b"not a snapshot")
         with pytest.raises(ServiceError):
             read_snapshot(path)
+
+    def test_format_two_snapshot_is_refused_by_format(self, tmp_path):
+        session = mid_trace_session(build_scenario(requests=10, workers=5))
+        session.on_resolution = None
+        payload = pickle.dumps(
+            {"format": 2, "session": session, "outcomes": {}, "meta": {}}
+        )
+        path = tmp_path / "old.snap"
+        path.write_bytes(
+            b"COMSNAP1\n"
+            + struct.pack(">QI", len(payload), zlib.crc32(payload))
+            + payload
+        )
+        with pytest.raises(ServiceError, match="snapshot format 2 != 3"):
+            read_snapshot(path)
+
+    def test_flipped_state_byte_fails_the_checksum(self, tmp_path):
+        scenario = build_scenario(requests=10, workers=5)
+        path = write_snapshot(mid_trace_session(scenario), {}, tmp_path / "s.snap")
+        blob = bytearray(path.read_bytes())
+        state_start = len(b"COMSNAP1\n") + 12 + len(EncodedScenario(scenario).payload)
+        flipped = (state_start + len(blob)) // 2
+        blob[flipped] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ServiceError, match="checksum"):
+            read_snapshot(path)
+
+    def test_restored_state_shares_the_restored_scenario_objects(self, tmp_path):
+        scenario = build_scenario(seed=11, requests=60, workers=20)
+        config = SimulatorConfig(
+            worker_reentry=True,
+            service_duration=600.0,
+            measure_response_time=False,
+        )
+        path = write_snapshot(
+            mid_trace_session(scenario, config), {}, tmp_path / "r.snap"
+        )
+        session, _, _ = read_snapshot(path)
+        restored = session.scenario
+        workers = {worker.worker_id: worker for worker in restored.events.workers}
+        requests = {r.request_id: r for r in restored.events.requests}
+        held = [
+            worker
+            for pid in restored.platform_ids
+            for worker in session.exchange.inner_list(pid).workers()
+        ]
+        for outcome in session.outcomes.values():
+            for record in outcome.ledger.records:
+                held.append(record.worker)
+                assert record.request is requests[record.request.request_id]
+        clones = [w for w in held if w.worker_id not in workers]
+        assert clones and all("@reentry" in w.worker_id for w in clones)
+        for worker in held:
+            if worker in clones:
+                base = workers[worker.worker_id.partition("@reentry")[0]]
+                assert worker.location is base.location
+            else:
+                assert worker is workers[worker.worker_id]
 
 
 class TestServerProtocol:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -892,7 +893,75 @@ class TestTcpCrashRecovery:
         asyncio.run(main())
 
 
+class TestCheckpointDurability:
+    @pytest.mark.parametrize(
+        ("policy", "synced"), [("always", True), ("interval", False), ("never", False)]
+    )
+    def test_checkpoint_fsyncs_file_and_directory_only_under_always(
+        self, tmp_path, monkeypatch, policy, synced
+    ):
+        synced_inodes = []
+        real_fsync = os.fsync
+
+        def recording_fsync(descriptor):
+            synced_inodes.append(os.fstat(descriptor).st_ino)
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        config = JournalConfig(directory=tmp_path, fsync=policy)
+
+        async def main():
+            gateway = MatchingGateway(
+                scenario=build_scenario(), config=service_config(), journal=config
+            )
+            await gateway.start()
+            await gateway.stop()
+
+        asyncio.run(main())
+        assert (config.checkpoint_path.stat().st_ino in synced_inodes) is synced
+        assert (tmp_path.stat().st_ino in synced_inodes) is synced
+
+
 class TestSoakSmoke:
+    @pytest.mark.parametrize("algorithm", ["demcom", "ramcom"])
+    def test_soak_with_worker_reentry_matches_the_batch_run(
+        self, tmp_path, algorithm
+    ):
+        # A small city, so reentry clones serve a share of the requests.
+        scenario = SyntheticWorkload(
+            SyntheticWorkloadConfig(
+                request_count=40,
+                worker_count=20,
+                horizon_seconds=3600.0,
+                city_km=2.0,
+            )
+        ).build(seed=21)
+        config = SimulatorConfig(
+            worker_reentry=True,
+            service_duration=600.0,
+            measure_response_time=False,
+        )
+        batch = Simulator(config).run(scenario, algorithm_factory(algorithm))
+        assert any(
+            "@reentry" in record.worker.worker_id for record in batch.all_records()
+        )
+        report = asyncio.run(
+            run_soak(
+                scenario,
+                tmp_path,
+                algorithm=algorithm,
+                config=config,
+                soak=SoakConfig(cycles=3),
+            )
+        )
+        assert report.induced_crashes == 3
+        assert report.metrics_identical
+        assert report.events_identical is True
+        assert "memory_mb" in report.metrics_row
+        assert json.dumps(report.metrics_row, sort_keys=True) == golden_row(
+            scenario, algorithm, config
+        )
+
     def test_three_cycle_soak_is_byte_identical(self, tmp_path):
         scenario = build_scenario(seed=21, requests=40, workers=20)
         report = asyncio.run(
