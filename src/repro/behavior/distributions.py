@@ -45,18 +45,35 @@ class ReservationDistribution(ABC):
         steps = 512
         return sum(self.quantile((i + 0.5) / steps) for i in range(steps)) / steps
 
+    def draw_bounds(self) -> tuple[float, float]:
+        """A closed interval ``[low, high]`` holding every :meth:`sample`.
+
+        The behaviour oracle settles an offer without drawing when the
+        payment lies outside it, so a subclass may narrow it only to bounds
+        it can prove for the floating-point sampler, not for the ideal
+        distribution.  The default is the whole price domain.
+        """
+        return 0.0, math.inf
+
 
 class UniformDistribution(ReservationDistribution):
     """Uniform on ``[low, high]``."""
 
     def __init__(self, low: float, high: float):
-        if not 0 <= low <= high:
-            raise ConfigurationError(f"need 0 <= low <= high, got [{low}, {high}]")
+        if not 0 <= low <= high < math.inf:
+            raise ConfigurationError(
+                f"need 0 <= low <= high < inf, got [{low}, {high}]"
+            )
         self.low = float(low)
         self.high = float(high)
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
+
+    def draw_bounds(self) -> tuple[float, float]:
+        # ``low + (high - low) * random()`` adds a non-negative term to
+        # ``low``, so it never rounds below it; it can round past ``high``.
+        return self.low, math.inf
 
     def cdf(self, value: float) -> float:
         # Check the upper end first so a degenerate interval (low == high)
@@ -127,8 +144,14 @@ class LognormalDistribution(ReservationDistribution):
     """Lognormal — the classic heavy-tailed fare/price model."""
 
     def __init__(self, mu: float, sigma: float):
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
+        # A NaN mu, or an infinite sigma times a zero normal deviate,
+        # makes sample() return NaN, which no draw_bounds() interval holds.
+        if not 0 < sigma < math.inf:
+            raise ConfigurationError(
+                f"sigma must be positive and finite, got {sigma}"
+            )
+        if not math.isfinite(mu):
+            raise ConfigurationError(f"mu must be finite, got {mu}")
         self.mu = float(mu)
         self.sigma = float(sigma)
 
@@ -165,12 +188,18 @@ class EmpiricalDistribution(ReservationDistribution):
     def __init__(self, values: Sequence[float]):
         if not values:
             raise ConfigurationError("empirical distribution needs >= 1 value")
-        if any(v < 0 for v in values):
+        # ``not v >= 0`` also rejects NaN, which would leave the list
+        # unsorted and draw_bounds() wrong.
+        if any(not v >= 0 for v in values):
             raise ConfigurationError("reservation prices must be non-negative")
         self._sorted = sorted(float(v) for v in values)
 
     def sample(self, rng: random.Random) -> float:
         return self._sorted[rng.randrange(len(self._sorted))]
+
+    def draw_bounds(self) -> tuple[float, float]:
+        # sample() returns a member of the sorted list.
+        return self._sorted[0], self._sorted[-1]
 
     def cdf(self, value: float) -> float:
         return bisect.bisect_right(self._sorted, value) / len(self._sorted)

@@ -19,6 +19,7 @@ reproduces the paper's measured incentive behaviour.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Hashable
 
@@ -135,9 +136,16 @@ class BehaviorOracle:
         clones share the base worker's draw and every algorithm sees
         identical randomness.
         """
-        base_id = self._base_id(worker_id)
-        behavior = self.behavior_of(worker_id)
-        rng = derive_rng(self.seed, f"reservation/{base_id}/{request_id}")
+        return self._draw(self.behavior_of(worker_id), worker_id, request_id)
+
+    def _draw(
+        self, behavior: WorkerBehavior, worker_id: Hashable, request_id: Hashable
+    ) -> float:
+        # Each draw seeds its own generator, so a draw that is skipped
+        # consumes nothing another draw depends on.
+        rng = derive_rng(
+            self.seed, f"reservation/{self._base_id(worker_id)}/{request_id}"
+        )
         return behavior.distribution.sample(rng)
 
     def reservation_price(
@@ -156,10 +164,31 @@ class BehaviorOracle:
         payment: float,
         request_value: float,
     ) -> bool:
-        """Answer a live offer: accept iff it clears the realized draw."""
-        return payment >= self.reservation_price(
-            worker_id, request_id, request_value
-        ) - 1e-12
+        """Answer a live offer: accept iff it clears the realized draw.
+
+        The answer is ``payment >= reservation_price(...) - 1e-12``, but
+        the draw is made only when the worker's reservation support leaves
+        it open.  Every draw lies in the distribution's
+        :meth:`~repro.behavior.distributions.ReservationDistribution.draw_bounds`
+        ``[low, high]``; scaling by a finite ``request_value > 0`` (relative
+        mode) and subtracting the tolerance both round monotonically, so a
+        payment below ``low * v - 1e-12`` is rejected and one at or above
+        ``high * v - 1e-12`` is accepted by every possible draw.  Draws
+        are seeded per (seed, base worker id, request id), so skipping one
+        changes no other draw, and the answer is bit-identical to drawing
+        (docs/PERFORMANCE.md#draw-free-offer-decisions).
+        """
+        behavior = self.behavior_of(worker_id)
+        low, high = behavior.distribution.draw_bounds()
+        # Absolute mode compares raw prices: ``x * 1.0 == x`` exactly.
+        scale = request_value if self.mode == "relative" else 1.0
+        if 0.0 < scale < math.inf:
+            if payment < low * scale - 1e-12:
+                return False
+            if payment >= high * scale - 1e-12:
+                return True
+        draw = self._draw(behavior, worker_id, request_id)
+        return payment >= draw * scale - 1e-12
 
     def history_of(self, worker_id: Hashable) -> list[float]:
         """The platform-visible history entries for Eq. 4."""

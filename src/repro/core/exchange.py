@@ -21,8 +21,6 @@ platforms".
 
 from __future__ import annotations
 
-import heapq
-
 from repro.core.entities import Request, Worker
 from repro.core.waiting_list import WaitingList
 from repro.errors import SimulationError
@@ -86,26 +84,21 @@ class CooperationExchange:
 
         Each per-platform :meth:`~repro.core.waiting_list.WaitingList.
         eligible_with_distance` result is already sorted by
-        ``(distance, worker_id)``, so the cross-platform ordering is a
-        k-way merge of those streams — no O(n log n) re-sort per request.
-        The merge keys on the same distance the range constraint used
+        ``(distance, worker_id)``; the lists are concatenated and sorted
+        once, which timsort does as a merge of those sorted runs.  Worker
+        ids are globally unique, so the ``(distance, worker_id)`` prefix
+        is a total order and the Worker element is never compared.  The
+        order keys on the same distance the range constraint used
         (shortest-path when a road network is set, Euclidean otherwise),
         which also keeps outer ordering consistent with inner ordering.
         """
         consulted = self._lists.keys() if peers is None else peers
-        streams = [
-            (
-                entry
-                for entry in self._lists[other_id].eligible_with_distance(request)
-                if entry[2].shareable
-            )
-            for other_id in consulted
-            if other_id != platform_id
-        ]
-        # Worker ids are globally unique, so the (distance, worker_id)
-        # tuple prefix is a total order and the Worker element is never
-        # compared.
-        return [worker for _, _, worker in heapq.merge(*streams)]
+        entries: list[tuple[float, str, Worker]] = []
+        for other_id in consulted:
+            if other_id != platform_id:
+                entries += self._lists[other_id].eligible_with_distance(request)
+        entries.sort()
+        return [worker for _, _, worker in entries if worker.shareable]
 
     def claim(self, worker_id: str, claimant: str | None = None) -> Worker:
         """Atomically remove a worker from the exchange (assignment).

@@ -144,16 +144,17 @@ class MaximumExpectedRevenuePricer:
         payments = [step * i for i in range(1, self.grid_steps + 1)]
         if self.include_history_breakpoints:
             breakpoints: set[float] = set()
+            cap = self.max_breakpoints
             for worker_id in worker_ids:
+                if len(breakpoints) >= cap:
+                    break
                 # Every CDF step point <= v_r is a candidate payment.
                 for payment in self.estimator.candidate_payments(
                     worker_id, request_value
                 ):
-                    breakpoints.add(payment)
-                    if len(breakpoints) >= self.max_breakpoints:
+                    if len(breakpoints) >= cap:
                         break
-                if len(breakpoints) >= self.max_breakpoints:
-                    break
+                    breakpoints.add(payment)
             payments.extend(v for v in breakpoints if 0.0 < v <= request_value)
         return payments
 

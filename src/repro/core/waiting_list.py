@@ -117,7 +117,7 @@ class WaitingList:
         The distance is the one the range constraint used (shortest-path
         when a road network is set, Euclidean otherwise).  Exposing the
         sorted tuples lets :class:`~repro.core.exchange.CooperationExchange`
-        k-way-merge per-platform results without re-sorting.
+        order per-platform results with one sort that merges sorted runs.
 
         One pass over the grid buckets within the largest live radius does
         the whole query: per stored point it forms ``dx, dy`` once, applies

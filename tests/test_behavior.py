@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -121,6 +122,12 @@ class TestEmpiricalDistribution:
         with pytest.raises(ConfigurationError):
             EmpiricalDistribution([1.0, -0.5])
 
+    def test_nan_raises(self):
+        # A NaN would leave the sorted sample unsorted, and its first and
+        # last entries would no longer bound the draws.
+        with pytest.raises(ConfigurationError):
+            EmpiricalDistribution([0.5, math.nan, 0.1])
+
     def test_cdf_is_step_function(self):
         dist = EmpiricalDistribution([1.0, 2.0, 2.0, 4.0])
         assert dist.cdf(0.5) == 0.0
@@ -229,3 +236,131 @@ class TestBehaviorOracle:
     def test_true_acceptance_probability(self):
         behavior = WorkerBehavior("w", UniformDistribution(0.4, 0.8), [])
         assert behavior.true_acceptance_probability(0.6) == pytest.approx(0.5)
+
+
+distributions = st.one_of(
+    st.lists(
+        st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=30
+    ).map(EmpiricalDistribution),
+    st.tuples(
+        st.floats(min_value=0.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=50.0),
+    ).map(lambda pair: UniformDistribution(min(pair), max(pair))),
+    st.builds(
+        NormalDistribution,
+        st.floats(min_value=-5.0, max_value=20.0),
+        st.floats(min_value=0.01, max_value=10.0),
+    ),
+    st.builds(
+        LognormalDistribution,
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=0.01, max_value=2.0),
+    ),
+)
+
+
+class TestDrawBounds:
+    @settings(max_examples=40, deadline=None)
+    @given(distributions, st.integers(min_value=0, max_value=2**32))
+    def test_every_sample_lies_in_the_bounds(self, dist, seed):
+        low, high = dist.draw_bounds()
+        rng = random.Random(seed)
+        assert all(low <= dist.sample(rng) <= high for _ in range(1000))
+
+    def test_declared_bounds(self):
+        assert EmpiricalDistribution([0.7, 0.2, 0.5]).draw_bounds() == (0.2, 0.7)
+        # rng.uniform may round past high, so only low is declared.
+        assert UniformDistribution(0.3, 0.6).draw_bounds() == (0.3, math.inf)
+        assert NormalDistribution(1.0, 1.0).draw_bounds() == (0.0, math.inf)
+        assert LognormalDistribution(0.0, 1.0).draw_bounds() == (0.0, math.inf)
+
+    def test_parameters_that_would_draw_nan_raise(self):
+        with pytest.raises(ConfigurationError):
+            UniformDistribution(0.0, math.inf)
+        with pytest.raises(ConfigurationError):
+            LognormalDistribution(math.nan, 1.0)
+        with pytest.raises(ConfigurationError):
+            LognormalDistribution(0.0, math.inf)
+        with pytest.raises(ConfigurationError):
+            LognormalDistribution(0.0, math.nan)
+
+
+def _boundary_payments(oracle, dist, worker_id, request_id, value):
+    """Payments at and next to every threshold ``offer`` compares with:
+    both draw bounds and the realized draw, each minus the tolerance."""
+    low, high = dist.draw_bounds()
+    draw = oracle.reservation(worker_id, request_id)
+    scale = value if oracle.mode == "relative" else 1.0
+    payments = []
+    for threshold in (low * scale, high * scale, draw * scale):
+        edge = threshold - 1e-12
+        payments += [
+            threshold,
+            edge,
+            math.nextafter(edge, -math.inf),
+            math.nextafter(edge, math.inf),
+        ]
+    return payments
+
+
+class TestDrawFreeOffers:
+    """``offer`` settles out-of-support payments without drawing; its
+    answer must equal the drawing expression it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(["relative", "absolute"]),
+        dist=distributions,
+        worker_id=st.sampled_from(["w", "w@reentry1", "w@reentry12"]),
+        request_id=st.one_of(st.text(max_size=6), st.integers()),
+        value=st.one_of(
+            st.floats(min_value=1e-3, max_value=1e4),
+            st.sampled_from([0.0, -3.0, 5e-324, 1e308, math.inf]),
+        ),
+        payments=st.lists(
+            st.floats(allow_nan=False, min_value=-10.0, max_value=1e5),
+            max_size=5,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_offer_equals_the_drawing_expression(
+        self, mode, dist, worker_id, request_id, value, payments, seed
+    ):
+        oracle = BehaviorOracle(seed=seed, mode=mode)
+        oracle.register(WorkerBehavior("w", dist, []))
+        payments = payments + _boundary_payments(
+            oracle, dist, worker_id, request_id, value
+        ) + [math.inf, -math.inf]
+        for payment in payments:
+            expected = payment >= oracle.reservation_price(
+                worker_id, request_id, value
+            ) - 1e-12
+            assert oracle.offer(worker_id, request_id, payment, value) is expected
+
+    def test_out_of_support_offers_skip_the_draw(self, monkeypatch):
+        from repro.behavior import worker_model
+
+        labels = []
+        real = worker_model.derive_rng
+
+        def counting(seed, label):
+            labels.append(label)
+            return real(seed, label)
+
+        monkeypatch.setattr(worker_model, "derive_rng", counting)
+        oracle = BehaviorOracle(seed=3)
+        oracle.register(
+            WorkerBehavior("w", EmpiricalDistribution([0.4, 0.6]), [0.4, 0.6])
+        )
+        assert not oracle.offer("w@reentry2", "r", 3.9, 10.0)
+        assert oracle.offer("w", "r", 6.0, 10.0)
+        assert labels == []
+        oracle.offer("w@reentry2", "r", 5.0, 10.0)
+        assert labels == ["reservation/w/r"]
+
+    def test_unregistered_worker_raises(self):
+        oracle = BehaviorOracle(seed=0)
+        with pytest.raises(ConfigurationError):
+            oracle.offer("ghost", "r1", 5.0, 10.0)
+        with pytest.raises(ConfigurationError):
+            oracle.offer("ghost@reentry1", "r1", 5.0, 10.0)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.exchange import CooperationExchange
 from repro.core.waiting_list import WaitingList
-from repro.errors import SimulationError
+from repro.errors import ExchangeUnavailableError, SimulationError
+from repro.faults import FaultInjector, FaultPlan, OutageWindow, ResilientExchange
 from repro.geo import BoundingBox, RoadNetwork
 
 from conftest import make_request, make_worker
@@ -213,6 +214,96 @@ class TestFusedEligibilityQuery:
         waiting.add(make_worker("late", t=1.0000001, x=0.1))
         entries = waiting.eligible_with_distance(make_request(t=1.0))
         assert [worker_id for _, worker_id, _ in entries] == ["on-time"]
+
+
+_PLATFORMS = ["A", "B", "C"]
+
+
+@st.composite
+def _exchanges(draw):
+    """Three platforms whose workers share grid points (so distances tie
+    across platforms), with mixed shareable flags, and a request.  The
+    area is small and the radii large, so most requests see workers of
+    several platforms."""
+    cell = draw(st.sampled_from([0.5, 1.0, 1.3]))
+    exchange = CooperationExchange(_PLATFORMS, cell_size_km=cell)
+    count = draw(st.integers(min_value=0, max_value=30))
+    for index in range(count):
+        platform = draw(st.sampled_from(_PLATFORMS))
+        exchange.worker_arrives(
+            make_worker(
+                f"{platform.lower()}{draw(st.integers(0, 99)):02d}-{index}",
+                platform,
+                t=draw(st.sampled_from([0.0, 1.0, 3.0])),
+                x=draw(_coordinate(0.0, 2.0)),
+                y=draw(_coordinate(0.0, 2.0)),
+                radius=draw(
+                    st.one_of(
+                        st.sampled_from([1.0, 1.5, 2.5]),
+                        st.floats(min_value=0.05, max_value=3.0),
+                    )
+                ),
+                shareable=draw(st.booleans()),
+            )
+        )
+    request = make_request(
+        t=2.0, x=draw(_coordinate(0.0, 2.0)), y=draw(_coordinate(0.0, 2.0))
+    )
+    return exchange, request
+
+
+def _brute_force_outer(exchange, platform_id, request, peers) -> list[str]:
+    """Shareable eligible workers of the consulted peers, sorted by
+    ``(distance, worker_id)``."""
+    consulted = _PLATFORMS if peers is None else peers
+    entries = []
+    for peer_id in consulted:
+        if peer_id != platform_id:
+            entries += _brute_force(exchange.inner_list(peer_id), request)
+    entries.sort(key=lambda entry: (entry[0], entry[1]))
+    return [worker_id for _, worker_id, worker in entries if worker.shareable]
+
+
+class TestOuterQueryOrder:
+    """``outer_candidates`` against a brute-force sort over the consulted
+    peers, for every kind of ``peers`` subset."""
+
+    @given(
+        _exchanges(),
+        st.sampled_from(_PLATFORMS),
+        st.one_of(
+            st.none(),
+            st.sampled_from([[], ["B"], _PLATFORMS, ["A", "C"]]),
+            st.lists(st.sampled_from(_PLATFORMS), unique=True),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, case, platform_id, peers):
+        exchange, request = case
+        outer = exchange.outer_candidates(platform_id, request, peers=peers)
+        assert [worker.worker_id for worker in outer] == _brute_force_outer(
+            exchange, platform_id, request, peers
+        )
+
+    @given(_exchanges())
+    @settings(max_examples=50, deadline=None)
+    def test_resilient_exchange_consults_reachable_peers(self, case):
+        exchange, request = case
+        plan = FaultPlan(outages=(OutageWindow("B", 0.0, 100.0),))
+        wrapped = ResilientExchange(exchange, FaultInjector(plan))
+        wrapped.advance_to(request.arrival_time)
+        outer = wrapped.outer_candidates("A", request)
+        assert [worker.worker_id for worker in outer] == _brute_force_outer(
+            exchange, "A", request, ["C"]
+        )
+        # With every peer down the query degrades instead of answering.
+        plan = FaultPlan(
+            outages=(OutageWindow("B", 0.0, 100.0), OutageWindow("C", 0.0, 100.0))
+        )
+        wrapped = ResilientExchange(exchange, FaultInjector(plan))
+        wrapped.advance_to(request.arrival_time)
+        with pytest.raises(ExchangeUnavailableError):
+            wrapped.outer_candidates("A", request)
 
 
 class TestCooperationExchange:

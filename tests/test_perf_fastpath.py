@@ -14,17 +14,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.behavior import worker_model
 from repro.core import DemCOM, RamCOM, Simulator, SimulatorConfig
 from repro.core.acceptance import AcceptanceEstimator, AcceptanceSnapshot
 from repro.core.events import EventKind
 from repro.core.payment import MinimumOuterPaymentEstimator
 from repro.core.pricing import MaximumExpectedRevenuePricer
 from repro.utils.rng import derive_rng
+from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
 from conftest import make_request, make_scenario, make_worker
 
@@ -434,6 +437,52 @@ class TestPruningCounters:
 
     def test_reference_evaluates_every_payment(self):
         assert _golden_pricer_totals(fast_path=False) == (self.BUILT, self.BUILT)
+
+
+def _ramcom_draws(monkeypatch, scenario, config) -> tuple[int, int]:
+    """(reservation draws, offers made) over one RamCOM run."""
+    labels = []
+    real = worker_model.derive_rng
+
+    def counting(seed, label):
+        labels.append(label)
+        return real(seed, label)
+
+    monkeypatch.setattr(worker_model, "derive_rng", counting)
+    result = Simulator(config).run(scenario, RamCOM)
+    draws = sum(label.startswith("reservation/") for label in labels)
+    offers = sum(outcome.offers_made for outcome in result.platforms.values())
+    return draws, offers
+
+
+class TestReservationDraws:
+    """Host-independent guard on the draw-free offer decisions: the oracle
+    draws only for offers its workers' reservation support leaves open.
+    Before draws were skipped, every offer drew once (draws == offers)."""
+
+    def test_golden_ramcom_run(self, monkeypatch):
+        config = SimulatorConfig(
+            seed=7,
+            measure_response_time=False,
+            worker_reentry=True,
+            service_duration=600.0,
+        )
+        # Every golden offer lies inside its worker's support.
+        assert _ramcom_draws(monkeypatch, _golden_scenario(), config) == (42, 42)
+
+    def test_synthetic_ramcom_run(self, monkeypatch):
+        scenario = SyntheticWorkload(
+            SyntheticWorkloadConfig(request_count=400, worker_count=120, city_km=5.0)
+        ).build(seed=3)
+        digest = hashlib.sha256(pickle.dumps(scenario)).hexdigest()
+        config = SimulatorConfig(
+            seed=0,
+            measure_response_time=False,
+            worker_reentry=True,
+            service_duration=1800.0,
+        )
+        assert _ramcom_draws(monkeypatch, scenario, config) == (194, 274)
+        assert hashlib.sha256(pickle.dumps(scenario)).hexdigest() == digest
 
 
 class TestPythonPathByteIdentity:
