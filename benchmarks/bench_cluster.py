@@ -1,7 +1,7 @@
 """Cluster benchmark: sharded throughput and modeled parallel speedup.
 
 Thin runner around :mod:`repro.experiments.cluster_bench` (the core lives
-in the package so ``com-repro bench --cluster`` shares it).  One dense
+in the package so its pytest entry point shares it).  One dense
 trace is routed through in-process clusters of 1/2/4/8 shards with the
 sanitizer on; each shard's routed substream is then re-driven in
 isolation, so the critical path (slowest shard) gives the parallel
@@ -49,8 +49,8 @@ def test_cluster_scaling_sane():
         assert row["completed"] >= 0.8 * base["completed"]
         assert row["critical_path_seconds"] > 0
     # The 4-shard critical path must be well under the 1-shard time —
-    # loose CI floor; the strict 2.5x gate runs via `bench --cluster
-    # --check` where runner noise is visible.
+    # loose CI floor; the strict 2.5x gate runs via `--check` where
+    # runner noise is visible.
     assert payload["scaling"]["modeled_speedup"]["4"] > 1.5
 
 

@@ -1,7 +1,7 @@
 """Service benchmark: sustained throughput and end-to-end decision latency.
 
 Thin runner around :mod:`repro.experiments.service_bench` (the core lives
-in the package so ``com-repro bench --service`` shares it).  Three modes
+in the package so its pytest entry point shares it).  Three modes
 are measured: the in-process gateway, the gateway with the ``COMWAL1``
 write-ahead journal enabled, and the full JSONL-over-TCP stack — plus the
 journal-overhead ratio gated at 15%.
@@ -51,7 +51,7 @@ def test_service_throughput_sane():
         > payload["gateway"]["requests_per_second"] * 0.05
     )
     # Loose sanity floor on the durability cost; the strict 15% budget is
-    # gated by `bench --service --check` where runner noise is visible.
+    # gated by `--check` where runner noise is visible.
     assert payload["journal_overhead"]["throughput_ratio"] > 0.5
 
 

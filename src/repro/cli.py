@@ -9,7 +9,6 @@ Subcommands regenerate the paper's experiments from a terminal:
 * ``trace`` — run one scenario with full telemetry and write
   ``trace.jsonl`` / ``trace.chrome.json`` / ``metrics.json``
   (docs/OBSERVABILITY.md);
-* ``bench`` — the hot-path performance benchmark (docs/PERFORMANCE.md);
 * ``lint`` — run the ``comlint`` project-invariant static analyzer
   (docs/STATIC_ANALYSIS.md);
 * ``serve [--shards N]`` — run the matching engine as a long-lived
@@ -188,47 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablation.add_argument("--seeds", type=int, default=2)
     _add_jobs_flag(ablation)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help=(
-            "hot-path benchmark: Algorithm-2 fast path vs its reference "
-            "baseline, plus the parallel executor (docs/PERFORMANCE.md)"
-        ),
-    )
-    bench.add_argument(
-        "--full", action="store_true", help="full sizes (default: quick)"
-    )
-    bench.add_argument(
-        "--service",
-        action="store_true",
-        help=(
-            "benchmark the serving layer instead: gateway, journaled "
-            "gateway and TCP throughput plus the journal-overhead gate "
-            "(docs/SERVICE.md)"
-        ),
-    )
-    bench.add_argument(
-        "--cluster",
-        action="store_true",
-        help=(
-            "benchmark the sharded cluster instead: routed throughput at "
-            "1/2/4/8 shards with the scaling-ratio gate (docs/CLUSTER.md)"
-        ),
-    )
-    bench.add_argument(
-        "--output", type=str, default=None, help="write the JSON payload here"
-    )
-    bench.add_argument(
-        "--check",
-        type=str,
-        default=None,
-        help="compare against this reference JSON (BENCH_hotpath.json, "
-        "BENCH_service.json with --service, or BENCH_cluster.json with "
-        "--cluster); exit 1 on regression",
-    )
-    _add_jobs_flag(bench)
-    bench.set_defaults(jobs=0)
 
     reproduce = subparsers.add_parser(
         "reproduce", help="run every table/figure/CR study, write REPORT.md"
@@ -765,50 +723,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         f"{len(run.tables)} tables, {len(run.panels)} figure panels, "
         f"{len(run.cr_rows)} CR rows in {run.elapsed_seconds:.1f}s"
     )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if getattr(args, "cluster", False):
-        from repro.experiments.cluster_bench import (
-            check_cluster_regression as check_regression,
-            render_cluster_report as render_report,
-            run_cluster_benchmark,
-        )
-
-        payload = run_cluster_benchmark(quick=not args.full)
-    elif args.service:
-        from repro.experiments.service_bench import (
-            check_service_regression as check_regression,
-            render_service_report as render_report,
-        )
-        from repro.experiments.service_bench import run_service_benchmark
-
-        payload = run_service_benchmark(quick=not args.full)
-    else:
-        from repro.experiments.benchmark import (
-            check_regression,
-            render_report,
-            run_hotpath_benchmark,
-        )
-
-        payload = run_hotpath_benchmark(quick=not args.full, jobs=args.jobs)
-    print(render_report(payload))
-    if args.output:
-        _save_report(args.output, payload)
-    if args.check:
-        failures = check_regression(payload, args.check)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        if getattr(args, "cluster", False):
-            what = "cluster scaling"
-        elif args.service:
-            what = "journal/event overhead"
-        else:
-            what = "speedups"
-        print(f"OK: {what} within tolerance of {args.check}")
     return 0
 
 
@@ -1434,7 +1348,6 @@ _COMMANDS = {
     "sensitivity": _cmd_sensitivity,
     "ablation": _cmd_ablation,
     "reproduce": _cmd_reproduce,
-    "bench": _cmd_bench,
     "lint": _cmd_lint,
     "serve": _cmd_serve,
     "replay": _cmd_replay,

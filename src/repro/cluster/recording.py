@@ -34,8 +34,9 @@ from pathlib import Path
 from repro.cluster.plan import ShardPlan
 from repro.errors import EventLogError
 from repro.obs.events import (
-    CANONICAL_KINDS,
+    EVENT_MAGIC,
     GatewayEvent,
+    RecordFile,
     encode_canonical,
     row_digest,
 )
@@ -171,12 +172,12 @@ def merge_shard_streams(
 
 
 def write_recording(events: list[GatewayEvent], path: str | Path) -> Path:
-    """Write a merged recording as a ``COMEVT1``-compatible JSONL file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [encode_canonical(event.as_dict()) for event in events]
-    path.write_bytes(b"\n".join(lines) + b"\n" if lines else b"")
-    return path
+    """Write a merged recording as a ``COMEVT1`` event-log file."""
+    file = RecordFile.create(path, EVENT_MAGIC, EventLogError)
+    for event in events:
+        file.append(encode_canonical(event.as_dict()))
+    file.close()
+    return file.path
 
 
 def shard_streams_of(
@@ -218,33 +219,12 @@ def final_statuses_of(events: list[GatewayEvent]) -> dict[str, str]:
 
     statuses: dict[str, str] = {}
     for event in events:
-        if event.kind not in CANONICAL_KINDS:
+        if event.kind not in ("decision", "resolution", "shed"):
             continue
-        if event.kind == "decision":
-            request = event.fields.get("request")
-            request_id = (
-                str(request.get("id", ""))
-                if isinstance(request, dict)
-                else ""
-            )
-            status = str(event.fields.get("status", ""))
-        elif event.kind == "resolution":
-            request_id = str(event.fields.get("request", ""))
-            status = str(event.fields.get("status", ""))
-        elif event.kind == "shed":
-            request = event.fields.get("request")
-            request_id = (
-                str(request.get("id", ""))
-                if isinstance(request, dict)
-                else ""
-            )
-            status = "shed"
-        else:
+        request_id = _entity_id(event)
+        if not request_id or statuses.get(request_id) in SERVE_STATUSES:
             continue
-        if not request_id:
-            continue
-        current = statuses.get(request_id)
-        if current in SERVE_STATUSES:
-            continue
-        statuses[request_id] = status
+        statuses[request_id] = (
+            "shed" if event.kind == "shed" else str(event.fields.get("status", ""))
+        )
     return statuses

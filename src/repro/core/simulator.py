@@ -59,7 +59,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "SimulationSession",
-    "DecisionLogEntry",
 ]
 
 
@@ -134,8 +133,6 @@ class SimulatorConfig:
     #: Optional richer occupation model (e.g. TravelAwareServiceTime);
     #: overrides ``service_duration`` when set.
     service_model: object | None = None
-    #: Record one DecisionLogEntry per request (debugging / analysis).
-    decision_log: bool = False
     #: Extension (paper §II): replace Euclidean range checks with
     #: shortest-path distance over this road network.
     road_network: object | None = None
@@ -171,19 +168,6 @@ class SimulatorConfig:
     #: ``COM_REPRO_SANITIZE_CONCURRENCY``; the disabled path is a single
     #: ``is None`` check per guarded mutation.
     sanitize_concurrency: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class DecisionLogEntry:
-    """One request's audited outcome (``SimulatorConfig.decision_log``)."""
-
-    time: float
-    platform_id: str
-    request_id: str
-    kind: str
-    worker_id: str | None
-    payment: float
-    value: float
 
 
 @dataclass
@@ -222,8 +206,6 @@ class SimulationResult:
     seed: int
     platforms: dict[str, PlatformOutcome]
     memory_bytes: int = 0
-    #: Populated when ``SimulatorConfig.decision_log`` is on.
-    decisions: list[DecisionLogEntry] = field(default_factory=list)
     #: Populated when ``SimulatorConfig.telemetry`` was set: the run's
     #: metrics snapshot plus trace statistics.
     telemetry: TelemetrySummary | None = None
@@ -459,7 +441,6 @@ class SimulationSession:
         self._departure_heap: list[tuple[float, str]] = []
 
         self.algorithm_name = next(iter(self.algorithms.values())).name
-        self.decision_entries: list[DecisionLogEntry] = []
         #: request_id -> Request for every deferred, not-yet-resolved request.
         self.deferred: dict[str, Request] = {}
         #: Observes (request, decision) pairs resolved *asynchronously* —
@@ -742,7 +723,6 @@ class SimulationSession:
             seed=config.seed,
             platforms=self.outcomes,
             memory_bytes=memory_bytes,
-            decisions=self.decision_entries,
             telemetry=telemetry_summary,
         )
 
@@ -753,21 +733,6 @@ class SimulationSession:
         sanitizer = self._sanitizer
         scenario = self.scenario
         outcome = self.outcomes[request.platform_id]
-
-        if config.decision_log:
-            self.decision_entries.append(
-                DecisionLogEntry(
-                    time=request.arrival_time,
-                    platform_id=request.platform_id,
-                    request_id=request.request_id,
-                    kind=decision.kind.value,
-                    worker_id=(
-                        decision.worker.worker_id if decision.worker else None
-                    ),
-                    payment=decision.payment,
-                    value=request.value,
-                )
-            )
 
         if decision.kind is DecisionKind.REJECT:
             if sanitizer is not None:

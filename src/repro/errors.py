@@ -173,10 +173,11 @@ class JournalError(ServiceError):
 class EventLogError(ReproError):
     """The ``COMEVT1`` event log (:mod:`repro.obs.events`) is corrupt.
 
-    Raised when a recorded event stream cannot be decoded — a malformed
-    line *before* the tail (a torn trailing line is expected after a
+    Raised when a recorded event stream cannot be decoded — a damaged
+    frame *before* the tail (a torn final frame is expected after a
     crash and silently truncated), a record missing its required
-    ``kind``/``seq``/``time`` envelope, or a sequence discontinuity.
+    ``kind``/``seq``/``time`` envelope, a sequence discontinuity, or a
+    file of another format.
     """
 
 

@@ -25,7 +25,7 @@ Two numbers per shard count:
     timed alone.  Load imbalance and forwarding duplicates are exactly
     what pull it below ideal ``N``x.
 
-``com-repro bench --cluster --check BENCH_cluster.json`` gates the
+``python benchmarks/bench_cluster.py --quick --check BENCH_cluster.json`` gates the
 modeled 4-shard speedup against :data:`SCALING_FLOOR` (2.5x) plus a
 drift guard against the checked-in reference, and a conservation floor:
 the cluster must complete at least :data:`CONSERVATION_FLOOR` of the

@@ -26,8 +26,8 @@ most 15%, and the *disabled* event path (the ``sink.enabled`` flag
 checks every deployment pays) at most 5% of mean decision latency —
 measured the same way as ``benchmarks/bench_telemetry_overhead.py``,
 by micro-timing the flag-check shape against the null sink.
-``com-repro bench --service --check BENCH_service.json`` runs the
-gates; the repo-root ``BENCH_service.json`` is the checked-in reference.
+``python benchmarks/bench_service.py --quick --check BENCH_service.json``
+runs the gates; the repo-root ``BENCH_service.json`` is the checked-in reference.
 """
 
 from __future__ import annotations

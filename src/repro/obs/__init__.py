@@ -12,7 +12,7 @@ Zero-dependency observability for the COM engine, in three pillars:
   :data:`NULL_PROBE` is a measured-negligible no-op, and
   :class:`Telemetry` bundles a live registry + tracer for a run;
 * :mod:`repro.obs.events` — the **gateway event log** (``COMEVT1``): an
-  append-only JSONL stream of arrivals/decisions/sheds/breaker-trips
+  append-only framed stream of arrivals/decisions/sheds/breaker-trips
   behind the :class:`EventSink` seam (:data:`NULL_EVENT_SINK` default),
   whose canonical projection replays byte-identically
   (``com-repro replay --log FILE --verify``; docs/DASHBOARD.md).

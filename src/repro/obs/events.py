@@ -1,6 +1,6 @@
 """The ``COMEVT1`` gateway event log: live ops telemetry that replays.
 
-One append-only JSONL stream records everything a running
+One append-only stream records everything a running
 :class:`~repro.service.gateway.MatchingGateway` does — arrivals,
 decisions with payment and platform attribution, shed requests, breaker
 trips, crash/recovery markers, periodic metrics snapshots.  The stream
@@ -26,14 +26,17 @@ Event taxonomy:
   markers); stripped by :func:`canonical_projection`, which is what
   "byte-identical modulo crash markers" means.
 
-Every line is one JSON object encoded by :func:`encode_canonical`
+Every record is one JSON object encoded by :func:`encode_canonical`
 (sorted keys, compact separators) with a ``kind`` / ``seq`` / ``time``
 envelope; the projection drops ``seq`` (a process-local counter that
 restarts mid-stream numbering never disturbs) and any ``wall`` field
-(reserved for wall-clock payloads).  The file tail is crash-tolerant the
-same way the journal's is: a torn trailing line is truncated on
-:meth:`EventLog.resume`, corruption anywhere earlier raises
-:class:`~repro.errors.EventLogError`.
+(reserved for wall-clock payloads).
+
+On disk the stream is a :class:`RecordFile` — the one framed format the
+event log, the ``COMWAL1`` journal (:mod:`repro.service.journal`) and
+merged cluster recordings share: a magic header, then CRC32-framed
+records.  A torn final frame is truncated on :meth:`EventLog.resume`;
+corruption anywhere earlier raises :class:`~repro.errors.EventLogError`.
 
 The write path mirrors the :class:`~repro.obs.probe.Probe` seam:
 :class:`EventSink` is the no-op default (a couple of ``enabled`` flag
@@ -50,35 +53,43 @@ import asyncio
 import hashlib
 import json
 import os
+import struct
 import time
+import zlib
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from repro.errors import EventLogError
+from repro.errors import EventLogError, ReproError
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "EVENT_SCHEMA",
     "EVENT_FORMAT",
+    "EVENT_MAGIC",
     "CANONICAL_KINDS",
     "OPS_KINDS",
     "EventSink",
     "NULL_EVENT_SINK",
     "EventLog",
     "GatewayEvent",
+    "RecordFile",
     "canonical_projection",
     "encode_canonical",
     "read_events",
     "row_digest",
+    "scan_records",
 ]
 
 #: Schema tag carried by every stream's ``meta`` event.
 EVENT_SCHEMA = "COMEVT1"
-#: Bumped on incompatible envelope changes.
-EVENT_FORMAT = 1
+#: Bumped on incompatible envelope or file changes (2: framed records;
+#: format 1 was line-delimited JSON and is refused).
+EVENT_FORMAT = 2
+#: File header of an event-log file.
+EVENT_MAGIC = b"COMEVT1\n"
 
 #: Kinds that are a deterministic function of the trace — the replayable
 #: record.  :func:`canonical_projection` keeps exactly these.
@@ -178,44 +189,148 @@ def canonical_projection(events: Iterable[GatewayEvent]) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-def _scan(path: Path) -> tuple[list[GatewayEvent], int]:
-    """Decode a stream file; returns (events, intact byte length).
+_FRAME = struct.Struct(">II")
 
-    A torn trailing line (no newline, or undecodable) is dropped and
-    excluded from the intact length — the crash-tolerant tail.  Any
-    earlier malformed line raises :class:`EventLogError`.
+
+def scan_records(
+    path: Path, magic: bytes, error: type[ReproError]
+) -> tuple[list[GatewayEvent], int]:
+    """Decode a :class:`RecordFile`; returns (records, intact byte length).
+
+    Only the final frame may be torn (left out of the intact length); a
+    missing header, an earlier CRC failure, an undecodable record or a
+    gap in ``seq`` raises ``error``.  Payloads are ASCII JSON, so a byte
+    below 0x20 after a damaged frame's header (the zero high byte of a
+    next frame's length) proves the frame is not the last.
     """
-    raw = path.read_bytes()
-    events: list[GatewayEvent] = []
-    intact = 0
-    offset = 0
-    while offset < len(raw):
-        newline = raw.find(b"\n", offset)
-        if newline < 0:
-            break  # torn tail: bytes past the last newline
-        line = raw[offset:newline]
-        if line:
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise EventLogError(
-                    f"{path}: undecodable event line at byte {offset} "
-                    f"(not the torn tail): {error}"
-                ) from None
-            if not isinstance(payload, dict):
-                raise EventLogError(
-                    f"{path}: event line at byte {offset} is not an object"
-                )
-            events.append(GatewayEvent.from_dict(payload))
-        offset = newline + 1
-        intact = offset
-    return events, intact
+    blob = path.read_bytes()
+    if not blob.startswith(magic):
+        if blob[:1] == b"{":
+            raise error(
+                f"{path}: line-delimited JSON is the COMEVT1 format-1 "
+                f"layout; this build reads only framed records (format "
+                f"{EVENT_FORMAT})"
+            )
+        raise error(
+            f"{path}: not a {magic.decode().strip()} journal or event log"
+        )
+    records: list[GatewayEvent] = []
+    offset = len(magic)
+    while offset + _FRAME.size <= len(blob):
+        length, checksum = _FRAME.unpack_from(blob, offset)
+        body = offset + _FRAME.size
+        payload = blob[body:body + length]
+        if zlib.crc32(payload) != checksum or body + length > len(blob):
+            tail = blob[body:]
+            if body + length >= len(blob) and min(tail, default=32) >= 32:
+                break  # torn tail: the last frame, partly written
+            raise error(
+                f"{path}: record at byte {offset} failed its CRC32 and is "
+                f"not the last frame — mid-file corruption, not a torn tail"
+            )
+        try:
+            record = GatewayEvent.from_dict(json.loads(payload))
+        except (ValueError, EventLogError) as problem:
+            raise error(f"{path}: record at byte {offset}: {problem}") from None
+        if record.seq != len(records):
+            raise error(
+                f"{path}: record at byte {offset} has seq {record.seq}, "
+                f"expected {len(records)} (the log is not contiguous)"
+            )
+        records.append(record)
+        offset = body + length
+    return records, offset
 
 
 def read_events(path: str | Path) -> list[GatewayEvent]:
-    """Read a recorded ``COMEVT1`` stream (torn trailing line tolerated)."""
-    events, __ = _scan(Path(path))
-    return events
+    """Read a recorded ``COMEVT1`` stream (a torn final frame tolerated)."""
+    return scan_records(Path(path), EVENT_MAGIC, EventLogError)[0]
+
+
+class RecordFile:
+    """The one on-disk log format, shared by the event log, the journal
+    and merged cluster recordings: a ``magic`` header, then per record a
+    big-endian ``u32`` length and CRC32 and the payload, one event in
+    :func:`encode_canonical` form with ``seq`` contiguous from 0.
+
+    :meth:`append` buffers a frame and :meth:`commit` writes the buffer
+    in one OS call; :func:`scan_records` reads the file back.  ``error``
+    is the owning log's exception class.
+    """
+
+    __slots__ = ("path", "file", "error", "next_seq", "torn_bytes_dropped", "_buffer")
+
+    def __init__(
+        self,
+        path: str | Path,
+        file: IO[bytes],
+        error: type[ReproError],
+        next_seq: int = 0,
+        torn_bytes_dropped: int = 0,
+    ):
+        self.path = Path(path)
+        self.file = file
+        self.error = error
+        #: The ``seq`` the next appended record carries.
+        self.next_seq = next_seq
+        #: Bytes of torn tail :meth:`open` truncated (0 = clean tail).
+        self.torn_bytes_dropped = torn_bytes_dropped
+        self._buffer = bytearray()
+
+    @classmethod
+    def create(
+        cls, path: str | Path, magic: bytes, error: type[ReproError]
+    ) -> "RecordFile":
+        """Start an empty file, its header flushed at once."""
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        file = Path(path).open("wb")
+        file.write(magic)
+        file.flush()
+        return cls(path, file, error)
+
+    @classmethod
+    def open(
+        cls, path: str | Path, magic: bytes, error: type[ReproError]
+    ) -> tuple["RecordFile", list[GatewayEvent]]:
+        """Reopen after a crash: truncate a torn final frame and return
+        the records; appends continue after the last intact one."""
+        records, intact = scan_records(Path(path), magic, error)
+        file = Path(path).open("r+b")
+        torn = file.seek(0, os.SEEK_END) - intact
+        file.truncate(intact)
+        file.seek(intact)
+        return cls(path, file, error, len(records), torn), records
+
+    def append(self, payload: bytes) -> None:
+        """Frame and buffer one encoded record."""
+        if self.file.closed:
+            raise self.error(f"{self.path}: the log is closed")
+        self._buffer += _FRAME.pack(len(payload), zlib.crc32(payload))
+        self._buffer += payload
+        self.next_seq += 1
+
+    def commit(self) -> bool:
+        """Write the buffered frames and flush them to the OS; ``False``
+        when nothing was buffered."""
+        if not self._buffer:
+            return False
+        self.file.write(self._buffer)
+        self.file.flush()
+        self._buffer.clear()
+        return True
+
+    def tear(self, payload: bytes) -> None:
+        """Write the buffer plus half of ``payload``'s frame: the torn
+        tail a crash mid-write leaves (a journal kill point)."""
+        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        self._buffer += frame[: max(1, len(frame) // 2)]
+        self.commit()
+
+    def close(self) -> None:
+        """Commit anything buffered and close the file (idempotent)."""
+        if not self.file.closed:
+            self.commit()
+            self.file.close()
 
 
 class EventSink:
@@ -252,7 +367,7 @@ _WRITE_BATCH = 256
 
 
 class EventLog(EventSink):
-    """The live sink: JSONL file + in-memory ring + SSE subscriptions.
+    """The live sink: record file + in-memory ring + SSE subscriptions.
 
     ``path=None`` keeps the stream purely in memory (dashboard without
     persistence, golden runs in tests); ``ring=0`` makes the in-memory
@@ -299,10 +414,9 @@ class EventLog(EventSink):
         self.emitted = 0
         #: Events dropped on subscriber backpressure.
         self.dropped = 0
-        self._file: IO[bytes] | None = None
+        self._file: RecordFile | None = None
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("wb")
+            self._file = RecordFile.create(self.path, EVENT_MAGIC, EventLogError)
         #: Write-behind buffer: events whose JSON encoding is deferred off
         #: the decision path until a batch boundary or :meth:`flush`.
         self._pending: list[GatewayEvent] = []
@@ -337,23 +451,18 @@ class EventLog(EventSink):
     ) -> "EventLog":
         """Reopen a stream a crashed process left behind.
 
-        Scans the file, truncates a torn trailing line, seeds the ring
+        Scans the file, truncates a torn final frame, seeds the ring
         with the recorded tail, and continues ``seq`` numbering where
         the file left off — the recovered gateway appends to the same
         stream (:func:`canonical_projection` is what stays comparable
         across the crash, not raw bytes).
         """
-        target = Path(path)
-        recorded, intact = _scan(target)
-        if intact < target.stat().st_size:
-            os.truncate(target, intact)
+        file, recorded = RecordFile.open(path, EVENT_MAGIC, EventLogError)
         log = cls(
             path=None, registry=registry, ring=ring, queue_limit=queue_limit
         )
-        log.path = target
-        log._file = target.open("ab")
+        log.path, log._file, log.next_seq = file.path, file, file.next_seq
         log._ring.extend(recorded)
-        log.next_seq = recorded[-1].seq + 1 if recorded else 0
         return log
 
     # -- the write path ------------------------------------------------------
@@ -364,7 +473,7 @@ class EventLog(EventSink):
         Synchronous and yield-free, so a batch of emissions from one
         decision is atomic with respect to other asyncio tasks.  File
         encoding is write-behind: the event lands in :attr:`_pending`
-        and is JSON-encoded at the next batch boundary / :meth:`flush`,
+        and is encoded and framed at the next batch boundary / :meth:`flush`,
         keeping the decision path's per-event cost to appends and
         counters (the ``event_overhead`` benchmark gate).
         """
@@ -405,7 +514,7 @@ class EventLog(EventSink):
 
         ``call_soon`` runs :meth:`_drain_scheduled` after the current
         callback (the decision that filled the batch) completes, so the
-        decision's ack is never behind a 256-event JSON encode.  The
+        decision's ack is never behind a 256-event encode.  The
         callback runs on the same loop, so file bytes stay in emission
         order and byte-identical to the inline path.  Outside any event
         loop (tests writing streams synchronously) the batch is encoded
@@ -425,22 +534,18 @@ class EventLog(EventSink):
             self._write_pending()
 
     def _write_pending(self) -> None:
-        """Encode and write the deferred batch in emission order."""
-        if not self._pending or self._file is None:
+        """Encode, frame and write the deferred batch in emission order."""
+        if self._file is None:
             return
-        self._file.write(
-            b"".join(
-                encode_canonical(event.as_dict()) + b"\n"
-                for event in self._pending
-            )
-        )
+        for event in self._pending:
+            self._file.append(encode_canonical(event.as_dict()))
         self._pending.clear()
+        self._file.commit()
 
     def flush(self) -> None:
-        """Encode the pending batch and push buffered bytes to the OS."""
-        if self._file is not None and not self._closed:
+        """Encode the pending batch and push its frames to the OS."""
+        if not self._closed:
             self._write_pending()
-            self._file.flush()
 
     def close(self) -> None:
         """Flush and release the file; further emissions are dropped."""
@@ -449,7 +554,6 @@ class EventLog(EventSink):
         self._write_pending()
         self._closed = True
         if self._file is not None:
-            self._file.flush()
             self._file.close()
             self._file = None
 

@@ -11,19 +11,10 @@ reproduces the pre-crash state byte-for-byte.
 File layout
 -----------
 
-An 8-byte header (``COMWAL1\\n``) followed by length-prefixed,
-CRC32-framed records::
-
-    +----------+----------+------------------+
-    | len: u32 | crc: u32 | payload (len B)  |   big-endian, CRC of payload
-    +----------+----------+------------------+
-
-A payload is one ``COMEVT1`` event (:mod:`repro.obs.events`) — the
-``kind`` / ``seq`` / ``time`` envelope plus the event's fields — in the
-event log's own encoding (:func:`~repro.obs.events.encode_canonical`:
-sorted keys, compact separators).  ``seq`` is contiguous from 0.  The
-kinds are the event log's canonical kinds, with the same field names,
-plus one journal-only kind:
+The event log's :class:`~repro.obs.events.RecordFile` under a
+``COMWAL1\\n`` header, each record one ``COMEVT1`` event.  The kinds are
+the event log's canonical kinds, with the same field names, plus one
+journal-only kind:
 
 ``meta``
     journal birth certificate, the event ``meta`` fields (``format`` is
@@ -73,29 +64,28 @@ checkpoints to the OS.
 Torn tails
 ----------
 
-A crash mid-append leaves a partial frame at the tail.  :meth:`Journal.
-open` scans the file, keeps the longest valid prefix, reports and
-truncates the torn bytes, and positions appends after the last good
-record.  Anything *before* the tail that fails its CRC is real
-corruption and raises :class:`~repro.errors.JournalError` — only the
-final frame of a file may legitimately be incomplete.
+A crash mid-append leaves a partial final frame, which :meth:`Journal.
+open` truncates; corruption before it raises
+:class:`~repro.errors.JournalError` (:func:`~repro.obs.events.scan_records`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import struct
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, EventLogError, JournalError
+from repro.errors import ConfigurationError, JournalError
 from repro.faults.crash import CrashInjector
-from repro.obs.events import GatewayEvent, encode_canonical
+from repro.obs.events import (
+    GatewayEvent,
+    RecordFile,
+    encode_canonical,
+    scan_records,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.analysis.concurrency import OwnershipGuard
@@ -116,8 +106,6 @@ JOURNAL_MAGIC = b"COMWAL1\n"
 
 #: Accepted ``JournalConfig.fsync`` values.
 FSYNC_POLICIES = ("always", "interval", "never")
-
-_FRAME = struct.Struct(">II")
 
 
 def _plain(text: str) -> bool:
@@ -184,67 +172,10 @@ class JournalConfig:
         return Path(self.directory) / "checkpoint.snap"
 
 
-@dataclass(frozen=True, slots=True)
-class _Scan:
-    """Result of walking a journal file."""
-
-    records: list[GatewayEvent]
-    valid_bytes: int
-    torn_bytes: int
-
-
-def _scan_blob(blob: bytes, path: Path) -> _Scan:
-    if not blob.startswith(JOURNAL_MAGIC):
-        raise JournalError(f"{path}: not a COMWAL1 journal")
-    records: list[GatewayEvent] = []
-    offset = len(JOURNAL_MAGIC)
-    end = len(blob)
-    while offset < end:
-        start = offset
-        if end - offset < _FRAME.size:
-            break  # torn tail: partial frame header
-        length, checksum = _FRAME.unpack_from(blob, offset)
-        offset += _FRAME.size
-        if end - offset < length:
-            offset = start
-            break  # torn tail: partial payload
-        payload = blob[offset:offset + length]
-        offset += length
-        if zlib.crc32(payload) != checksum:
-            if offset >= end:
-                offset = start
-                break  # torn tail: last frame half-written then overwritten
-            raise JournalError(
-                f"{path}: record at byte {start} failed its CRC32 with "
-                f"{end - offset} intact bytes after it — mid-file "
-                f"corruption, not a torn tail"
-            )
-        try:
-            decoded = json.loads(payload)
-        except json.JSONDecodeError as error:
-            raise JournalError(
-                f"{path}: record at byte {start} is not JSON"
-            ) from error
-        try:
-            record = GatewayEvent.from_dict(decoded)
-        except EventLogError as error:
-            raise JournalError(
-                f"{path}: record at byte {start}: {error}"
-            ) from None
-        if record.seq != len(records):
-            raise JournalError(
-                f"{path}: record at byte {start} has seq {record.seq}, "
-                f"expected {len(records)} (journal is not contiguous)"
-            )
-        records.append(record)
-    return _Scan(records=records, valid_bytes=offset, torn_bytes=end - offset)
-
-
 def scan_journal(path: str | Path) -> list[GatewayEvent]:
     """Read every intact record of a journal (read-only; tolerates a torn
     tail without modifying the file)."""
-    path = Path(path)
-    return _scan_blob(path.read_bytes(), path).records
+    return scan_records(Path(path), JOURNAL_MAGIC, JournalError)[0]
 
 
 class Journal:
@@ -252,33 +183,32 @@ class Journal:
 
     Create fresh with :meth:`create`, or re-open an existing file with
     :meth:`open` (which performs torn-tail truncation and returns the
-    surviving records for replay).  ``crash`` wires a deterministic
-    :class:`~repro.faults.CrashInjector` into the append path for the
-    recovery drills — ``None`` (the default) appends unconditionally.
+    surviving records for replay).  The framing is the shared
+    :class:`~repro.obs.events.RecordFile`; the journal adds the fsync
+    policy, the hot-path ref encoders and the crash kill points.
+    ``crash`` wires a deterministic :class:`~repro.faults.CrashInjector`
+    into the append path for the recovery drills — ``None`` (the
+    default) appends unconditionally.
     """
 
     def __init__(
         self,
-        path: Path,
-        file: IO[bytes],
-        next_seq: int,
+        records: RecordFile,
         fsync: str,
         fsync_interval: int,
         crash: CrashInjector | None = None,
     ):
-        self.path = path
-        self._file = file
-        self._next_seq = next_seq
+        self._records = records
+        self.path = records.path
+        #: Bytes of torn tail :meth:`open` truncated (0 = clean tail).
+        self.torn_bytes_dropped = records.torn_bytes_dropped
         self._fsync = fsync
         self._fsync_interval = fsync_interval
         self._since_sync = 0
         #: Commits that wrote records, since this handle was opened; with
         #: :attr:`next_seq` it shows how many records a commit covers.
         self.commits = 0
-        #: Frames appended since the last commit; written in one OS call.
-        self._buffer = bytearray()
         self._crash = crash
-        self.torn_bytes_dropped = 0
         #: Optional concurrency-sanitizer guard over the append buffer
         #: (:class:`repro.analysis.concurrency.OwnershipGuard`); set by
         #: the gateway when the sanitizer is enabled, ``None`` costs one
@@ -300,17 +230,13 @@ class Journal:
         crash: CrashInjector | None = None,
     ) -> "Journal":
         """Start a brand-new journal; refuses to clobber an existing one."""
-        path = Path(path)
-        if path.exists():
+        if Path(path).exists():
             raise JournalError(
                 f"{path}: journal already exists — recover from it (or "
                 f"remove it) instead of overwriting"
             )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        file = path.open("wb")
-        file.write(JOURNAL_MAGIC)
-        file.flush()
-        return cls(path, file, 0, fsync, fsync_interval, crash)
+        records = RecordFile.create(path, JOURNAL_MAGIC, JournalError)
+        return cls(records, fsync, fsync_interval, crash)
 
     @classmethod
     def open(
@@ -325,22 +251,15 @@ class Journal:
         The returned journal appends after the last intact record; the
         returned list is everything that survived, for recovery replay.
         """
-        path = Path(path)
-        scan = _scan_blob(path.read_bytes(), path)
-        file = path.open("r+b")
-        if scan.torn_bytes:
-            file.truncate(scan.valid_bytes)
-        file.seek(scan.valid_bytes)
-        journal = cls(path, file, len(scan.records), fsync, fsync_interval, crash)
-        journal.torn_bytes_dropped = scan.torn_bytes
-        return journal, scan.records
+        records, recorded = RecordFile.open(path, JOURNAL_MAGIC, JournalError)
+        return cls(records, fsync, fsync_interval, crash), recorded
 
     # -- appending -----------------------------------------------------------
 
     @property
     def next_seq(self) -> int:
         """The sequence number the next append will carry."""
-        return self._next_seq
+        return self._records.next_seq
 
     def append(self, kind: str, at: float, **fields: object) -> int:
         """Frame and buffer one event record; returns its sequence number.
@@ -351,11 +270,9 @@ class Journal:
         covers — the gateway group-commits, so one flush (and one policy
         fsync) covers every record of a decision batch.
         """
-        if self._file.closed:
-            raise JournalError(f"{self.path}: journal is closed")
         return self._append_encoded(
             encode_canonical(
-                {"kind": kind, "seq": self._next_seq, "time": at, **fields}
+                {"kind": kind, "seq": self._records.next_seq, "time": at, **fields}
             )
         )
 
@@ -371,11 +288,9 @@ class Journal:
         """
         if not (type(at) is float and math.isfinite(at) and _plain(ref)):
             return self.append("worker", at, ref=ref)
-        if self._file.closed:
-            raise JournalError(f"{self.path}: journal is closed")
         return self._append_encoded(
             (
-                f'{{"kind":"worker","ref":"{ref}","seq":{self._next_seq},'
+                f'{{"kind":"worker","ref":"{ref}","seq":{self._records.next_seq},'
                 f'"time":{at!r}}}'
             ).encode()
         )
@@ -406,14 +321,12 @@ class Journal:
                 worker=worker,
                 payment=payment,
             )
-        if self._file.closed:
-            raise JournalError(f"{self.path}: journal is closed")
         encoded_worker = "null" if worker is None else f'"{worker}"'
         return self._append_encoded(
             (
                 f'{{"kind":"decision","payment":{payment!r},'
                 f'"platform":"{platform}","ref":"{ref}",'
-                f'"seq":{self._next_seq},"status":"{status}",'
+                f'"seq":{self._records.next_seq},"status":"{status}",'
                 f'"time":{at!r},"worker":{encoded_worker}}}'
             ).encode()
         )
@@ -421,20 +334,15 @@ class Journal:
     def _append_encoded(self, encoded: bytes) -> int:
         if self.guard is not None:
             self.guard.check()
-        frame = _FRAME.pack(len(encoded), zlib.crc32(encoded)) + encoded
         if self._crash is not None and self._crash.active:
             # Kill points, in pipeline order: die with the record unwritten,
             # or die mid-write leaving the torn tail recovery must absorb.
             self._crash.fire("journal_append")
             if self._crash.fires_next("journal_torn"):
-                self._file.write(self._buffer)
-                self._file.write(frame[: max(1, len(frame) // 2)])
-                self._file.flush()
-                self._buffer.clear()
+                self._records.tear(encoded)
             self._crash.fire("journal_torn")
-        self._buffer += frame
-        seq = self._next_seq
-        self._next_seq += 1
+        seq = self._records.next_seq
+        self._records.append(encoded)
         self._since_sync += 1
         return seq
 
@@ -454,13 +362,8 @@ class Journal:
         """
         if self._sync_error is not None:
             self._raise_sync_error()
-        if not self._buffer:
+        if not self._records.commit():
             return
-        if self._file.closed:
-            raise JournalError(f"{self.path}: journal is closed")
-        self._file.write(self._buffer)
-        self._file.flush()
-        self._buffer.clear()
         self.commits += 1
         if self._fsync == "always":
             # Synchronous by contract: the ack that follows this commit
@@ -474,8 +377,8 @@ class Journal:
 
     def sync(self) -> None:
         """fdatasync the journal file (no-op when closed)."""
-        if not self._file.closed:
-            os.fdatasync(self._file.fileno())
+        if not self._records.file.closed:
+            os.fdatasync(self._records.file.fileno())
         self._since_sync = 0
 
     def _schedule_sync(self) -> None:
@@ -491,7 +394,9 @@ class Journal:
             self._sync_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="journal-sync"
             )
-        self._sync_executor.submit(self._background_sync, self._file.fileno())
+        self._sync_executor.submit(
+            self._background_sync, self._records.file.fileno()
+        )
 
     def _background_sync(self, fileno: int) -> None:
         try:
@@ -517,11 +422,6 @@ class Journal:
         if self._sync_executor is not None:
             self._sync_executor.shutdown(wait=True)
             self._sync_executor = None
-        if not self._file.closed:
-            if self._buffer:
-                self._file.write(self._buffer)
-                self._buffer.clear()
-            self._file.flush()
-            self._file.close()
+        self._records.close()
         if self._sync_error is not None:
             self._raise_sync_error()

@@ -22,7 +22,12 @@ exists — and proceeds in four steps:
    this engine, and serving from it would silently corrupt results);
 4. hand the journal back with the dedup state (journaled worker ids)
    rebuilt from the *full* record set, so client retries of
-   pre-checkpoint operations are still absorbed.
+   pre-checkpoint operations are still absorbed;
+5. with an event log, complete its stream from the journal: a killed
+   process loses the log's write-behind buffer but never a committed
+   record, so the events the file lacks are emitted from the journal
+   (refusing a file that is not a prefix of it) before the ``recovered``
+   marker.
 
 The recovered gateway is byte-identical to the crashed one: continuing
 the same trace and draining yields the same metrics row and canonical
@@ -38,10 +43,17 @@ from pathlib import Path
 from repro.core.entities import Worker
 from repro.errors import JournalError, ServiceError
 from repro.faults.crash import CrashPlan
-from repro.obs.events import EventLog
+from repro.obs.events import (
+    CANONICAL_KINDS,
+    EVENT_FORMAT,
+    EventLog,
+    GatewayEvent,
+    canonical_projection,
+    read_events,
+)
 from repro.service.admission import AdmissionPolicy
 from repro.service.clock import ServiceClock
-from repro.service.gateway import MatchingGateway
+from repro.service.gateway import MatchingGateway, _to_wire
 from repro.service.journal import JOURNAL_FORMAT, Journal, JournalConfig
 from repro.service.replay import recorded_arrivals, validate_meta
 from repro.service.snapshot import read_snapshot
@@ -86,13 +98,14 @@ def recover_gateway(
     *recovered* process — the soak harness uses this to chain
     crash→recover cycles; the injector starts from boundary zero, like a
     freshly restarted binary.  ``events`` resumes the crashed process's
-    ``COMEVT1`` stream (:meth:`~repro.obs.events.EventLog.resume`): the
-    torn tail is truncated, an ops ``recovered`` marker is appended, and
-    the recovered gateway continues the stream — the journal-suffix
-    replay itself emits nothing (those events are already in the file).
-    Raises :class:`~repro.errors.JournalError` when the journal is
-    corrupt mid-file, foreign to the checkpoint or of another format, or
-    diverges from the engine, and
+    ``COMEVT1`` stream (:meth:`~repro.obs.events.EventLog.resume`), or
+    starts one when the file is absent: the torn tail is truncated, the
+    journaled events the file lacks are emitted (step 5), an ops
+    ``recovered`` marker is appended, and the recovered gateway continues
+    the stream — the journal-suffix replay itself emits nothing.  Raises
+    :class:`~repro.errors.JournalError` when the journal is corrupt
+    mid-file, foreign to the checkpoint or of another format, diverges
+    from the engine, or does not extend the event file, and
     :class:`~repro.errors.ServiceError` when the checkpoint is damaged.
     """
     config = JournalConfig(
@@ -169,28 +182,16 @@ def recover_gateway(
                     f"recorded {recorded.as_dict()!r} — the journal does "
                     f"not describe this engine state"
                 )
+        # Opened only after the suffix replay, so the replay emits nothing.
+        log = None if events is None else _resume_events(events, gateway, records)
     except BaseException:
         journal.close()
         raise
     gateway._attach_journal(
         config, journal, journaled_workers, last_checkpoint_seq=checkpoint_seq
     )
-    if events is not None:
-        # Attach only after the suffix replay: those operations' events
-        # are already in the file (emission follows the append that made
-        # them durable), so the replay must not re-emit them.  A path
-        # with no file yet (the crashed process never had an event log)
-        # starts a fresh stream instead.
-        events_path = Path(events)
-        if events_path.exists():
-            gateway.attach_events(
-                EventLog.resume(events_path, registry=gateway.registry),
-                recovered=True,
-            )
-        else:
-            gateway.attach_events(
-                EventLog(events_path, registry=gateway.registry)
-            )
+    if log is not None:
+        gateway.attach_events(log, recovered=True)
     report = RecoveryReport(
         checkpoint_seq=checkpoint_seq,
         journal_records=len(records),
@@ -199,3 +200,57 @@ def recover_gateway(
         recovery_seconds=watch.stop(),
     )
     return gateway, report
+
+
+def _resume_events(
+    path: str | Path, gateway: MatchingGateway, records: list[GatewayEvent]
+) -> EventLog:
+    """Reopen (or start) the event log and emit the journaled events it
+    lacks, after a ``meta`` if it has none.
+
+    The journal holds every canonical event but ``meta`` and ``drain``
+    (a ``ref`` for a scenario entity); the file's must be a prefix of
+    them.  Trailing resolutions wait for their arrival, as live; one
+    journaled twice (before a crash that ate its arrival, then on the
+    retry) counts once.
+    """
+    path = Path(path)
+    if not path.exists():
+        EventLog(path).close()  # an empty stream to resume
+    on_file = read_events(path)
+    trace = gateway.scenario.events
+    entities = {("worker", worker.worker_id): worker for worker in trace.workers}
+    entities.update((("request", req.request_id), req) for req in trace.requests)
+    journaled: list[GatewayEvent] = []
+    resolved: set[object] = set()
+    for record in records:
+        fields = dict(record.fields)
+        if record.kind == "resolution":
+            if fields.get("request") in resolved:
+                continue
+            resolved.add(fields.get("request"))
+        elif record.kind in ("meta", "checkpoint"):
+            continue
+        elif "ref" in fields:
+            key = "worker" if record.kind == "worker" else "request"
+            fields[key] = _to_wire(entities[key, fields.pop("ref")])
+        journaled.append(GatewayEvent(record.seq, record.kind, record.time, fields))
+    canonical = [
+        event for event in on_file if event.kind in CANONICAL_KINDS - {"meta", "drain"}
+    ]
+    if canonical_projection(canonical) != canonical_projection(
+        journaled[: len(canonical)]
+    ):
+        raise JournalError(
+            f"{path}: the event log is not a prefix of the journal — they "
+            f"record different histories"
+        )
+    missing = journaled[len(canonical):]
+    while missing and missing[-1].kind == "resolution":
+        missing.pop()
+    log = EventLog.resume(path, registry=gateway.registry)
+    if not any(event.kind == "meta" for event in on_file):
+        log.emit("meta", 0.0, **gateway._meta(EVENT_FORMAT))
+    for event in missing:
+        log.emit(event.kind, event.time, **event.fields)
+    return log

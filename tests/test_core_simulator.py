@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import pickle
 
@@ -10,9 +11,11 @@ import pytest
 from repro.baselines import TOTA
 from repro.core import DemCOM, RamCOM, Simulator, SimulatorConfig, validate_matching
 from repro.core.base import Decision, OnlineAlgorithm
-from repro.core.events import EventStream
+from repro.core.events import EventKind, EventStream
 from repro.core.simulator import Scenario
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.events import EventLog
+from repro.service import MatchingGateway, VirtualClock
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
 from conftest import (
@@ -306,28 +309,50 @@ class TestCooperationFlag:
 
 
 class TestDecisionLog:
-    def test_disabled_by_default(self, two_platform_scenario):
-        result = Simulator(SimulatorConfig(measure_response_time=False)).run(
-            two_platform_scenario, TOTA
-        )
-        assert result.decisions == []
+    """The per-request record is the served stream's ``decision`` events
+    (a served replay equals ``Simulator.run``)."""
+
+    @staticmethod
+    def decision_events(scenario):
+        async def main():
+            log = EventLog(ring=0)
+            gateway = MatchingGateway(
+                scenario,
+                "tota",
+                SimulatorConfig(measure_response_time=False),
+                clock=VirtualClock(),
+                events=log,
+            )
+            await gateway.start()
+            for event in scenario.events:
+                gateway.clock.advance_to(event.time)
+                if event.kind is EventKind.WORKER:
+                    await gateway.submit_worker(event.worker)
+                else:
+                    await gateway.submit_request(event.request)
+            await gateway.drain()
+            return [event for event in log.events() if event.kind == "decision"]
+
+        return asyncio.run(main())
 
     def test_one_entry_per_request(self, two_platform_scenario):
-        result = Simulator(
-            SimulatorConfig(measure_response_time=False, decision_log=True)
-        ).run(two_platform_scenario, TOTA)
-        assert len(result.decisions) == two_platform_scenario.request_count
-        kinds = {entry.kind for entry in result.decisions}
+        decisions = self.decision_events(two_platform_scenario)
+        assert len(decisions) == two_platform_scenario.request_count
+        kinds = {entry.fields["status"] for entry in decisions}
         assert kinds <= {"serve_inner", "serve_outer", "reject"}
 
     def test_entries_match_ledger(self, two_platform_scenario):
-        result = Simulator(
-            SimulatorConfig(measure_response_time=False, decision_log=True)
-        ).run(two_platform_scenario, TOTA)
-        served = [e for e in result.decisions if e.kind == "serve_inner"]
+        result = Simulator(SimulatorConfig(measure_response_time=False)).run(
+            two_platform_scenario, TOTA
+        )
+        served = [
+            entry
+            for entry in self.decision_events(two_platform_scenario)
+            if entry.fields["status"] == "serve_inner"
+        ]
         assert len(served) == result.total_completed
         for entry in served:
-            assert entry.worker_id is not None
+            assert entry.fields["worker"] is not None
 
 
 class TestAbsoluteModeEndToEnd:
@@ -336,7 +361,7 @@ class TestAbsoluteModeEndToEnd:
         raw prices and offers compare unnormalized."""
         from repro.behavior import BehaviorOracle, UniformDistribution, WorkerBehavior
         from repro.core import DemCOM
-        from repro.core.events import EventStream
+        from repro.core.events import EventKind, EventStream
 
         worker = make_worker("b", "B", 0.0, x=0.1)
         oracle = BehaviorOracle(seed=0, mode="absolute")

@@ -9,22 +9,43 @@ drops (and counts) instead of stalling the emitter.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
+import struct
+import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import EventLogError
+from repro.errors import EventLogError, JournalError
 from repro.obs import MetricsRegistry
 from repro.obs.events import (
     CANONICAL_KINDS,
+    EVENT_MAGIC,
     NULL_EVENT_SINK,
     EventLog,
     GatewayEvent,
+    RecordFile,
     canonical_projection,
     encode_canonical,
     read_events,
     row_digest,
 )
+from repro.service.journal import JOURNAL_MAGIC, Journal, scan_journal
+
+#: A record file's frame header: payload length, CRC32 of the payload.
+FRAME = struct.Struct(">II")
+
+
+def frame(payload: bytes) -> bytes:
+    return FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def first_payload(blob: bytes) -> bytes:
+    """The payload of a record file's first frame."""
+    length, __ = FRAME.unpack_from(blob, len(EVENT_MAGIC))
+    start = len(EVENT_MAGIC) + FRAME.size
+    return blob[start:start + length]
 
 
 class TestEncoding:
@@ -101,7 +122,8 @@ class TestEventLogFile:
             log.emit("decision", float(seq), request=f"r{seq}")
         log.close()
         intact = path.read_bytes()
-        path.write_bytes(intact + b'{"kind":"decision","seq":4')  # torn
+        torn = frame(encode_canonical({"kind": "decision", "seq": 4, "time": 9.0}))
+        path.write_bytes(intact + torn[: len(torn) // 2])
         assert len(read_events(path)) == 4  # reader drops the torn tail
         resumed = EventLog.resume(path)
         assert resumed.next_seq == 4
@@ -116,8 +138,9 @@ class TestEventLogFile:
         log.emit("decision", 1.0, request="r1")
         log.emit("decision", 2.0, request="r2")
         log.close()
-        lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(b"garbage not json\n" + lines[1])
+        blob = bytearray(path.read_bytes())
+        blob[len(EVENT_MAGIC) + FRAME.size] ^= 0xFF  # inside record 0
+        path.write_bytes(bytes(blob))
         with pytest.raises(EventLogError):
             read_events(path)
 
@@ -231,7 +254,81 @@ class TestFileFormat:
         log = EventLog(path)
         log.emit("decision", 1.0, request="r1", payment=2.5)
         log.close()
-        line = path.read_bytes().splitlines()[0]
+        line = first_payload(path.read_bytes())
         payload = json.loads(line)
         assert line == encode_canonical(payload)
         assert set(payload) == {"kind", "seq", "time", "request", "payment"}
+
+
+#: Each log on the shared record file: magic, error class, reader and
+#: crash reopener.
+LOGS = {
+    "journal": (JOURNAL_MAGIC, JournalError, scan_journal, Journal.open),
+    "events": (EVENT_MAGIC, EventLogError, read_events, EventLog.resume),
+}
+
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+)
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(CANONICAL_KINDS)),
+        st.floats(min_value=0.0, max_value=1e6),
+        st.dictionaries(st.sampled_from(["a", "ref", "status"]), _VALUES, max_size=3),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestRecordFileProperties:
+    @pytest.mark.parametrize("log", sorted(LOGS))
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(records=_RECORDS, data=st.data())
+    def test_torn_tails_corruption_and_format_1(self, tmp_path, log, records, data):
+        magic, error, read, reopen = LOGS[log]
+        events = [
+            GatewayEvent(seq=seq, kind=kind, time=at, fields=fields)
+            for seq, (kind, at, fields) in enumerate(records)
+        ]
+        payloads = [encode_canonical(event.as_dict()) for event in events]
+        path = tmp_path / log
+        file = RecordFile.create(path, magic, error)
+        for payload in payloads:
+            file.append(payload)
+        file.close()
+        blob = path.read_bytes()
+        ends = list(
+            itertools.accumulate(
+                [len(magic)] + [FRAME.size + len(payload) for payload in payloads]
+            )
+        )
+
+        # Cut anywhere past the header: the longest intact prefix, no error.
+        cut = data.draw(st.integers(len(magic), len(blob)), label="cut")
+        path.write_bytes(blob[:cut])
+        assert read(path) == events[: sum(1 for end in ends[1:] if end <= cut)]
+
+        # One flipped byte in any frame but the last is corruption.
+        if len(events) > 1:
+            at = data.draw(st.integers(ends[0], ends[-2] - 1), label="flip at")
+            flipped = bytearray(blob)
+            flipped[at] ^= data.draw(st.integers(1, 255), label="flip mask")
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(error):
+                read(path)
+
+        # A format-1 (line-delimited JSON) file is refused by name.
+        path.write_bytes(b"".join(payload + b"\n" for payload in payloads))
+        with pytest.raises(error, match="format-1"):
+            read(path)
+        with pytest.raises(error, match="format-1"):
+            reopen(path)

@@ -32,7 +32,7 @@ from repro.obs.events import (
     read_events,
 )
 from repro.service.journal import JOURNAL_MAGIC
-from repro.service.replay import recorded_arrivals
+from repro.service.replay import recorded_arrivals, replay_event_log
 from repro.service import (
     JOURNAL_FORMAT,
     GatewayClient,
@@ -535,6 +535,64 @@ class TestOneRecordSchema:
         assert journal_meta.pop("format") == JOURNAL_FORMAT
         assert stream_meta.pop("format") == EVENT_FORMAT
         assert journal_meta == stream_meta
+
+
+class TestKilledEventLog:
+    """A killed process loses the event log's write-behind buffer but not
+    the committed journal; recovery completes the stream from it."""
+
+    def test_recovery_backfills_events_lost_to_a_kill(self, tmp_path):
+        scenario = build_scenario(seed=7, requests=120, workers=40)
+        config = service_config()
+        arrivals = list(scenario.events)
+        live_dir, live_events = tmp_path / "live", tmp_path / "live.comevt"
+        dead_dir, dead_events = tmp_path / "dead", tmp_path / "dead.comevt"
+
+        async def submit(gateway, event):
+            gateway.clock.advance_to(event.time)
+            if event.kind is EventKind.WORKER:
+                await gateway.submit_worker(event.worker)
+            else:
+                await gateway.submit_request(event.request)
+
+        async def main():
+            gateway = MatchingGateway(
+                scenario=scenario,
+                config=config,
+                journal=JournalConfig(directory=live_dir),
+                events=live_events,
+            )
+            await gateway.start()
+            for event in arrivals[:100]:
+                await submit(gateway, event)
+            # What the OS holds after a SIGKILL: nothing closed or flushed.
+            shutil.copytree(live_dir, dead_dir)
+            shutil.copyfile(live_events, dead_events)
+            await gateway.stop()
+            gateway.events.close()
+            journaled = scan_journal(JournalConfig(dead_dir).journal_path)
+            assert len(journaled) > len(read_events(dead_events))
+            recovered, __ = recover_gateway(dead_dir, events=dead_events)
+            await recovered.start()
+            for event in arrivals[100:]:
+                await submit(recovered, event)
+            await recovered.drain()
+            recovered.events.close()
+            return await replay_event_log(dead_events, scenario, config=config)
+
+        report = asyncio.run(main())
+        assert report.verified, report.as_dict()
+        assert report.workers + report.requests == len(arrivals)
+
+    def test_an_event_log_the_journal_does_not_extend_is_refused(self, tmp_path):
+        journaled_run(tmp_path / "a", build_scenario(), events=tmp_path / "a.comevt")
+        journaled_run(
+            tmp_path / "b", build_scenario(seed=14), events=tmp_path / "b.comevt"
+        )
+        with pytest.raises(JournalError, match="not a prefix of the journal"):
+            recover_gateway(
+                tmp_path / "a", events=tmp_path / "b.comevt", **JOURNAL_KWARGS
+            )
 
 
 class TestRecoveryEdges:
