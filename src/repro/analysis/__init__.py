@@ -7,8 +7,8 @@ as the codebase grows:
 * **Static** — :func:`lint_paths` walks python sources with an AST
   checker enforcing the rule catalogue in :mod:`repro.analysis.rules`
   (determinism, telemetry-overhead, error-hygiene and API rules), with
-  inline ``# comlint: disable=RULE`` suppressions and a ratcheting
-  :class:`Baseline`.  Exposed on the CLI as ``com-repro lint``.
+  inline ``# comlint: disable=RULE`` suppressions.  Exposed on the CLI
+  as ``com-repro lint``, which fails on any unsuppressed finding.
 * **Dynamic** — :class:`ConstraintSanitizer` validates every assignment
   decision of a live simulation against the four Definition-2.6
   constraints, waiting-list consistency, and ledger/revenue
@@ -23,7 +23,6 @@ as the codebase grows:
 See ``docs/STATIC_ANALYSIS.md`` for the full rule catalogue and usage.
 """
 
-from repro.analysis.baseline import Baseline, partition_violations
 from repro.analysis.concurrency import (
     CONCURRENCY_ENV_VAR,
     ConcurrencyMonitor,
@@ -52,7 +51,6 @@ from repro.analysis.sanitizer import (
 )
 
 __all__ = [
-    "Baseline",
     "CONCURRENCY_ENV_VAR",
     "ConcurrencyMonitor",
     "ConcurrencyViolation",
@@ -69,7 +67,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "partition_violations",
     "render_json",
     "render_rule_catalogue",
     "render_text",

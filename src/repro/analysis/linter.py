@@ -124,8 +124,8 @@ _DICT_READ_METHODS = frozenset({"get", "pop"})
 class Violation:
     """One lint finding.
 
-    ``path`` is stored POSIX-relative to the lint root so reports and
-    baseline fingerprints are machine-independent.
+    ``path`` is stored POSIX-relative to the lint root so reports are
+    machine-independent.
     """
 
     rule_id: str

@@ -15,27 +15,21 @@ from repro.analysis.rules import RULES
 __all__ = ["render_text", "render_json", "render_rule_catalogue"]
 
 
-def render_text(
-    new: list[Violation], baselined: list[Violation] | None = None
-) -> str:
+def render_text(violations: list[Violation]) -> str:
     """A flake8-style report plus a per-rule summary footer."""
-    lines = [violation.render() for violation in new]
-    counts = Counter(violation.rule_id for violation in new)
-    if baselined:
-        lines.append(f"({len(baselined)} baselined finding(s) hidden)")
-    if new:
+    lines = [violation.render() for violation in violations]
+    counts = Counter(violation.rule_id for violation in violations)
+    if violations:
         summary = ", ".join(
             f"{rule_id}={count}" for rule_id, count in sorted(counts.items())
         )
-        lines.append(f"{len(new)} new violation(s): {summary}")
+        lines.append(f"{len(violations)} violation(s): {summary}")
     else:
-        lines.append("no new violations")
+        lines.append("no violations")
     return "\n".join(lines)
 
 
-def render_json(
-    new: list[Violation], baselined: list[Violation] | None = None
-) -> str:
+def render_json(violations: list[Violation]) -> str:
     """A JSON report: findings, counts, and the rule catalogue version."""
     payload = {
         "violations": [
@@ -47,13 +41,12 @@ def render_json(
                 "message": violation.message,
                 "source": violation.source_line,
             }
-            for violation in new
+            for violation in violations
         ],
-        "baselined": len(baselined or ()),
         "counts": dict(
-            sorted(Counter(v.rule_id for v in new).items())
+            sorted(Counter(v.rule_id for v in violations).items())
         ),
-        "total": len(new),
+        "total": len(violations),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -4,8 +4,7 @@ Each rule enforces one *project invariant* — a property the test suite can
 only spot-check but the whole codebase must uphold (bit-for-bit
 determinism, telemetry overhead budgets, structured error context, API
 hygiene).  Rules are identified by a short stable id (``DET001``) used in
-reports, inline suppressions (``# comlint: disable=DET001``) and baseline
-entries.
+reports and inline suppressions (``# comlint: disable=DET001``).
 
 The catalogue is data; the AST checks themselves live in
 :mod:`repro.analysis.linter`.  Adding a rule means registering a

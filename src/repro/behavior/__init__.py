@@ -19,27 +19,20 @@ Public pieces:
 * distribution classes implementing :class:`ReservationDistribution`;
 * :class:`WorkerBehavior` — per-worker accept/reject decisions, memoising
   realized draws per request so online algorithms and OFF see the *same*
-  randomness (required for a fair competitive-ratio comparison);
-* :func:`generate_history` — the completed-request value history that the
-  platform observes and feeds to Eq. 4.
+  randomness (required for a fair competitive-ratio comparison).
 """
 
 from repro.behavior.distributions import (
     EmpiricalDistribution,
-    LognormalDistribution,
-    NormalDistribution,
     ReservationDistribution,
     UniformDistribution,
 )
-from repro.behavior.worker_model import BehaviorOracle, WorkerBehavior, generate_history
+from repro.behavior.worker_model import BehaviorOracle, WorkerBehavior
 
 __all__ = [
     "ReservationDistribution",
     "EmpiricalDistribution",
     "UniformDistribution",
-    "NormalDistribution",
-    "LognormalDistribution",
     "WorkerBehavior",
     "BehaviorOracle",
-    "generate_history",
 ]

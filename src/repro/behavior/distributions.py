@@ -19,8 +19,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ReservationDistribution",
     "UniformDistribution",
-    "NormalDistribution",
-    "LognormalDistribution",
     "EmpiricalDistribution",
 ]
 
@@ -95,89 +93,6 @@ class UniformDistribution(ReservationDistribution):
         return f"UniformDistribution({self.low}, {self.high})"
 
 
-class NormalDistribution(ReservationDistribution):
-    """Normal(mu, sigma) truncated below at zero (reservations are prices)."""
-
-    def __init__(self, mu: float, sigma: float):
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-
-    def sample(self, rng: random.Random) -> float:
-        return max(0.0, rng.gauss(self.mu, self.sigma))
-
-    def cdf(self, value: float) -> float:
-        if value < 0:
-            return 0.0
-        # Truncation at 0 folds all mass below zero onto zero, so the CDF of
-        # the truncated variable equals the untruncated CDF for value >= 0.
-        z = (value - self.mu) / (self.sigma * math.sqrt(2.0))
-        return 0.5 * (1.0 + math.erf(z))
-
-    def quantile(self, q: float) -> float:
-        _check_q(q)
-        # Bisection on the CDF; monotone, so this is robust.
-        low, high = 0.0, max(1.0, self.mu + 10.0 * self.sigma)
-        if q <= self.cdf(low):
-            return low
-        for _ in range(80):
-            mid = (low + high) / 2.0
-            if self.cdf(mid) < q:
-                low = mid
-            else:
-                high = mid
-        return (low + high) / 2.0
-
-    def mean(self) -> float:
-        # Mean of max(0, N(mu, sigma)).
-        z = self.mu / self.sigma
-        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        big_phi = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-        return self.mu * big_phi + self.sigma * phi
-
-    def __repr__(self) -> str:
-        return f"NormalDistribution(mu={self.mu}, sigma={self.sigma})"
-
-
-class LognormalDistribution(ReservationDistribution):
-    """Lognormal — the classic heavy-tailed fare/price model."""
-
-    def __init__(self, mu: float, sigma: float):
-        # A NaN mu, or an infinite sigma times a zero normal deviate,
-        # makes sample() return NaN, which no draw_bounds() interval holds.
-        if not 0 < sigma < math.inf:
-            raise ConfigurationError(
-                f"sigma must be positive and finite, got {sigma}"
-            )
-        if not math.isfinite(mu):
-            raise ConfigurationError(f"mu must be finite, got {mu}")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
-
-    def cdf(self, value: float) -> float:
-        if value <= 0:
-            return 0.0
-        z = (math.log(value) - self.mu) / (self.sigma * math.sqrt(2.0))
-        return 0.5 * (1.0 + math.erf(z))
-
-    def quantile(self, q: float) -> float:
-        _check_q(q)
-        if q == 0.0:
-            return 0.0
-        z = _normal_quantile(q)
-        return math.exp(self.mu + self.sigma * z)
-
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma * self.sigma / 2.0)
-
-    def __repr__(self) -> str:
-        return f"LognormalDistribution(mu={self.mu}, sigma={self.sigma})"
-
-
 class EmpiricalDistribution(ReservationDistribution):
     """The empirical distribution of a finite sample.
 
@@ -224,34 +139,3 @@ class EmpiricalDistribution(ReservationDistribution):
 def _check_q(q: float) -> None:
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-
-
-def _normal_quantile(q: float) -> float:
-    """Acklam's rational approximation to the standard normal quantile."""
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError(f"normal quantile needs q in (0, 1), got {q}")
-    # Coefficients for the central and tail regions.
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low = 0.02425
-    if q < p_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    if q > 1.0 - p_low:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    u = q - 0.5
-    t = u * u
-    return (((((a[0] * t + a[1]) * t + a[2]) * t + a[3]) * t + a[4]) * t + a[5]) * u / (
-        ((((b[0] * t + b[1]) * t + b[2]) * t + b[3]) * t + b[4]) * t + 1.0
-    )

@@ -20,31 +20,13 @@ reproduces the paper's measured incentive behaviour.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Hashable
 
 from repro.behavior.distributions import ReservationDistribution
 from repro.errors import ConfigurationError
 from repro.utils.rng import derive_rng
 
-__all__ = ["WorkerBehavior", "BehaviorOracle", "generate_history"]
-
-
-def generate_history(
-    distribution: ReservationDistribution, count: int, rng: random.Random
-) -> list[float]:
-    """Generate a worker's completed-request history.
-
-    Definition 3.1 estimates acceptance from a worker's *N* completed
-    history requests; the natural generative counterpart is that the worker
-    historically completed requests whose payment cleared their reservation
-    draw — i.e. history entries are samples of the reservation distribution
-    itself.  This makes Eq. 4's empirical CDF a consistent estimator of the
-    true acceptance probability.
-    """
-    if count < 0:
-        raise ValueError(f"history length must be non-negative, got {count}")
-    return [distribution.sample(rng) for _ in range(count)]
+__all__ = ["WorkerBehavior", "BehaviorOracle"]
 
 
 class WorkerBehavior:

@@ -216,22 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
     )
     lint.add_argument(
-        "--baseline",
-        type=str,
-        default="comlint.baseline.json",
-        help="accepted-violation file (default: comlint.baseline.json)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept every current finding into the baseline and exit 0",
-    )
-    lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on baselined findings too, not just new ones",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     lint.add_argument(
@@ -730,9 +714,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import (
-        Baseline,
         lint_paths,
-        partition_violations,
         render_json,
         render_rule_catalogue,
         render_text,
@@ -746,25 +728,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     violations = lint_paths(
         [Path(path) for path in args.paths], root=root, jobs=args.jobs
     )
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        Baseline.from_violations(violations).save(baseline_path)
-        print(
-            f"baseline updated: {len(violations)} accepted finding(s) "
-            f"-> {baseline_path}"
-        )
-        return 0
-
-    baseline = Baseline.load(baseline_path)
-    new, baselined = partition_violations(violations, baseline)
-    failing = violations if args.strict else new
     if args.report_format == "json":
-        print(render_json(new, baselined))
+        print(render_json(violations))
     else:
-        print(render_text(new, baselined))
-        if args.strict and baselined:
-            print(f"strict mode: {len(baselined)} baselined finding(s) fail too")
-    return 1 if failing else 0
+        print(render_text(violations))
+    return 1 if violations else 0
 
 
 def _save_report(path: str, payload: dict) -> None:

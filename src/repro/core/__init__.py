@@ -18,7 +18,7 @@ Layering inside this package (lower layers never import higher ones):
 """
 
 from repro.core.entities import Request, Worker
-from repro.core.events import ArrivalEvent, EventKind, EventStream, merge_streams
+from repro.core.events import ArrivalEvent, EventKind, EventStream
 from repro.core.waiting_list import WaitingList
 from repro.core.exchange import CooperationExchange
 from repro.core.acceptance import AcceptanceEstimator, AcceptanceSnapshot
@@ -36,11 +36,7 @@ from repro.core.simulator import (
     Simulator,
     SimulatorConfig,
 )
-from repro.core.service_time import (
-    ConstantServiceTime,
-    ServiceTimeModel,
-    TravelAwareServiceTime,
-)
+from repro.core.service_time import ServiceTimeModel, TravelAwareServiceTime
 from repro.core.registry import available_algorithms, make_algorithm, register_algorithm
 
 __all__ = [
@@ -49,7 +45,6 @@ __all__ = [
     "ArrivalEvent",
     "EventKind",
     "EventStream",
-    "merge_streams",
     "WaitingList",
     "CooperationExchange",
     "AcceptanceEstimator",
@@ -74,7 +69,6 @@ __all__ = [
     "SimulationResult",
     "SimulationSession",
     "ServiceTimeModel",
-    "ConstantServiceTime",
     "TravelAwareServiceTime",
     "available_algorithms",
     "make_algorithm",

@@ -2,8 +2,7 @@
 
 The COM problem is *online*: workers and requests arrive sequentially in one
 interleaved order (the paper's Table II).  :class:`EventStream` holds such an
-order; :func:`merge_streams` time-merges per-platform streams into the global
-order the simulator consumes.
+order, the global order the simulator consumes.
 
 Tie-breaking: events at the same timestamp are ordered workers-first (a
 worker arriving "at the same instant" as a request may serve it — matching
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from repro.core.entities import Request, Worker
 from repro.errors import ConfigurationError
 
-__all__ = ["EventKind", "ArrivalEvent", "EventStream", "merge_streams"]
+__all__ = ["EventKind", "ArrivalEvent", "EventStream"]
 
 
 class EventKind(enum.Enum):
@@ -140,11 +139,3 @@ class EventStream:
                 )
                 events.append(ArrivalEvent.of_request(request))
         return EventStream(events)
-
-
-def merge_streams(streams: Iterable[EventStream]) -> EventStream:
-    """Time-merge several per-platform streams into one global stream."""
-    merged: list[ArrivalEvent] = []
-    for stream in streams:
-        merged.extend(stream)
-    return EventStream(merged)

@@ -3,12 +3,10 @@
 The baseline model (the tables' default) occupies every worker for a
 constant ``service_duration``.  Realistically a taxi engagement is
 *pickup travel* (worker → request location at street speed) plus the
-*trip itself* (correlated with the fare: longer rides cost more).  The
-models here let the simulator's reentry scheduling use that structure:
-
-* :class:`ConstantServiceTime` — the paper-faithful default;
-* :class:`TravelAwareServiceTime` — pickup at ``speed_kmh`` + a fare-
-  proportional trip duration with multiplicative jitter.
+*trip itself* (correlated with the fare: longer rides cost more).
+:class:`TravelAwareServiceTime` lets the simulator's reentry scheduling
+use that structure: pickup at ``speed_kmh`` + a fare-proportional trip
+duration with multiplicative jitter.
 
 Durations are deterministic per (worker, request) via the usual labelled
 RNG derivation, so reentry timing — like everything else — is a pure
@@ -23,7 +21,7 @@ from repro.core.entities import Request, Worker
 from repro.errors import ConfigurationError
 from repro.utils.rng import derive_rng
 
-__all__ = ["ServiceTimeModel", "ConstantServiceTime", "TravelAwareServiceTime"]
+__all__ = ["ServiceTimeModel", "TravelAwareServiceTime"]
 
 
 class ServiceTimeModel(ABC):
@@ -32,21 +30,6 @@ class ServiceTimeModel(ABC):
     @abstractmethod
     def duration(self, worker: Worker, request: Request, seed: int) -> float:
         """Occupation time in seconds (must be positive)."""
-
-
-class ConstantServiceTime(ServiceTimeModel):
-    """Every assignment takes the same time (the tables' default)."""
-
-    def __init__(self, seconds: float = 1800.0):
-        if seconds <= 0:
-            raise ConfigurationError(f"duration must be positive, got {seconds}")
-        self.seconds = seconds
-
-    def duration(self, worker: Worker, request: Request, seed: int) -> float:
-        return self.seconds
-
-    def __repr__(self) -> str:
-        return f"ConstantServiceTime({self.seconds:g}s)"
 
 
 class TravelAwareServiceTime(ServiceTimeModel):

@@ -188,14 +188,6 @@ class PlatformOutcome:
             return None
         return self.ledger.cooperative_requests / self.cooperative_attempts
 
-    @property
-    def mean_payment_rate(self) -> float | None:
-        """Mean ``v'_r / v_r`` over cooperative assignments."""
-        rates = self.ledger.outer_payment_rates()
-        if not rates:
-            return None
-        return sum(rates) / len(rates)
-
 
 @dataclass
 class SimulationResult:

@@ -22,7 +22,7 @@ run the full grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.experiments.harness import ExperimentConfig, run_comparison
@@ -56,10 +56,12 @@ PANEL_IDS = {
 
 DEFAULT_ALGORITHMS = ["tota", "demcom", "ramcom"]
 
-_AXIS_SWEEPS: dict[str, tuple] = {
-    "requests": REQUEST_SWEEP,
-    "workers": WORKER_SWEEP,
-    "radius": RADIUS_SWEEP,
+#: axis -> (the SyntheticWorkloadConfig field it sweeps, that field's
+#: type, Table IV's sweep values).
+_AXES: dict[str, tuple[str, type, tuple]] = {
+    "requests": ("request_count", int, REQUEST_SWEEP),
+    "workers": ("worker_count", int, WORKER_SWEEP),
+    "radius": ("radius_km", float, RADIUS_SWEEP),
 }
 
 
@@ -122,39 +124,11 @@ def run_figure5_panel(
     non-swept parameters stay at Table IV's defaults (|R|=2500, |W|=500,
     rad=1.0, real values) unless overridden via ``base``.
     """
-    if axis not in _AXIS_SWEEPS:
-        raise ConfigurationError(f"unknown sweep axis {axis!r}")
-    panel_id = PANEL_IDS[(axis, metric)]
-    sweep = values if values is not None else _AXIS_SWEEPS[axis]
-    base = base or SyntheticWorkloadConfig()
-    algorithms = algorithms or list(DEFAULT_ALGORITHMS)
-    panel = FigurePanel(panel_id=panel_id, axis=axis, metric=metric)
-    panel.series = {name: [] for name in algorithms}
-
-    for x in sweep:
-        workload_config = SyntheticWorkloadConfig(
-            request_count=int(x) if axis == "requests" else base.request_count,
-            worker_count=int(x) if axis == "workers" else base.worker_count,
-            radius_km=float(x) if axis == "radius" else base.radius_km,
-            value_distribution=base.value_distribution,
-            city_km=base.city_km,
-            hotspot_count=base.hotspot_count,
-            skew=base.skew,
-            arrival=base.arrival,
-            horizon_seconds=base.horizon_seconds,
-            history_length=base.history_length,
-            platform_ids=base.platform_ids,
-            behavior=base.behavior,
-        )
-        scenario = SyntheticWorkload(workload_config).build(seed=scenario_seed)
-        rows = run_comparison(scenario, algorithms, config)
-        panel.x_values.append(float(x))
-        # run_comparison returns rows in request order, so zip against the
-        # requested names (the registry is case-insensitive; display names
-        # differ in case).
-        for name, row in zip(algorithms, rows):
-            panel.series[name].append(_metric_of(row, metric))
-    return panel
+    if axis in _AXES and (axis, metric) not in PANEL_IDS:
+        raise KeyError(f"unknown figure metric {metric!r}")
+    return run_figure5_axis(
+        axis, values, base, config, algorithms, scenario_seed
+    )[metric]
 
 
 def run_figure5_axis(
@@ -169,11 +143,13 @@ def run_figure5_axis(
 
     The paper plots revenue, response time, memory and acceptance ratio
     over the *same* runs; computing them together quarters the sweep cost.
+    Every field of ``base`` but the swept one carries into each scenario.
     Returns ``{metric: FigurePanel}``.
     """
-    if axis not in _AXIS_SWEEPS:
+    if axis not in _AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
-    sweep = values if values is not None else _AXIS_SWEEPS[axis]
+    field_name, field_type, default_sweep = _AXES[axis]
+    sweep = values if values is not None else default_sweep
     base = base or SyntheticWorkloadConfig()
     algorithms = algorithms or list(DEFAULT_ALGORITHMS)
     metrics = ("revenue", "time", "memory", "acceptance")
@@ -187,24 +163,14 @@ def run_figure5_axis(
         for metric in metrics
     }
     for x in sweep:
-        workload_config = SyntheticWorkloadConfig(
-            request_count=int(x) if axis == "requests" else base.request_count,
-            worker_count=int(x) if axis == "workers" else base.worker_count,
-            radius_km=float(x) if axis == "radius" else base.radius_km,
-            value_distribution=base.value_distribution,
-            city_km=base.city_km,
-            hotspot_count=base.hotspot_count,
-            skew=base.skew,
-            arrival=base.arrival,
-            horizon_seconds=base.horizon_seconds,
-            history_length=base.history_length,
-            platform_ids=base.platform_ids,
-            behavior=base.behavior,
-        )
+        workload_config = replace(base, **{field_name: field_type(x)})
         scenario = SyntheticWorkload(workload_config).build(seed=scenario_seed)
         rows = run_comparison(scenario, algorithms, config)
         for metric in metrics:
             panels[metric].x_values.append(float(x))
+            # run_comparison returns rows in request order, so zip against
+            # the requested names (the registry is case-insensitive;
+            # display names differ in case).
             for name, row in zip(algorithms, rows):
                 panels[metric].series[name].append(_metric_of(row, metric))
     return panels

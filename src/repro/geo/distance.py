@@ -13,7 +13,7 @@ import math
 
 from repro.geo.point import Point
 
-__all__ = ["euclidean", "euclidean_squared", "manhattan", "haversine_km"]
+__all__ = ["euclidean", "manhattan", "haversine_km"]
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -21,13 +21,6 @@ EARTH_RADIUS_KM = 6371.0088
 def euclidean(a: Point, b: Point) -> float:
     """Planar Euclidean distance."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def euclidean_squared(a: Point, b: Point) -> float:
-    """Squared planar Euclidean distance."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
 
 
 def manhattan(a: Point, b: Point) -> float:

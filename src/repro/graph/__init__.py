@@ -8,9 +8,6 @@ Fig. 4, citing Ahuja et al. [11]).  We implement:
 * :func:`max_weight_matching` — successive-shortest-paths (min-cost-flow)
   maximum-weight matching on sparse graphs, optimal and fast enough for the
   table-scale experiments;
-* :func:`hungarian_dense` — the classic O(n^3) Hungarian algorithm on dense
-  matrices, cross-checked against ``scipy.optimize.linear_sum_assignment``
-  in the property tests;
 * :class:`HopcroftKarp` — maximum-cardinality matching (used by the
   RANKING baseline's offline reference and tests);
 * :class:`Dinic` — maximum flow (the Kazemi-GeoCrowd [8] reduction
@@ -18,17 +15,14 @@ Fig. 4, citing Ahuja et al. [11]).  We implement:
 """
 
 from repro.graph.bipartite import BipartiteGraph, MatchingResult
-from repro.graph.auction import auction_matching
-from repro.graph.hungarian import hungarian_dense, max_weight_matching
+from repro.graph.hungarian import max_weight_matching
 from repro.graph.hopcroft_karp import HopcroftKarp
 from repro.graph.maxflow import Dinic
 
 __all__ = [
     "BipartiteGraph",
     "MatchingResult",
-    "hungarian_dense",
     "max_weight_matching",
-    "auction_matching",
     "HopcroftKarp",
     "Dinic",
 ]

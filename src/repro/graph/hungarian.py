@@ -1,19 +1,12 @@
 """Maximum-weight bipartite matching.
 
-Two implementations, both exact:
-
-* :func:`max_weight_matching` — sparse successive-shortest-paths with
-  Johnson potentials (the incremental Jonker-Volgenant scheme).  Each left
-  vertex additionally owns a private zero-weight *dummy* column, which makes
-  every row matchable and turns "leave this request unserved" into an
-  ordinary assignment; maximizing total weight is converted to minimizing
-  ``W - w`` with ``W`` the maximum edge weight, so all reduced costs stay
-  non-negative and Dijkstra applies.  Complexity ``O(L * (E + V) log V)``.
-
-* :func:`hungarian_dense` — the classical O(n^3) Hungarian algorithm on a
-  dense cost matrix (minimization form).  Used for small instances and
-  cross-checked against ``scipy.optimize.linear_sum_assignment`` in the
-  property tests.
+:func:`max_weight_matching` is sparse successive-shortest-paths with
+Johnson potentials (the incremental Jonker-Volgenant scheme).  Each left
+vertex additionally owns a private zero-weight *dummy* column, which makes
+every row matchable and turns "leave this request unserved" into an
+ordinary assignment; maximizing total weight is converted to minimizing
+``W - w`` with ``W`` the maximum edge weight, so all reduced costs stay
+non-negative and Dijkstra applies.  Complexity ``O(L * (E + V) log V)``.
 
 The offline COM baseline (paper §II-B / Fig. 4) builds a
 :class:`~repro.graph.bipartite.BipartiteGraph` of eligible request-worker
@@ -28,7 +21,7 @@ import math
 from repro.errors import GraphError
 from repro.graph.bipartite import BipartiteGraph, MatchingResult
 
-__all__ = ["max_weight_matching", "hungarian_dense"]
+__all__ = ["max_weight_matching"]
 
 
 def max_weight_matching(graph: BipartiteGraph) -> MatchingResult:
@@ -145,82 +138,3 @@ def max_weight_matching(graph: BipartiteGraph) -> MatchingResult:
         result.pairs[graph.left_key_of(row)] = graph.right_key_of(column)
         result.total_weight += weight
     return result
-
-
-def hungarian_dense(cost: list[list[float]]) -> tuple[list[int], float]:
-    """Classical Hungarian algorithm, minimization form.
-
-    Parameters
-    ----------
-    cost:
-        A rectangular matrix ``cost[row][column]`` with ``rows <= columns``.
-        Every row is assigned to a distinct column.
-
-    Returns
-    -------
-    ``(assignment, total_cost)`` where ``assignment[row]`` is the column
-    assigned to ``row``.
-
-    Notes
-    -----
-    This is the O(n^2 m) potential-based formulation (e-maxx/JV style) using
-    1-based sentinel column 0.  It accepts negative costs.
-    """
-    rows = len(cost)
-    if rows == 0:
-        return [], 0.0
-    columns = len(cost[0])
-    if any(len(row) != columns for row in cost):
-        raise GraphError("cost matrix is ragged")
-    if rows > columns:
-        raise GraphError(
-            f"hungarian_dense requires rows <= columns, got {rows}x{columns}"
-        )
-
-    INF = math.inf
-    u = [0.0] * (rows + 1)
-    v = [0.0] * (columns + 1)
-    way = [0] * (columns + 1)
-    match = [0] * (columns + 1)  # column -> row (1-based; 0 = free)
-
-    for row in range(1, rows + 1):
-        match[0] = row
-        current_column = 0
-        minv = [INF] * (columns + 1)
-        used = [False] * (columns + 1)
-        while True:
-            used[current_column] = True
-            row_here = match[current_column]
-            delta = INF
-            next_column = 0
-            for column in range(1, columns + 1):
-                if used[column]:
-                    continue
-                reduced = cost[row_here - 1][column - 1] - u[row_here] - v[column]
-                if reduced < minv[column]:
-                    minv[column] = reduced
-                    way[column] = current_column
-                if minv[column] < delta:
-                    delta = minv[column]
-                    next_column = column
-            for column in range(columns + 1):
-                if used[column]:
-                    u[match[column]] += delta
-                    v[column] -= delta
-                else:
-                    minv[column] -= delta
-            current_column = next_column
-            if match[current_column] == 0:
-                break
-        while current_column != 0:
-            previous = way[current_column]
-            match[current_column] = match[previous]
-            current_column = previous
-
-    assignment = [-1] * rows
-    total = 0.0
-    for column in range(1, columns + 1):
-        if match[column] != 0:
-            assignment[match[column] - 1] = column - 1
-            total += cost[match[column] - 1][column - 1]
-    return assignment, total

@@ -253,6 +253,9 @@ class MatchingGateway:
         # handles.  All emission is flag-guarded on ``enabled``, so the
         # default NULL_EVENT_SINK costs attribute reads only.
         self._events: EventSink = NULL_EVENT_SINK
+        #: The log this gateway opened from a path (closed on stop); a
+        #: caller-supplied sink stays open for its caller to reuse.
+        self._owned_events: EventLog | None = None
         #: Resolution events buffered until the triggering arrival's
         #: journal append succeeds (exactly-once across crash retries).
         self._pending_resolution_events: list[tuple[float, dict]] = []  # comlint: loop-owned
@@ -265,7 +268,9 @@ class MatchingGateway:
             self._bootstrap_journal(journal)
         if events is not None:
             if not isinstance(events, EventSink):
-                events = EventLog(events, registry=self.registry)
+                events = self._owned_events = EventLog(
+                    events, registry=self.registry
+                )
             self.attach_events(events)
 
     @classmethod
@@ -563,7 +568,9 @@ class MatchingGateway:
         self._loop_task = None
         if self._journal is not None:
             self._journal.close()
-        if self._events.enabled:
+        if self._owned_events is not None:
+            self._owned_events.close()
+        elif self._events.enabled:
             self._events.flush()
 
     def _new_future(self) -> asyncio.Future:

@@ -192,6 +192,7 @@ def recover_gateway(
     )
     if log is not None:
         gateway.attach_events(log, recovered=True)
+        gateway._owned_events = log
     report = RecoveryReport(
         checkpoint_seq=checkpoint_seq,
         journal_records=len(records),

@@ -5,23 +5,20 @@ These are the lowest layer of the library; nothing here imports from any
 other :mod:`repro` subpackage except :mod:`repro.errors`.
 """
 
-from repro.utils.rng import SeedSequence, derive_rng, spawn_seeds
-from repro.utils.stats import RunningStats, quantile, summarize
+from repro.utils.rng import SeedSequence, derive_rng
+from repro.utils.stats import RunningStats, quantile
 from repro.utils.timer import Stopwatch, TimingAccumulator
-from repro.utils.memory import MemoryMeter, approximate_size_bytes
+from repro.utils.memory import approximate_size_bytes
 from repro.utils.tables import TextTable, format_float, format_si
 from repro.utils.ascii_chart import AsciiChart, render_panel
 
 __all__ = [
     "SeedSequence",
     "derive_rng",
-    "spawn_seeds",
     "RunningStats",
     "quantile",
-    "summarize",
     "Stopwatch",
     "TimingAccumulator",
-    "MemoryMeter",
     "approximate_size_bytes",
     "TextTable",
     "format_float",

@@ -3,24 +3,19 @@
 The paper reports the resident memory of its C++ implementation.  A Python
 process's RSS is dominated by the interpreter, so raw RSS would hide the
 signal the paper plots (memory grows with |R| and |W|, flat in rad, nearly
-identical across algorithms).  We therefore provide two complementary
-meters:
-
-* :func:`approximate_size_bytes` — a deep ``sys.getsizeof`` walk over the
-  simulator's live data structures, giving an *analytic* footprint that
-  scales exactly with the stored requests/workers (this is what the figure
-  benches report);
-* :class:`MemoryMeter` — a ``tracemalloc`` wrapper measuring real allocation
-  deltas for callers who want interpreter-level truth.
+identical across algorithms).  We therefore report
+:func:`approximate_size_bytes`: a deep ``sys.getsizeof`` walk over the
+simulator's live data structures, giving an *analytic* footprint that
+scales exactly with the stored requests/workers (this is what the figure
+benches report).
 """
 
 from __future__ import annotations
 
 import sys
-import tracemalloc
 from collections.abc import Mapping
 
-__all__ = ["approximate_size_bytes", "MemoryMeter"]
+__all__ = ["approximate_size_bytes"]
 
 _ATOMIC_TYPES = (int, float, complex, bool, bytes, str, type(None), range)
 
@@ -145,36 +140,3 @@ def approximate_size_bytes(obj: object, _seen: set[int] | None = None) -> int:
         return size
 
     return walk(obj)
-
-
-class MemoryMeter:
-    """Measure real allocation deltas with ``tracemalloc``.
-
-    Example
-    -------
-    >>> meter = MemoryMeter()
-    >>> with meter:
-    ...     data = list(range(100_000))
-    >>> meter.peak_bytes > 0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.current_bytes = 0
-        self.peak_bytes = 0
-        self._was_tracing = False
-
-    def __enter__(self) -> "MemoryMeter":
-        self._was_tracing = tracemalloc.is_tracing()
-        if not self._was_tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        self._baseline = tracemalloc.get_traced_memory()[0]
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        current, peak = tracemalloc.get_traced_memory()
-        self.current_bytes = max(0, current - self._baseline)
-        self.peak_bytes = max(0, peak - self._baseline)
-        if not self._was_tracing:
-            tracemalloc.stop()

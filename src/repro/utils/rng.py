@@ -21,7 +21,7 @@ import hashlib
 import random
 from collections.abc import Iterator
 
-__all__ = ["SeedSequence", "derive_rng", "derive_seed", "spawn_seeds"]
+__all__ = ["SeedSequence", "derive_rng", "derive_seed"]
 
 _MASK_64 = (1 << 64) - 1
 
@@ -36,11 +36,6 @@ def derive_seed(seed: int, label: str) -> int:
 def derive_rng(seed: int, label: str) -> random.Random:
     """Return a fresh :class:`random.Random` seeded from ``(seed, label)``."""
     return random.Random(derive_seed(seed, label))
-
-
-def spawn_seeds(seed: int, label: str, count: int) -> list[int]:
-    """Return ``count`` independent child seeds for repeated trials."""
-    return [derive_seed(seed, f"{label}#{index}") for index in range(count)]
 
 
 class SeedSequence:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-__all__ = ["RunningStats", "quantile", "summarize", "StatsSummary"]
+__all__ = ["RunningStats", "quantile"]
 
 
 class RunningStats:
@@ -86,20 +85,6 @@ class RunningStats:
         )
 
 
-@dataclass(frozen=True)
-class StatsSummary:
-    """Immutable snapshot of a sample's summary statistics."""
-
-    count: int
-    mean: float
-    stddev: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
-
-
 def quantile(sorted_values: list[float], q: float) -> float:
     """Linear-interpolated quantile of an already *sorted* sample.
 
@@ -119,22 +104,3 @@ def quantile(sorted_values: list[float], q: float) -> float:
         return sorted_values[low]
     fraction = position - low
     return sorted_values[low] * (1.0 - fraction) + sorted_values[high] * fraction
-
-
-def summarize(values: Iterable[float]) -> StatsSummary:
-    """Compute a :class:`StatsSummary` for a finite sample."""
-    data = sorted(values)
-    if not data:
-        raise ValueError("summarize of empty sample")
-    stats = RunningStats()
-    stats.extend(data)
-    return StatsSummary(
-        count=stats.count,
-        mean=stats.mean,
-        stddev=stats.stddev,
-        minimum=data[0],
-        maximum=data[-1],
-        p50=quantile(data, 0.50),
-        p95=quantile(data, 0.95),
-        p99=quantile(data, 0.99),
-    )

@@ -1,4 +1,4 @@
-"""comlint: fixture-driven rule tests plus suppression/baseline/CLI checks.
+"""comlint: fixture-driven rule tests plus suppression/CLI checks.
 
 Each file under ``tests/lint_fixtures/`` is crafted to fire *exactly* its
 intended rule (and the suppressed/clean fixtures to fire nothing), so any
@@ -13,11 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
     get_rule,
     lint_paths,
     lint_source,
-    partition_violations,
     render_json,
     rule_ids,
 )
@@ -217,28 +215,9 @@ def test_allowlisted_paths_are_exempt() -> None:
     ]
 
 
-def test_baseline_partition_and_roundtrip(tmp_path: Path) -> None:
-    violations = lint_paths([FIXTURES], root=FIXTURES)
-    baseline = Baseline.from_violations(violations[:3])
-    new, baselined = partition_violations(violations, baseline)
-    assert len(baselined) == 3 and len(new) == len(violations) - 3
-
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    reloaded = Baseline.load(path)
-    assert len(reloaded) == 3
-    _, rehit = partition_violations(violations, reloaded)
-    assert len(rehit) == 3
-
-
-def test_shipped_baseline_is_empty() -> None:
-    shipped = Baseline.load(Path(__file__).parents[1] / "comlint.baseline.json")
-    assert len(shipped) == 0
-
-
 def test_render_json_shape() -> None:
     violations = lint_paths([FIXTURES / "det001_direct_random.py"], root=FIXTURES)
-    payload = json.loads(render_json(violations, baselined=[]))
+    payload = json.loads(render_json(violations))
     assert payload["total"] == 1
     assert payload["counts"] == {"DET001": 1}
     assert payload["violations"][0]["rule"] == "DET001"
@@ -254,14 +233,6 @@ def test_cli_lint_exit_codes(tmp_path, monkeypatch, capsys) -> None:
 
     assert main(["lint", "pkg"]) == 1
     assert "DET004" in capsys.readouterr().out
-
-    assert main(["lint", "--update-baseline", "pkg"]) == 0
-    capsys.readouterr()
-    assert main(["lint", "pkg"]) == 0
-    assert "baselined" in capsys.readouterr().out
-    # --strict ignores the baseline: the legacy debt still fails the build.
-    assert main(["lint", "--strict", "pkg"]) == 1
-    capsys.readouterr()
 
 
 def test_jobs_fanout_matches_serial() -> None:

@@ -11,11 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.behavior import (
     BehaviorOracle,
     EmpiricalDistribution,
-    LognormalDistribution,
-    NormalDistribution,
     UniformDistribution,
     WorkerBehavior,
-    generate_history,
 )
 from repro.errors import ConfigurationError
 
@@ -53,64 +50,6 @@ class TestUniformDistribution:
         dist = UniformDistribution(2.0, 4.0)
         rng = random.Random(7)
         assert all(2.0 <= dist.sample(rng) <= 4.0 for _ in range(100))
-
-
-class TestNormalDistribution:
-    def test_cdf_median(self):
-        dist = NormalDistribution(5.0, 1.0)
-        assert dist.cdf(5.0) == pytest.approx(0.5)
-
-    def test_truncation_at_zero(self):
-        dist = NormalDistribution(0.5, 2.0)
-        rng = random.Random(1)
-        assert all(dist.sample(rng) >= 0.0 for _ in range(200))
-        assert dist.cdf(-0.1) == 0.0
-
-    def test_invalid_sigma(self):
-        with pytest.raises(ConfigurationError):
-            NormalDistribution(1.0, 0.0)
-
-    @given(probabilities)
-    def test_quantile_inverts_cdf(self, q):
-        dist = NormalDistribution(5.0, 2.0)
-        value = dist.quantile(q)
-        if value > 0:
-            assert dist.cdf(value) == pytest.approx(q, abs=1e-6)
-
-    def test_truncated_mean_above_naive(self):
-        # Truncation moves mass up from negative values.
-        dist = NormalDistribution(0.0, 1.0)
-        assert dist.mean() > 0.0
-
-    def test_sample_mean_close(self):
-        dist = NormalDistribution(10.0, 1.0)
-        rng = random.Random(0)
-        mean = sum(dist.sample(rng) for _ in range(4000)) / 4000
-        assert mean == pytest.approx(10.0, abs=0.1)
-
-
-class TestLognormalDistribution:
-    def test_median(self):
-        dist = LognormalDistribution(mu=1.0, sigma=0.5)
-        import math
-
-        assert dist.cdf(math.e) == pytest.approx(0.5)
-
-    def test_positive_support(self):
-        dist = LognormalDistribution(0.0, 1.0)
-        assert dist.cdf(0.0) == 0.0
-        assert dist.cdf(-1.0) == 0.0
-
-    @given(probabilities)
-    def test_quantile_inverts_cdf(self, q):
-        dist = LognormalDistribution(0.5, 0.7)
-        assert dist.cdf(dist.quantile(q)) == pytest.approx(q, abs=1e-6)
-
-    def test_mean_formula(self):
-        import math
-
-        dist = LognormalDistribution(1.0, 0.5)
-        assert dist.mean() == pytest.approx(math.exp(1.0 + 0.125))
 
 
 class TestEmpiricalDistribution:
@@ -151,24 +90,6 @@ class TestEmpiricalDistribution:
         cdfs = [dist.cdf(v) for v in grid]
         assert cdfs == sorted(cdfs)
         assert cdfs[-1] == 1.0
-
-
-class TestGenerateHistory:
-    def test_length(self):
-        dist = UniformDistribution(0.0, 1.0)
-        assert len(generate_history(dist, 25, random.Random(0))) == 25
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            generate_history(UniformDistribution(0, 1), -1, random.Random(0))
-
-    def test_empirical_cdf_consistency(self):
-        # Eq. 4 over a generated history converges to the true CDF.
-        dist = UniformDistribution(0.2, 0.8)
-        history = generate_history(dist, 4000, random.Random(3))
-        empirical = EmpiricalDistribution(history)
-        for probe in (0.3, 0.5, 0.7):
-            assert empirical.cdf(probe) == pytest.approx(dist.cdf(probe), abs=0.04)
 
 
 class TestBehaviorOracle:
@@ -246,16 +167,6 @@ distributions = st.one_of(
         st.floats(min_value=0.0, max_value=50.0),
         st.floats(min_value=0.0, max_value=50.0),
     ).map(lambda pair: UniformDistribution(min(pair), max(pair))),
-    st.builds(
-        NormalDistribution,
-        st.floats(min_value=-5.0, max_value=20.0),
-        st.floats(min_value=0.01, max_value=10.0),
-    ),
-    st.builds(
-        LognormalDistribution,
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=0.01, max_value=2.0),
-    ),
 )
 
 
@@ -271,18 +182,10 @@ class TestDrawBounds:
         assert EmpiricalDistribution([0.7, 0.2, 0.5]).draw_bounds() == (0.2, 0.7)
         # rng.uniform may round past high, so only low is declared.
         assert UniformDistribution(0.3, 0.6).draw_bounds() == (0.3, math.inf)
-        assert NormalDistribution(1.0, 1.0).draw_bounds() == (0.0, math.inf)
-        assert LognormalDistribution(0.0, 1.0).draw_bounds() == (0.0, math.inf)
 
     def test_parameters_that_would_draw_nan_raise(self):
         with pytest.raises(ConfigurationError):
             UniformDistribution(0.0, math.inf)
-        with pytest.raises(ConfigurationError):
-            LognormalDistribution(math.nan, 1.0)
-        with pytest.raises(ConfigurationError):
-            LognormalDistribution(0.0, math.inf)
-        with pytest.raises(ConfigurationError):
-            LognormalDistribution(0.0, math.nan)
 
 
 def _boundary_payments(oracle, dist, worker_id, request_id, value):

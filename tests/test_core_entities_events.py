@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from repro.core.entities import Request, Worker
-from repro.core.events import ArrivalEvent, EventKind, EventStream, merge_streams
+from repro.core.events import ArrivalEvent, EventKind, EventStream
 from repro.core.matching import AssignmentKind, MatchRecord
 from repro.errors import ConfigurationError
 from repro.geo.point import Point
@@ -137,11 +137,6 @@ class TestEventStream:
         assert flipped.workers[0].service_radius == 2.0
         assert flipped.requests[0].value == 7.5
 
-    def test_merge_streams(self):
-        a = EventStream.from_entities([make_worker("w1", t=0)], [])
-        b = EventStream.from_entities([make_worker("w2", "B", t=1)], [])
-        merged = merge_streams([a, b])
-        assert [w.worker_id for w in merged.workers] == ["w1", "w2"]
 
 
 def _records() -> list:

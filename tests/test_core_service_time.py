@@ -5,25 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import TOTA
-from repro.core import (
-    ConstantServiceTime,
-    Simulator,
-    SimulatorConfig,
-    TravelAwareServiceTime,
-)
+from repro.core import Simulator, SimulatorConfig, TravelAwareServiceTime
 from repro.errors import ConfigurationError
 
 from conftest import make_request, make_scenario, make_worker
-
-
-class TestConstantServiceTime:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ConstantServiceTime(0.0)
-
-    def test_constant(self):
-        model = ConstantServiceTime(1200.0)
-        assert model.duration(make_worker(), make_request(), seed=0) == 1200.0
 
 
 class TestTravelAwareServiceTime:
@@ -98,24 +83,3 @@ class TestSimulatorIntegration:
         ).run(scenario, TOTA)
         served = {r.request.request_id for r in result.all_records()}
         assert served == {"r1", "r3"}
-
-    def test_constant_model_matches_plain_duration(self):
-        workers = [make_worker("w", "A", 0.0)]
-        requests = [make_request(f"r{i}", "A", 100.0 * (i + 1)) for i in range(4)]
-        scenario = make_scenario(workers, requests)
-        plain = Simulator(
-            SimulatorConfig(
-                worker_reentry=True,
-                service_duration=150.0,
-                measure_response_time=False,
-            )
-        ).run(scenario, TOTA)
-        modelled = Simulator(
-            SimulatorConfig(
-                worker_reentry=True,
-                service_model=ConstantServiceTime(150.0),
-                measure_response_time=False,
-            )
-        ).run(scenario, TOTA)
-        assert plain.total_completed == modelled.total_completed
-        assert plain.total_revenue == modelled.total_revenue

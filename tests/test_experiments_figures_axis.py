@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig
 from repro.experiments.figures import run_figure5_axis, run_figure5_panel
-from repro.workloads import SyntheticWorkloadConfig
+from repro.experiments.harness import run_comparison
+from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
 TINY = ExperimentConfig(seeds=(0,))
 BASE = SyntheticWorkloadConfig(request_count=40, worker_count=16, city_km=4.0)
@@ -47,3 +50,19 @@ class TestRunFigure5Axis:
         shared = run_figure5_axis("radius", **kwargs)
         single = run_figure5_panel("radius", "revenue", **kwargs)
         assert shared["revenue"].series == single.series
+
+    def test_sweep_keeps_every_base_field(self):
+        """A swept scenario is ``base`` with only the axis field replaced,
+        so a worker shift in ``base`` reaches every point of the sweep."""
+        shifted = replace(BASE, shift_seconds=600.0)
+        kwargs = dict(values=(1.0,), base=shifted, config=TINY, algorithms=["tota"])
+        scenario = SyntheticWorkload(replace(shifted, radius_km=1.0)).build(seed=11)
+        expected = run_comparison(scenario, ["tota"], TINY)[0].total_revenue
+        unshifted = run_figure5_panel("radius", "revenue", **dict(kwargs, base=BASE))
+        assert unshifted.series["tota"] != [expected]
+        assert run_figure5_panel("radius", "revenue", **kwargs).series["tota"] == [
+            expected
+        ]
+        assert run_figure5_axis("radius", **kwargs)["revenue"].series["tota"] == [
+            expected
+        ]

@@ -1,4 +1,4 @@
-"""Tests for the grid index and k-d tree, cross-checked vs brute force."""
+"""Tests for the grid index, cross-checked vs brute force."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.geo import GridIndex, KDTree, Point
+from repro.geo import GridIndex, Point
 
 # width=32 keeps coordinates float32-representable: squaring them in
 # float64 can never underflow to zero, which would otherwise let a
@@ -148,61 +148,3 @@ class TestGridIndexVsBruteForce:
                 assert set(index.query_radius(center, radius)) == brute_radius(
                     items, center, radius
                 )
-
-
-class TestKDTree:
-    def test_empty(self):
-        tree = KDTree([])
-        assert len(tree) == 0
-        assert tree.nearest(Point(0, 0)) is None
-        assert tree.query_radius(Point(0, 0), 5.0) == []
-
-    def test_single(self):
-        tree = KDTree([("a", Point(1, 1))])
-        key, distance = tree.nearest(Point(0, 0))
-        assert key == "a"
-        assert distance == pytest.approx(math.sqrt(2))
-
-    def test_negative_radius_raises(self):
-        with pytest.raises(ConfigurationError):
-            KDTree([("a", Point(0, 0))]).query_radius(Point(0, 0), -1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(point_lists, coords, coords, st.floats(min_value=0, max_value=20))
-    def test_radius_matches_brute_force(self, raw, cx, cy, radius):
-        items = {i: Point(x, y) for i, (x, y) in enumerate(raw)}
-        tree = KDTree(list(items.items()))
-        center = Point(cx, cy)
-        assert set(tree.query_radius(center, radius)) == brute_radius(
-            items, center, radius
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(point_lists, coords, coords)
-    def test_nearest_matches_brute_force(self, raw, cx, cy):
-        items = {i: Point(x, y) for i, (x, y) in enumerate(raw)}
-        tree = KDTree(list(items.items()))
-        center = Point(cx, cy)
-        result = tree.nearest(center)
-        if not items:
-            assert result is None
-            return
-        assert result is not None
-        __, expected = brute_nearest(items, center)
-        assert result[1] == pytest.approx(expected)
-
-    def test_agrees_with_grid_index(self):
-        rng = random.Random(9)
-        pairs = [
-            (i, Point(rng.uniform(0, 10), rng.uniform(0, 10))) for i in range(200)
-        ]
-        tree = KDTree(pairs)
-        grid = GridIndex(1.0)
-        for key, point in pairs:
-            grid.insert(key, point)
-        for _ in range(20):
-            center = Point(rng.uniform(0, 10), rng.uniform(0, 10))
-            radius = rng.uniform(0, 3)
-            assert set(tree.query_radius(center, radius)) == set(
-                grid.query_radius(center, radius)
-            )

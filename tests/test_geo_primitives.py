@@ -12,7 +12,6 @@ from repro.geo import (
     BoundingBox,
     Point,
     euclidean,
-    euclidean_squared,
     haversine_km,
     manhattan,
 )
@@ -55,10 +54,6 @@ class TestPoint:
 
 
 class TestDistances:
-    def test_euclidean_consistency(self):
-        a, b = Point(1, 1), Point(4, 5)
-        assert euclidean(a, b) ** 2 == pytest.approx(euclidean_squared(a, b))
-
     def test_manhattan(self):
         assert manhattan(Point(0, 0), Point(3, 4)) == 7.0
 

@@ -1,8 +1,7 @@
 """Tests for bipartite structures and matching algorithms.
 
-The exact solvers are cross-checked against ``scipy.optimize.
-linear_sum_assignment`` (dense Hungarian), ``networkx`` (Hopcroft-Karp,
-max-weight matching) and each other.
+The exact solvers are cross-checked against ``networkx`` (Hopcroft-Karp,
+max-weight matching, max flow) and each other.
 """
 
 from __future__ import annotations
@@ -13,19 +12,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-# Cross-check baselines only; the solvers under test are pure Python and
-# the no-numpy CI leg runs without either package.
-np = pytest.importorskip("numpy")
-linear_sum_assignment = pytest.importorskip(
-    "scipy.optimize"
-).linear_sum_assignment
-
 from repro.errors import GraphError
 from repro.graph import (
     BipartiteGraph,
     Dinic,
     HopcroftKarp,
-    hungarian_dense,
     max_weight_matching,
 )
 
@@ -88,61 +79,6 @@ class TestBipartiteGraph:
         assert graph.neighbours("a") == {"x": 1.0, "y": 2.0}
         with pytest.raises(GraphError):
             graph.neighbours("nope")
-
-
-class TestHungarianDense:
-    def test_identity(self):
-        cost = [[0.0, 1.0], [1.0, 0.0]]
-        assignment, total = hungarian_dense(cost)
-        assert assignment == [0, 1]
-        assert total == 0.0
-
-    def test_rectangular(self):
-        cost = [[5.0, 1.0, 9.0]]
-        assignment, total = hungarian_dense(cost)
-        assert assignment == [1]
-        assert total == 1.0
-
-    def test_rows_exceed_columns_raises(self):
-        with pytest.raises(GraphError):
-            hungarian_dense([[1.0], [2.0]])
-
-    def test_ragged_raises(self):
-        with pytest.raises(GraphError):
-            hungarian_dense([[1.0, 2.0], [3.0]])
-
-    def test_empty(self):
-        assert hungarian_dense([]) == ([], 0.0)
-
-    def test_negative_costs(self):
-        cost = [[-5.0, 0.0], [0.0, -5.0]]
-        assignment, total = hungarian_dense(cost)
-        assert total == -10.0
-        assert assignment == [0, 1]
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=7),
-        st.integers(min_value=0, max_value=7),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    def test_matches_scipy(self, rows, extra_cols, seed):
-        columns = rows + extra_cols
-        rng = random.Random(seed)
-        cost = [
-            [round(rng.uniform(-10, 10), 4) for _ in range(columns)]
-            for _ in range(rows)
-        ]
-        __, ours = hungarian_dense(cost)
-        matrix = np.array(cost)
-        row_idx, col_idx = linear_sum_assignment(matrix)
-        assert ours == pytest.approx(matrix[row_idx, col_idx].sum(), abs=1e-6)
-
-    def test_assignment_is_permutation(self):
-        rng = random.Random(1)
-        cost = [[rng.uniform(0, 1) for _ in range(6)] for _ in range(6)]
-        assignment, __ = hungarian_dense(cost)
-        assert sorted(assignment) == list(range(6))
 
 
 class TestMaxWeightMatching:
@@ -321,70 +257,3 @@ class TestDinic:
         g.add_node("n7")
         expected = nx.maximum_flow_value(g, "n0", "n7") if g.has_node("n0") else 0.0
         assert net.max_flow("n0", "n7") == pytest.approx(expected)
-
-
-class TestAuctionMatching:
-    def test_invalid_epsilon(self):
-        from repro.graph import auction_matching
-
-        with pytest.raises(GraphError):
-            auction_matching(BipartiteGraph(), epsilon=0.0)
-
-    def test_empty(self):
-        from repro.graph import auction_matching
-
-        assert auction_matching(BipartiteGraph()).cardinality == 0
-
-    def test_simple_optimum(self):
-        from repro.graph import auction_matching
-
-        graph = BipartiteGraph()
-        graph.add_edge("a", "x", 10.0)
-        graph.add_edge("a", "y", 7.0)
-        graph.add_edge("b", "x", 8.0)
-        result = auction_matching(graph)
-        assert result.total_weight == pytest.approx(15.0, abs=1e-4)
-
-    def test_skips_non_positive_weights(self):
-        from repro.graph import auction_matching
-
-        graph = BipartiteGraph()
-        graph.add_edge("a", "x", -1.0)
-        assert auction_matching(graph).cardinality == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=8),
-        st.integers(min_value=0, max_value=8),
-        st.floats(min_value=0.1, max_value=1.0),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    def test_matches_hungarian(self, left, right, density, seed):
-        from repro.graph import auction_matching
-
-        graph = random_graph(random.Random(seed), left, right, density)
-        ours = auction_matching(graph, epsilon=1e-4).total_weight
-        expected = max_weight_matching(graph).total_weight
-        # epsilon-complementary slackness: within left * epsilon of optimal.
-        assert ours == pytest.approx(expected, abs=max(1, left) * 1e-4 + 1e-9)
-
-    def test_injective(self):
-        from repro.graph import auction_matching
-
-        graph = random_graph(random.Random(12), 15, 10, 0.4)
-        result = auction_matching(graph)
-        rights = list(result.pairs.values())
-        assert len(rights) == len(set(rights))
-
-    def test_near_tie_weights_terminate(self):
-        """Epsilon scaling keeps near-tie instances fast (the naive auction
-        crawls by epsilon here)."""
-        from repro.graph import auction_matching
-
-        graph = BipartiteGraph()
-        for i in range(10):
-            for j in range(10):
-                graph.add_edge(i, j, 5.0 + (i * 10 + j) * 1e-9)
-        result = auction_matching(graph, epsilon=1e-3)
-        assert result.cardinality == 10
-        assert result.total_weight == pytest.approx(50.0, abs=0.05)

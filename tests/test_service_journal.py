@@ -11,9 +11,11 @@ DemCOM and RamCOM, in-process and over TCP.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -593,6 +595,67 @@ class TestKilledEventLog:
             recover_gateway(
                 tmp_path / "a", events=tmp_path / "b.comevt", **JOURNAL_KWARGS
             )
+
+
+class TestEventLogLifetime:
+    """A gateway closes the event log it opened from a path when it stops,
+    as it closes its journal; a log the caller passed in stays open for
+    the caller (a cluster handoff re-attaches it to the next gateway)."""
+
+    @staticmethod
+    def unclosed_event_files(run) -> list[str]:
+        """``ResourceWarning`` messages naming a ``.comevt`` file that
+        was garbage-collected open while ``run`` ran."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run()
+            gc.collect()
+        return [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+            and ".comevt" in str(warning.message)
+        ]
+
+    def test_stop_closes_a_log_opened_from_a_path(self, tmp_path):
+        def run():
+            journaled_run(
+                tmp_path / "wal", build_scenario(), events=tmp_path / "run.comevt"
+            )
+
+        assert self.unclosed_event_files(run) == []
+        assert read_events(tmp_path / "run.comevt")[0].kind == "meta"
+
+    def test_drain_closes_a_log_resumed_by_recovery(self, tmp_path):
+        scenario = build_scenario()
+        events = tmp_path / "run.comevt"
+        journaled_run(tmp_path / "wal", scenario, events=events)
+
+        def run():
+            async def main():
+                gateway, __ = recover_gateway(tmp_path / "wal", events=events)
+                await gateway.start()
+                await gateway.drain()
+
+            asyncio.run(main())
+
+        assert self.unclosed_event_files(run) == []
+        assert read_events(events)[-1].kind == "drain"
+
+    def test_a_caller_supplied_log_stays_open(self, tmp_path):
+        log = EventLog(tmp_path / "run.comevt")
+
+        async def main():
+            gateway = MatchingGateway(
+                scenario=build_scenario(), config=service_config(), events=log
+            )
+            await gateway.start()
+            await gateway.drain()
+
+        asyncio.run(main())
+        log.emit("note", 0.0)
+        log.close()
+        assert read_events(tmp_path / "run.comevt")[-1].kind == "note"
 
 
 class TestRecoveryEdges:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.utils.memory import MemoryMeter, approximate_size_bytes
+from repro.utils.memory import approximate_size_bytes
 from repro.utils.tables import TextTable, format_float, format_si
 from repro.utils.timer import Stopwatch, TimingAccumulator
 
@@ -107,15 +107,6 @@ class TestApproximateSize:
         assert approximate_size_bytes({"k": list(range(100))}) > approximate_size_bytes(
             {}
         )
-
-
-class TestMemoryMeter:
-    def test_measures_allocation(self):
-        meter = MemoryMeter()
-        with meter:
-            data = list(range(200_000))
-        assert meter.peak_bytes > 100_000
-        del data
 
 
 class TestFormatting:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import SeedSequence, derive_rng, derive_seed, spawn_seeds
+from repro.utils.rng import SeedSequence, derive_rng, derive_seed
 
 
 class TestDeriveSeed:
@@ -36,18 +36,6 @@ class TestDeriveRng:
         a = derive_rng(7, "one")
         b = derive_rng(7, "two")
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
-
-
-class TestSpawnSeeds:
-    def test_count(self):
-        assert len(spawn_seeds(1, "trial", 10)) == 10
-
-    def test_distinct(self):
-        seeds = spawn_seeds(1, "trial", 50)
-        assert len(set(seeds)) == 50
-
-    def test_deterministic(self):
-        assert spawn_seeds(3, "x", 5) == spawn_seeds(3, "x", 5)
 
 
 class TestSeedSequence:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 import statistics
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import RunningStats, quantile, summarize
+from repro.utils.stats import RunningStats, quantile
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -95,22 +94,3 @@ class TestQuantile:
         for lower, higher in zip(values, values[1:]):
             # Allow one ulp of interpolation noise.
             assert higher >= lower - 1e-9 * max(1.0, abs(lower))
-
-
-class TestSummarize:
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_fields(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert summary.count == 5
-        assert summary.mean == pytest.approx(3.0)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 5.0
-        assert summary.p50 == pytest.approx(3.0)
-
-    def test_percentiles_ordered(self):
-        summary = summarize(range(1000))
-        assert summary.p50 <= summary.p95 <= summary.p99 <= summary.maximum
-        assert not math.isnan(summary.stddev)
