@@ -16,8 +16,7 @@ from repro.core.payment import MinimumOuterPaymentEstimator
 from repro.core.pricing import MaximumExpectedRevenuePricer
 from repro.baselines import TOTA, solve_offline
 from repro.geo import GridIndex, Point
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.hungarian import max_weight_matching
+from repro.graph.mincostflow import CapacitatedAssignment
 from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
 
@@ -102,12 +101,12 @@ def test_offline_matching(benchmark):
     assert solution.total_revenue > 0
 
 
-def test_sparse_hungarian(benchmark):
+def test_sparse_assignment(benchmark):
     rng = random.Random(5)
-    graph = BipartiteGraph()
-    for left in range(300):
+    solver = CapacitatedAssignment()
+    for job in range(300):
         for __ in range(4):
-            graph.add_edge(left, rng.randrange(200), rng.uniform(1, 10))
+            solver.add_edge(job, rng.randrange(200), rng.uniform(1, 10))
 
-    result = benchmark(max_weight_matching, graph)
-    assert result.total_weight > 0
+    __, total_weight = benchmark(solver.solve)
+    assert total_weight > 0

@@ -27,8 +27,7 @@ from __future__ import annotations
 from repro.core.base import Decision, OnlineAlgorithm, PlatformContext
 from repro.core.entities import Request, Worker
 from repro.errors import ConfigurationError
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.hungarian import max_weight_matching
+from repro.graph.mincostflow import CapacitatedAssignment
 
 __all__ = ["BatchMatching"]
 
@@ -76,19 +75,18 @@ class BatchMatching(OnlineAlgorithm):
         self._deadline = None
 
         # Stage 1: optimal inner matching of the whole batch.
-        graph = BipartiteGraph()
+        solver = CapacitatedAssignment()
         candidates: dict[tuple[str, str], Worker] = {}
         for request in batch:
-            graph.add_left(request.request_id)
             for worker in context.inner_candidates(request):
-                graph.add_edge(request.request_id, worker.worker_id, request.value)
+                solver.add_edge(request.request_id, worker.worker_id, request.value)
                 candidates[(request.request_id, worker.worker_id)] = worker
-        matching = max_weight_matching(graph)
+        pairs, __ = solver.solve()
 
         decisions: list[tuple[Request, Decision]] = []
         claimed_outer: set[str] = set()
         for request in batch:
-            worker_id = matching.pairs.get(request.request_id)
+            worker_id = pairs.get(request.request_id)
             if worker_id is not None:
                 worker = candidates[(request.request_id, worker_id)]
                 decisions.append((request, Decision.serve_inner(worker)))

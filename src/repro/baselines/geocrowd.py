@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.entities import Request, Worker
+from repro.baselines.offline import eligible_pairs
 from repro.core.simulator import Scenario
 from repro.errors import ConfigurationError
-from repro.geo.grid_index import GridIndex
 from repro.graph.maxflow import Dinic
 
 __all__ = ["GeoCrowdSolution", "solve_geocrowd"]
@@ -47,34 +46,6 @@ class GeoCrowdSolution:
         return loads
 
 
-def _eligible_pairs(
-    requests: list[Request], workers: list[Worker], include_cooperation: bool
-) -> list[tuple[Request, Worker]]:
-    if not requests or not workers:
-        return []
-    max_radius = max(worker.service_radius for worker in workers)
-    index = GridIndex(cell_size=max(0.25, max_radius))
-    by_id = {worker.worker_id: worker for worker in workers}
-    for worker in workers:
-        index.insert(worker.worker_id, worker.location)
-    pairs = []
-    for request in requests:
-        for worker_id in index.query_radius(request.location, max_radius):
-            worker = by_id[worker_id]
-            if not worker.arrived_before(request):
-                continue
-            if not worker.can_reach(request):
-                continue
-            if not worker.on_shift_at(request.arrival_time):
-                continue
-            if worker.platform_id != request.platform_id and not (
-                include_cooperation and worker.shareable
-            ):
-                continue
-            pairs.append((request, worker))
-    return pairs
-
-
 def solve_geocrowd(
     scenario: Scenario,
     max_tasks_per_worker: int = 1,
@@ -91,9 +62,22 @@ def solve_geocrowd(
     workers = scenario.events.workers
 
     network = Dinic()
-    pairs = _eligible_pairs(requests, workers, include_cooperation)
-    requests_with_edges = {request.request_id for request, __ in pairs}
-    workers_with_edges = {worker.worker_id for __, worker in pairs}
+    # OFF's pairs, narrowed to workers on shift and, unless cooperating,
+    # to same-platform pairs.
+    pairs = [
+        (request, worker)
+        for request, worker in eligible_pairs(requests, workers)
+        if worker.on_shift_at(request.arrival_time)
+        and (
+            worker.platform_id == request.platform_id
+            or (include_cooperation and worker.shareable)
+        )
+    ]
+    # Ordered (not sets): Dinic's augmenting paths follow edge insertion
+    # order, so a hash-ordered set would make the assignment vary with
+    # PYTHONHASHSEED.
+    requests_with_edges = dict.fromkeys(request.request_id for request, __ in pairs)
+    workers_with_edges = dict.fromkeys(worker.worker_id for __, worker in pairs)
     for request_id in requests_with_edges:
         network.add_edge(_SOURCE, ("r", request_id), 1.0)
     for worker_id in workers_with_edges:

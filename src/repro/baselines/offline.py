@@ -16,24 +16,29 @@ Definition-2.6 constraints allow the pair (``w`` arrived first, ``r`` inside
   reservation ``rho(w, r)`` is the cheapest accepted payment, so the weight
   is ``v_r - rho`` — included only when positive.
 
-The maximum-weight matching (successive-shortest-paths Hungarian on the
-sparse graph) is ``MaxSum(OPT)`` of Definitions 2.7/2.8.
+The maximum-weight matching (successive shortest paths on the sparse
+graph, :class:`~repro.graph.mincostflow.CapacitatedAssignment` with every
+worker at capacity 1) is ``MaxSum(OPT)`` of Definitions 2.7/2.8.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.entities import Request, Worker
 from repro.core.matching import AssignmentKind, MatchRecord, MatchingLedger
 from repro.core.simulator import Scenario
 from repro.geo.grid_index import GridIndex
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.hungarian import max_weight_matching
 from repro.graph.mincostflow import CapacitatedAssignment
 from repro.utils.timer import Stopwatch
 
-__all__ = ["OfflineSolution", "solve_offline", "solve_offline_reentry"]
+__all__ = [
+    "OfflineSolution",
+    "eligible_pairs",
+    "solve_offline",
+    "solve_offline_reentry",
+]
 
 _MIN_PAYMENT = 1e-9
 
@@ -69,10 +74,14 @@ class OfflineSolution:
         return self.solve_seconds / self.request_count * 1e3
 
 
-def _eligible_pairs(
+def eligible_pairs(
     requests: list[Request], workers: list[Worker]
 ) -> list[tuple[Request, Worker]]:
-    """All (request, worker) pairs satisfying time + range constraints."""
+    """All (request, worker) pairs satisfying time + range constraints.
+
+    Pairs come in request order, then in the grid's query order; the
+    solvers break ties by that order, so it is part of the output.
+    """
     if not requests or not workers:
         return []
     max_radius = max(worker.service_radius for worker in workers)
@@ -90,10 +99,25 @@ def _eligible_pairs(
     return pairs
 
 
+def solve_offline(
+    scenario: Scenario, include_cooperation: bool = True
+) -> OfflineSolution:
+    """Compute OFF for a scenario.
+
+    ``include_cooperation=False`` restricts edges to inner pairs — the
+    offline optimum of TOTA, used by the competitive-ratio experiments.
+    """
+    return _solve(
+        scenario,
+        "OFF" if include_cooperation else "OFF-TOTA",
+        include_cooperation,
+        capacity=None,
+    )
+
+
 def solve_offline_reentry(
     scenario: Scenario,
     service_duration: float,
-    include_cooperation: bool = True,
     max_services: int = 128,
 ) -> OfflineSolution:
     """OFF for scenarios run with worker *reentry* (the table experiments).
@@ -119,23 +143,46 @@ def solve_offline_reentry(
         raise ValueError(f"service_duration must be positive, got {service_duration}")
     if max_services < 1:
         raise ValueError(f"max_services must be >= 1, got {max_services}")
+    horizon = max(
+        (request.arrival_time for request in scenario.events.requests), default=0.0
+    )
+
+    def capacity(worker: Worker) -> int:
+        remaining = max(0.0, horizon - worker.arrival_time)
+        return 1 + min(max_services - 1, int(remaining // service_duration))
+
+    return _solve(scenario, "OFF", include_cooperation=True, capacity=capacity)
+
+
+def _solve(
+    scenario: Scenario,
+    algorithm_name: str,
+    include_cooperation: bool,
+    capacity: Callable[[Worker], int] | None,
+) -> OfflineSolution:
+    """Build the eligible-pair assignment, solve it and book the records.
+
+    Requests reach the solver in request order, at their first edge.
+    Without ``capacity`` each worker is registered at its first edge and
+    serves at most once; ``capacity`` pre-registers every worker, in
+    arrival order, with its service budget.  That order breaks ties
+    between optimal assignments, so it is part of the output.
+    """
     requests = scenario.events.requests
     workers = scenario.events.workers
     oracle = scenario.oracle
-    horizon = max((request.arrival_time for request in requests), default=0.0)
 
     solve_watch = Stopwatch().start()
     solver = CapacitatedAssignment()
     request_by_id = {request.request_id: request for request in requests}
     worker_by_id = {worker.worker_id: worker for worker in workers}
-    for worker in workers:
-        remaining = max(0.0, horizon - worker.arrival_time)
-        capacity = 1 + min(max_services - 1, int(remaining // service_duration))
-        solver.set_capacity(worker.worker_id, capacity)
+    if capacity is not None:
+        for worker in workers:
+            solver.set_capacity(worker.worker_id, capacity(worker))
 
     payments: dict[tuple[str, str], float] = {}
     edge_count = 0
-    for request, worker in _eligible_pairs(requests, workers):
+    for request, worker in eligible_pairs(requests, workers):
         if worker.platform_id == request.platform_id:
             solver.add_edge(request.request_id, worker.worker_id, request.value)
             edge_count += 1
@@ -178,127 +225,33 @@ def solve_offline_reentry(
                 service_radius=worker.service_radius,
                 shareable=worker.shareable,
             )
-        if worker.platform_id == request.platform_id:
-            record = MatchRecord(
-                request=request,
-                worker=engaged,
-                kind=AssignmentKind.INNER,
-                decision_time=request.arrival_time,
-                pickup_distance=worker.location.distance_to(request.location),
-            )
-        else:
-            payment = payments[(request_id, worker_id)]
-            record = MatchRecord(
-                request=request,
-                worker=engaged,
-                kind=AssignmentKind.OUTER,
-                payment=payment,
-                decision_time=request.arrival_time,
-                pickup_distance=worker.location.distance_to(request.location),
-            )
+        inner = worker.platform_id == request.platform_id
+        payment = 0.0 if inner else payments[(request_id, worker_id)]
+        record = MatchRecord(
+            request=request,
+            worker=engaged,
+            kind=AssignmentKind.INNER if inner else AssignmentKind.OUTER,
+            payment=payment,
+            decision_time=request.arrival_time,
+            pickup_distance=worker.location.distance_to(request.location),
+        )
+        if not inner:
             ledgers[worker.platform_id].record_lender_income(
                 request.platform_id, payment
             )
         ledgers[request.platform_id].record(record)
         records.append(record)
-    matched_requests = set(pairs)
     for request in requests:
-        if request.request_id not in matched_requests:
+        if request.request_id not in pairs:
             ledgers[request.platform_id].record_rejection(request)
 
     return OfflineSolution(
-        algorithm_name="OFF",
+        algorithm_name=algorithm_name,
         scenario_name=scenario.name,
         total_weight=total_weight,
         ledgers=ledgers,
         solve_seconds=solve_seconds,
         request_count=len(requests),
         edge_count=edge_count,
-        records=records,
-    )
-
-
-def solve_offline(
-    scenario: Scenario, include_cooperation: bool = True
-) -> OfflineSolution:
-    """Compute OFF for a scenario.
-
-    ``include_cooperation=False`` restricts edges to inner pairs — the
-    offline optimum of TOTA, used by the competitive-ratio experiments.
-    """
-    requests = scenario.events.requests
-    workers = scenario.events.workers
-    oracle = scenario.oracle
-
-    solve_watch = Stopwatch().start()
-    graph = BipartiteGraph()
-    request_by_id = {request.request_id: request for request in requests}
-    worker_by_id = {worker.worker_id: worker for worker in workers}
-    for request in requests:
-        graph.add_left(request.request_id)
-
-    payments: dict[tuple[str, str], float] = {}
-    for request, worker in _eligible_pairs(requests, workers):
-        if worker.platform_id == request.platform_id:
-            graph.add_edge(request.request_id, worker.worker_id, request.value)
-        elif include_cooperation and worker.shareable:
-            reservation = oracle.reservation_price(
-                worker.worker_id, request.request_id, request.value
-            )
-            gain = request.value - reservation
-            if gain > 0.0:
-                graph.add_edge(request.request_id, worker.worker_id, gain)
-                payments[(request.request_id, worker.worker_id)] = max(
-                    reservation, _MIN_PAYMENT
-                )
-
-    matching = max_weight_matching(graph)
-    solve_seconds = solve_watch.stop()
-
-    ledgers = {
-        platform_id: MatchingLedger(platform_id)
-        for platform_id in scenario.platform_ids
-    }
-    records: list[MatchRecord] = []
-    matched_requests = set()
-    for request_id, worker_id in matching.pairs.items():
-        request = request_by_id[request_id]
-        worker = worker_by_id[worker_id]
-        matched_requests.add(request_id)
-        if worker.platform_id == request.platform_id:
-            record = MatchRecord(
-                request=request,
-                worker=worker,
-                kind=AssignmentKind.INNER,
-                decision_time=request.arrival_time,
-                pickup_distance=worker.location.distance_to(request.location),
-            )
-        else:
-            payment = payments[(request_id, worker_id)]
-            record = MatchRecord(
-                request=request,
-                worker=worker,
-                kind=AssignmentKind.OUTER,
-                payment=payment,
-                decision_time=request.arrival_time,
-                pickup_distance=worker.location.distance_to(request.location),
-            )
-            ledgers[worker.platform_id].record_lender_income(
-                request.platform_id, payment
-            )
-        ledgers[request.platform_id].record(record)
-        records.append(record)
-    for request in requests:
-        if request.request_id not in matched_requests:
-            ledgers[request.platform_id].record_rejection(request)
-
-    return OfflineSolution(
-        algorithm_name="OFF" if include_cooperation else "OFF-TOTA",
-        scenario_name=scenario.name,
-        total_weight=matching.total_weight,
-        ledgers=ledgers,
-        solve_seconds=solve_seconds,
-        request_count=len(requests),
-        edge_count=graph.edge_count,
         records=records,
     )

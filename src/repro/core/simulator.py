@@ -106,8 +106,6 @@ class SimulatorConfig:
     pricer_grid_steps: int = 50
     #: Also evaluate history CDF breakpoints in the MER maximization.
     pricer_history_breakpoints: bool = True
-    #: Eq.-4 estimate for workers with no history.
-    default_acceptance: float = 0.5
     #: Run Algorithm 2 on the snapshot fast path and the MER pricer on the
     #: pruned sweep (docs/PERFORMANCE.md).  ``False`` selects the
     #: reference per-query implementations — bit-identical results, ~2-5x
@@ -118,8 +116,6 @@ class SimulatorConfig:
     #: value raises :class:`~repro.errors.ConfigurationError`.  Kept so
     #: configurations that name it explicitly still load.
     payment_backend: str = "python"
-    #: Grid-index cell edge (km).
-    cell_size_km: float = 1.0
     #: When False, outer candidate queries return nothing (no-cooperation
     #: ablation; TOTA ignores outer candidates regardless).
     cooperation_enabled: bool = True
@@ -352,9 +348,7 @@ class SimulationSession:
             else None
         )
         exchange: CooperationExchange | ResilientExchange = CooperationExchange(
-            scenario.platform_ids,
-            cell_size_km=config.cell_size_km,
-            road_network=config.road_network,
+            scenario.platform_ids, road_network=config.road_network
         )
         self._resilient: ResilientExchange | None = None
         if config.fault_plan is not None:
@@ -369,10 +363,7 @@ class SimulationSession:
         self.exchange = exchange
         # The estimator interprets histories in the same space (relative
         # rates vs absolute prices) as the scenario's ground truth.
-        self.acceptance = AcceptanceEstimator(
-            default_probability=config.default_acceptance,
-            mode=scenario.oracle.mode,
-        )
+        self.acceptance = AcceptanceEstimator(mode=scenario.oracle.mode)
         if config.payment_backend != "python":
             raise ConfigurationError(
                 "payment_backend must be 'python', got "

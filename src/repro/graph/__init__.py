@@ -5,9 +5,10 @@ The paper reduces offline COM to maximum-weight bipartite matching (§II-B,
 Fig. 4, citing Ahuja et al. [11]).  We implement:
 
 * :class:`BipartiteGraph` — a sparse weighted bipartite graph;
-* :func:`max_weight_matching` — successive-shortest-paths (min-cost-flow)
-  maximum-weight matching on sparse graphs, optimal and fast enough for the
-  table-scale experiments;
+* :class:`~repro.graph.mincostflow.CapacitatedAssignment` —
+  successive-shortest-paths maximum-weight assignment of requests to
+  workers with capacities (1 by default, a plain matching); it solves OFF,
+  OFF with worker reentry and every batch of the Batch baseline;
 * :class:`HopcroftKarp` — maximum-cardinality matching (used by the
   RANKING baseline's offline reference and tests);
 * :class:`Dinic` — maximum flow (the Kazemi-GeoCrowd [8] reduction
@@ -15,14 +16,12 @@ Fig. 4, citing Ahuja et al. [11]).  We implement:
 """
 
 from repro.graph.bipartite import BipartiteGraph, MatchingResult
-from repro.graph.hungarian import max_weight_matching
 from repro.graph.hopcroft_karp import HopcroftKarp
 from repro.graph.maxflow import Dinic
 
 __all__ = [
     "BipartiteGraph",
     "MatchingResult",
-    "max_weight_matching",
     "HopcroftKarp",
     "Dinic",
 ]

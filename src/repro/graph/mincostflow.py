@@ -1,17 +1,28 @@
-"""Min-cost-flow solver specialised for capacitated assignment.
+"""Maximum-weight assignment of requests to capacitated workers.
 
-The reentry variant of the offline baseline needs a *b-matching*: each
-request has unit capacity but a worker may serve up to ``c_w`` requests (one
-per service slot in the horizon).  Expanding workers into copies explodes
-the graph (tables run with ~70 slots/worker); solving the equivalent
-min-cost flow keeps one node per worker.
+This is the one max-weight solver of the repository.  With every capacity
+at its default of 1 it is a maximum-weight bipartite matching: OFF (paper
+§II-B / Fig. 4) and each batch of the Batch baseline.  The reentry variant
+of OFF needs a *b-matching*: each request has unit capacity but a worker
+may serve up to ``c_w`` requests (one per service slot in the horizon).
+Expanding workers into copies explodes the graph (tables run with ~70
+slots/worker); solving the equivalent min-cost flow keeps one node per
+worker.
 
 Network: S -> request (cap 1, cost 0) -> worker (cap 1, cost -w) ->
 T (cap c_w, cost 0).  We send augmenting flow along successive shortest
-paths (Dijkstra with Johnson potentials) and stop augmenting a given
-request once its best path has non-negative cost; with per-request dummy
-sinks this is the standard incremental assignment scheme, generalised so a
-machine with spare capacity counts as a free column.
+paths (Dijkstra with Johnson potentials, the incremental Jonker-Volgenant
+scheme).  Each request also owns a private zero-weight *dummy* sink, which
+makes every request routable and turns "leave this request unserved" into
+an ordinary assignment; maximizing weight becomes minimizing ``W - w``
+with ``W`` the maximum edge weight, so reduced costs stay non-negative and
+Dijkstra applies.  A worker with spare capacity counts as a free column.
+Complexity ``O(J * (E + V) log V)`` for ``J`` requests.
+
+Ties between optimal assignments break by registration order: requests
+and workers get dense ids when first seen (by ``set_capacity`` or
+``add_edge``), so callers that need reproducible pairs must add them in a
+reproducible order.
 """
 
 from __future__ import annotations

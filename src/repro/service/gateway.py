@@ -317,8 +317,13 @@ class MatchingGateway:
         )
         if self._monitor is not None:
             self._journal.guard = self._monitor.guard("journal-buffer")
-        self._journal.append("meta", 0.0, **self._meta(JOURNAL_FORMAT))
-        self._write_checkpoint()
+        try:
+            self._journal.append("meta", 0.0, **self._meta(JOURNAL_FORMAT))
+            self._write_checkpoint()
+        except BaseException:
+            # The constructor raises, so no caller gets a gateway to stop.
+            self._journal.close()
+            raise
 
     def _attach_journal(
         self,

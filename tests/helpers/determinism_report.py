@@ -13,6 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parents[1]))
 
+from repro.baselines import solve_geocrowd
 from repro.core import DemCOM, RamCOM, Simulator, SimulatorConfig
 
 from conftest import make_request, make_scenario, make_worker
@@ -65,6 +66,7 @@ def main() -> None:
     payload = {
         algorithm.name: report_for(algorithm) for algorithm in (DemCOM, RamCOM)
     }
+    payload["GeoCrowd"] = solve_geocrowd(build_scenario()).assignments
     json.dump(payload, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 

@@ -1,8 +1,8 @@
 """Determinism regression: results must not depend on PYTHONHASHSEED.
 
-Runs the same DemCOM + RamCOM simulation in two fresh interpreter
-processes with *different* hash seeds and asserts the JSON reports are
-byte-identical.  Builtin ``hash()`` and raw set/dict-ordering leaks are
+Runs the same DemCOM + RamCOM simulation and GeoCrowd max-flow
+assignment in two fresh interpreter processes with *different* hash
+seeds and asserts the JSON reports are byte-identical.  Builtin ``hash()`` and raw set/dict-ordering leaks are
 exactly what DET003/DET004 lint for; this is the end-to-end backstop.
 """
 

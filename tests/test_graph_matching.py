@@ -1,7 +1,8 @@
 """Tests for bipartite structures and matching algorithms.
 
 The exact solvers are cross-checked against ``networkx`` (Hopcroft-Karp,
-max-weight matching, max flow) and each other.
+max-weight matching, max flow) and each other.  Max-weight matching is
+:class:`~repro.graph.mincostflow.CapacitatedAssignment` at unit capacity.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
-from repro.graph import (
-    BipartiteGraph,
-    Dinic,
-    HopcroftKarp,
-    max_weight_matching,
-)
+from repro.graph import BipartiteGraph, Dinic, HopcroftKarp, MatchingResult
+from repro.graph.mincostflow import CapacitatedAssignment
 
 
 def random_graph(
@@ -42,6 +39,14 @@ def networkx_max_weight(graph: BipartiteGraph) -> float:
         g.add_edge(("L", left), ("R", right), weight=weight)
     matching = nx.max_weight_matching(g)
     return sum(g[u][v]["weight"] for u, v in matching)
+
+
+def unit_assignment(graph: BipartiteGraph) -> MatchingResult:
+    solver = CapacitatedAssignment()
+    for left, right, weight in graph.edges():
+        solver.add_edge(left, right, weight)
+    pairs, total_weight = solver.solve()
+    return MatchingResult(pairs, total_weight)
 
 
 class TestBipartiteGraph:
@@ -83,12 +88,12 @@ class TestBipartiteGraph:
 
 class TestMaxWeightMatching:
     def test_empty_graph(self):
-        assert max_weight_matching(BipartiteGraph()).cardinality == 0
+        assert unit_assignment(BipartiteGraph()).cardinality == 0
 
     def test_single_edge(self):
         graph = BipartiteGraph()
         graph.add_edge("a", "x", 5.0)
-        result = max_weight_matching(graph)
+        result = unit_assignment(graph)
         assert result.pairs == {"a": "x"}
         assert result.total_weight == 5.0
 
@@ -96,7 +101,7 @@ class TestMaxWeightMatching:
         graph = BipartiteGraph()
         graph.add_edge("a", "x", 1.0)
         graph.add_edge("b", "x", 9.0)
-        result = max_weight_matching(graph)
+        result = unit_assignment(graph)
         assert result.pairs == {"b": "x"}
 
     def test_augmenting_beats_greedy(self):
@@ -106,14 +111,14 @@ class TestMaxWeightMatching:
         graph.add_edge("a", "x", 10.0)
         graph.add_edge("a", "y", 7.0)
         graph.add_edge("b", "x", 8.0)
-        result = max_weight_matching(graph)
+        result = unit_assignment(graph)
         assert result.total_weight == 15.0
 
     def test_skips_non_positive_edges(self):
         graph = BipartiteGraph()
         graph.add_edge("a", "x", -2.0)
         graph.add_edge("b", "y", 0.0)
-        result = max_weight_matching(graph)
+        result = unit_assignment(graph)
         assert result.cardinality == 0
 
     def test_leaves_vertices_unmatched_when_beneficial(self):
@@ -122,7 +127,7 @@ class TestMaxWeightMatching:
         graph.add_edge("a", "x", 1.0)
         graph.add_edge("b", "x", 100.0)
         graph.add_edge("a", "y", 0.5)
-        result = max_weight_matching(graph)
+        result = unit_assignment(graph)
         assert result.total_weight == 100.5
 
     @settings(max_examples=40, deadline=None)
@@ -134,20 +139,20 @@ class TestMaxWeightMatching:
     )
     def test_matches_networkx(self, left, right, density, seed):
         graph = random_graph(random.Random(seed), left, right, density)
-        ours = max_weight_matching(graph).total_weight
+        ours = unit_assignment(graph).total_weight
         reference = networkx_max_weight(graph)
         assert ours == pytest.approx(reference, abs=1e-6)
 
     def test_matching_is_injective(self):
         graph = random_graph(random.Random(5), 20, 15, 0.3)
-        result = max_weight_matching(graph)
+        result = unit_assignment(graph)
         rights = list(result.pairs.values())
         assert len(rights) == len(set(rights))
 
     def test_right_to_left_inverse(self):
         graph = BipartiteGraph()
         graph.add_edge("a", "x", 1.0)
-        result = max_weight_matching(graph)
+        result = unit_assignment(graph)
         assert result.right_to_left() == {"x": "a"}
 
 

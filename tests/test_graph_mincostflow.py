@@ -1,6 +1,6 @@
 """Tests for the capacitated assignment solver.
 
-Exactness is cross-checked against the unit-capacity Hungarian matcher on
+Exactness is cross-checked against networkx's maximum-weight matching on
 a copy-expanded graph (the two formulations are equivalent by
 construction).
 """
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.hungarian import max_weight_matching
 from repro.graph.mincostflow import CapacitatedAssignment
 
 
@@ -22,11 +21,12 @@ def copy_expansion_optimum(
     edges: list[tuple[int, int, float]], capacities: dict[int, int]
 ) -> float:
     """Reference optimum: expand machines into capacity-many copies."""
-    graph = BipartiteGraph()
+    graph = nx.Graph()
     for job, machine, weight in edges:
         for copy in range(capacities.get(machine, 1)):
-            graph.add_edge(job, (machine, copy), weight)
-    return max_weight_matching(graph).total_weight
+            graph.add_edge(("job", job), (machine, copy), weight=weight)
+    matching = nx.max_weight_matching(graph)
+    return sum(graph[u][v]["weight"] for u, v in matching)
 
 
 class TestBasics:

@@ -597,25 +597,25 @@ class TestKilledEventLog:
             )
 
 
+def unclosed_files(run, suffix: str) -> list[str]:
+    """``ResourceWarning`` messages naming a ``suffix`` file that was
+    garbage-collected open while ``run`` ran."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run()
+        gc.collect()
+    return [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, ResourceWarning)
+        and suffix in str(warning.message)
+    ]
+
+
 class TestEventLogLifetime:
     """A gateway closes the event log it opened from a path when it stops,
     as it closes its journal; a log the caller passed in stays open for
     the caller (a cluster handoff re-attaches it to the next gateway)."""
-
-    @staticmethod
-    def unclosed_event_files(run) -> list[str]:
-        """``ResourceWarning`` messages naming a ``.comevt`` file that
-        was garbage-collected open while ``run`` ran."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
-            run()
-            gc.collect()
-        return [
-            str(warning.message)
-            for warning in caught
-            if issubclass(warning.category, ResourceWarning)
-            and ".comevt" in str(warning.message)
-        ]
 
     def test_stop_closes_a_log_opened_from_a_path(self, tmp_path):
         def run():
@@ -623,7 +623,7 @@ class TestEventLogLifetime:
                 tmp_path / "wal", build_scenario(), events=tmp_path / "run.comevt"
             )
 
-        assert self.unclosed_event_files(run) == []
+        assert unclosed_files(run, ".comevt") == []
         assert read_events(tmp_path / "run.comevt")[0].kind == "meta"
 
     def test_drain_closes_a_log_resumed_by_recovery(self, tmp_path):
@@ -639,7 +639,7 @@ class TestEventLogLifetime:
 
             asyncio.run(main())
 
-        assert self.unclosed_event_files(run) == []
+        assert unclosed_files(run, ".comevt") == []
         assert read_events(events)[-1].kind == "drain"
 
     def test_a_caller_supplied_log_stays_open(self, tmp_path):
@@ -656,6 +656,27 @@ class TestEventLogLifetime:
         log.emit("note", 0.0)
         log.close()
         assert read_events(tmp_path / "run.comevt")[-1].kind == "note"
+
+
+class TestJournalLifetime:
+    """A kill point inside the gateway constructor (the birth record or
+    the anchoring checkpoint) leaves no journal handle open: the
+    constructor raises, so nothing else could close it."""
+
+    @pytest.mark.parametrize(
+        "channel", ["journal_append", "journal_torn", "checkpoint"]
+    )
+    def test_constructor_crash_closes_the_journal(self, tmp_path, channel):
+        def run():
+            with pytest.raises(InducedCrash):
+                MatchingGateway(
+                    scenario=build_scenario(),
+                    config=service_config(),
+                    journal=journal_config(tmp_path),
+                    crash_plan=CrashPlan.at(channel, 0),
+                )
+
+        assert unclosed_files(run, ".walog") == []
 
 
 class TestRecoveryEdges:
