@@ -14,12 +14,11 @@ doubles as reviewer-visible documentation.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.rules import RULES, Rule
-from repro.errors import ConfigurationError
+from repro.utils.jobs import starmap_jobs
 
 __all__ = ["Violation", "lint_source", "lint_file", "lint_paths", "iter_python_files"]
 
@@ -1089,19 +1088,12 @@ def iter_python_files(paths: list[Path]) -> list[Path]:
     return sorted(collected)
 
 
-def _resolve_lint_jobs(jobs: int | None) -> int:
-    """``None``/``0`` → one worker per CPU; negative is a config error."""
-    if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ConfigurationError(f"lint jobs must be >= 0, got {jobs}")
-    return jobs
-
-
-def _lint_one_file(arguments: tuple[str, str]) -> list[Violation]:
-    """Worker for the ``--jobs`` fan-out (module-level so it pickles)."""
-    filename, label = arguments
-    return lint_source(Path(filename).read_text(encoding="utf-8"), label)
+def _lint_one_file(
+    filename: str, label: str, rules: dict[str, Rule] | None
+) -> list[Violation]:
+    """Lint one file by name (module-level so the ``--jobs`` fan-out can
+    pickle it)."""
+    return lint_source(Path(filename).read_text(encoding="utf-8"), label, rules)
 
 
 def lint_paths(
@@ -1112,31 +1104,22 @@ def lint_paths(
 ) -> list[Violation]:
     """Lint every python file under ``paths``; sorted, deterministic.
 
-    ``jobs`` fans files out over a process pool (``None``/``0`` means
-    one worker per CPU).  The fan-out mirrors ``ParallelRunner``'s
-    determinism contract: each file is an independent unit and the
-    merged report is re-sorted, so the result is byte-identical to a
-    serial run regardless of worker count or completion order.  A
-    custom ``rules`` mapping forces the serial path — workers always
-    lint against the full registry.
+    ``jobs`` fans files out through :func:`repro.utils.jobs.starmap_jobs`
+    (``None``/``0`` means one worker per CPU).  Each file is an
+    independent unit and the merged report is re-sorted, so the result is
+    byte-identical to a serial run at any worker count.  A custom
+    ``rules`` mapping may not pickle, so it lints in-process.
     """
     if root is None:
         root = Path.cwd()
-    files = iter_python_files(paths)
-    workers = _resolve_lint_jobs(jobs)
-    violations: list[Violation] = []
-    if workers > 1 and len(files) > 1 and rules is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        arguments = [(str(path), _label_for(path, root)) for path in files]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(files))
-        ) as pool:
-            for result in pool.map(_lint_one_file, arguments):
-                violations.extend(result)
-    else:
-        for path in files:
-            violations.extend(lint_file(path, root=root, rules=rules))
+    arguments = [
+        (str(path), _label_for(path, root), rules)
+        for path in iter_python_files(paths)
+    ]
+    per_file = starmap_jobs(
+        _lint_one_file, arguments, jobs if rules is None else 1
+    )
+    violations = [violation for found in per_file for violation in found]
     return sorted(
         violations, key=lambda v: (v.path, v.line, v.column, v.rule_id)
     )

@@ -22,9 +22,10 @@ Subcommands regenerate the paper's experiments from a terminal:
 * ``quickstart`` — a tiny end-to-end demo run;
 * ``datasets`` — the simulated Table-III statistics.
 
-Experiment subcommands accept ``--jobs N`` to fan seed x algorithm cells
-across a process pool (:class:`repro.experiments.parallel.ParallelRunner`);
-output is byte-identical to the serial run.
+Experiment subcommands (``table``, ``figure``, ``chaos``, ``sensitivity``,
+``ablation``) accept ``--jobs N`` to run their algorithm x seed cells
+across a process pool (:func:`repro.experiments.harness.run_comparison`);
+output is byte-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 * :mod:`metrics` — the metric rows the paper's tables report, computed
   from simulation results and offline solutions;
-* :mod:`harness` — run one algorithm (or OFF) over one scenario, averaged
-  over seeds;
-* :mod:`parallel` — fan the seed x algorithm cell grid across a process
-  pool with byte-identical deterministic output (docs/PERFORMANCE.md);
+* :mod:`harness` — run algorithms (and OFF) over one scenario, averaged
+  over seeds; the algorithm x seed cells run in-process or across a
+  process pool with byte-identical output (docs/PERFORMANCE.md);
 * :mod:`tables` — Tables V-VII (the three city pairs);
 * :mod:`figures` — Fig. 5's twelve panels (revenue / response time /
   memory / acceptance ratio, each vs |R| / |W| / rad);
@@ -16,7 +15,6 @@
 
 from repro.experiments.metrics import AlgorithmMetrics, average_metrics
 from repro.experiments.harness import ExperimentConfig, run_algorithm, run_comparison
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.tables import TableResult, run_city_table
 from repro.experiments.figures import FigurePanel, run_figure5_panel
 from repro.experiments.competitive import (
@@ -33,7 +31,6 @@ __all__ = [
     "AlgorithmMetrics",
     "average_metrics",
     "ExperimentConfig",
-    "ParallelRunner",
     "run_algorithm",
     "run_comparison",
     "TableResult",

@@ -19,11 +19,12 @@ headline metrics side by side:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.ramcom import RamCOM
-from repro.core.simulator import Scenario, Simulator
-from repro.experiments.harness import ExperimentConfig, run_algorithm
-from repro.experiments.metrics import AlgorithmMetrics, average_metrics
+from repro.core.simulator import Scenario
+from repro.experiments.harness import ExperimentConfig, run_algorithm, run_comparison
+from repro.experiments.metrics import AlgorithmMetrics
 from repro.utils.tables import TextTable
 
 __all__ = ["AblationResult", "run_cooperation_ablation", "run_ramcom_k_sweep",
@@ -83,17 +84,12 @@ def run_ramcom_k_sweep(
     config = config or ExperimentConfig()
     result = AblationResult(name="RamCOM threshold exponent k")
     theta = RamCOM.theta_for(scenario.value_upper_bound)
-    for k in range(1, theta + 1):
-        rows = []
-        for seed in config.seeds:
-            simulator = Simulator(config.simulator_config(seed))
-            rows.append(
-                AlgorithmMetrics.from_simulation(
-                    simulator.run(scenario, lambda: RamCOM(fixed_k=k))
-                )
-            )
-        result.rows.append((f"k={k} (thr=e^{k})", average_metrics(rows)))
-    result.rows.append(("k~U{1..theta}", run_algorithm(scenario, "ramcom", config)))
+    ks = range(1, theta + 1)
+    rows = run_comparison(
+        scenario, [partial(RamCOM, fixed_k=k) for k in ks] + ["ramcom"], config
+    )
+    labels = [f"k={k} (thr=e^{k})" for k in ks] + ["k~U{1..theta}"]
+    result.rows.extend(zip(labels, rows))
     return result
 
 

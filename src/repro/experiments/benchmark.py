@@ -11,8 +11,8 @@ Measures the quantities the performance work optimises (docs/PERFORMANCE.md):
   decisions/sec; the RamCOM run prices its cooperative requests with the
   pruned MER quote (docs/PERFORMANCE.md#pruned-mer-quote);
 * **parallel** *(optional)* — wall-clock speedup of
-  :class:`~repro.experiments.parallel.ParallelRunner` over the serial
-  harness on a seed grid.
+  :func:`~repro.experiments.harness.run_comparison` at ``jobs=N`` over
+  ``jobs=1`` on a seed grid.
 
 Each section is measured twice: ``baseline`` runs the retained reference
 implementations (``fast_path=False``) — the pre-optimisation code, bit for
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Hashable
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.acceptance import AcceptanceEstimator
@@ -37,6 +38,7 @@ from repro.core.registry import algorithm_factory
 from repro.core.simulator import Simulator, SimulatorConfig
 from repro.experiments.harness import ExperimentConfig, run_comparison
 from repro.obs import Telemetry
+from repro.utils.jobs import resolve_jobs
 from repro.utils.rng import derive_rng
 from repro.utils.timer import Stopwatch, TimingAccumulator
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
@@ -139,9 +141,7 @@ def _measure_end_to_end(fast_path: bool, algorithm: str) -> dict:
 
 
 def _measure_parallel(jobs: int, mode: str) -> dict:
-    """Wall-clock speedup of the parallel executor on a seed grid."""
-    from repro.experiments.parallel import ParallelRunner
-
+    """Wall-clock speedup of the executor at ``jobs`` over ``jobs=1``."""
     # Sized so each cell outweighs pool start-up; tiny grids are faster
     # run serially (docs/PERFORMANCE.md discusses the crossover).
     scenario = SyntheticWorkload(
@@ -157,7 +157,7 @@ def _measure_parallel(jobs: int, mode: str) -> dict:
         run_comparison(scenario, algorithms, config)
     parallel_watch = Stopwatch()
     with parallel_watch:
-        ParallelRunner(jobs=jobs).run_comparison(scenario, algorithms, config)
+        run_comparison(scenario, algorithms, replace(config, jobs=jobs))
     return {
         "jobs": jobs,
         "cells": len(seeds) * len(algorithms),
@@ -178,8 +178,6 @@ def run_hotpath_benchmark(quick: bool = True, jobs: int = 0) -> dict:
     available (``jobs=1``, or ``jobs=0`` on a single-core machine) —
     a one-process pool has nothing to compare against the serial path.
     """
-    from repro.experiments.parallel import resolve_jobs
-
     jobs = resolve_jobs(jobs)
     mode = "quick" if quick else "full"
     payload: dict = {"benchmark": "hotpath", "schema": 2, "mode": mode}

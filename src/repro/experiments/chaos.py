@@ -6,7 +6,8 @@ acceptance degradation together with the failure accounting (retries,
 failed claims, degraded decisions, dropped workers, outage time).
 
 Every run's matching is validated against the Definition-2.6 constraint
-checker — resilience must never buy revenue back by breaking the model.
+checker (the executor checks every simulated run) — resilience must never
+buy revenue back by breaking the model.
 
 Used by ``benchmarks/bench_chaos.py`` and the ``com-repro chaos`` CLI
 subcommand.
@@ -16,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.constraints import validate_matching
-from repro.core.registry import algorithm_factory
-from repro.core.simulator import Scenario, SimulationResult, Simulator
-from repro.experiments.harness import ExperimentConfig
-from repro.experiments.metrics import AlgorithmMetrics, average_metrics
+from repro.core.simulator import Scenario
+from repro.experiments.harness import ExperimentConfig, run_comparison
+from repro.experiments.metrics import AlgorithmMetrics
 from repro.faults.plan import FaultPlan
 from repro.utils.tables import TextTable
 
@@ -109,54 +108,40 @@ class ChaosResult:
         return table.render()
 
 
-def _metrics_for(
-    scenario: Scenario,
-    algorithm: str,
-    plan: FaultPlan,
-    config: ExperimentConfig,
-    validate: bool,
-) -> AlgorithmMetrics:
-    factory = algorithm_factory(algorithm)
-    rows: list[AlgorithmMetrics] = []
-    for seed in config.seeds:
-        simulator_config = replace(
-            config.simulator_config(seed),
-            fault_plan=plan,
-        )
-        result: SimulationResult = Simulator(simulator_config).run(
-            scenario, factory
-        )
-        if validate:
-            validate_matching(result.all_records())
-        rows.append(AlgorithmMetrics.from_simulation(result))
-    return average_metrics(rows)
-
-
 def run_fault_sweep(
     scenario: Scenario,
     algorithms: tuple[str, ...] = ("demcom", "ramcom"),
     rates: tuple[float, ...] = DEFAULT_RATES,
     config: ExperimentConfig | None = None,
     fault_seed: int = 0,
-    validate: bool = True,
 ) -> ChaosResult:
     """Sweep fault rates for each algorithm on one scenario.
 
     The fault plan at each rate is :meth:`FaultPlan.uniform`, whose draws
     are monotone in the rate (raising it only adds faults), so the
-    degradation curves are smooth rather than re-rolled per point.
+    degradation curves are smooth rather than re-rolled per point.  Each
+    rate is one :func:`run_comparison`, so ``config.jobs`` fans its cells
+    across a pool.
     """
     config = config or ExperimentConfig()
-    rows: list[ChaosRow] = []
-    for algorithm in algorithms:
-        for rate in rates:
-            plan = FaultPlan.uniform(rate, seed=fault_seed)
-            metrics = _metrics_for(scenario, algorithm, plan, config, validate)
-            rows.append(
-                ChaosRow(
-                    algorithm=metrics.algorithm,
-                    fault_rate=rate,
-                    metrics=metrics,
-                )
-            )
+    per_rate = [
+        run_comparison(
+            scenario,
+            algorithms,
+            replace(
+                config,
+                simulator=replace(
+                    config.simulator,
+                    fault_plan=FaultPlan.uniform(rate, seed=fault_seed),
+                ),
+            ),
+        )
+        for rate in rates
+    ]
+    # zip(*per_rate) turns rate-major rows into one tuple per algorithm.
+    rows = [
+        ChaosRow(algorithm=row.algorithm, fault_rate=rate, metrics=row)
+        for algorithm_rows in zip(*per_rate)
+        for rate, row in zip(rates, algorithm_rows)
+    ]
     return ChaosResult(scenario_name=scenario.name, rows=rows)

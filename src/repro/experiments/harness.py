@@ -7,18 +7,26 @@ table and figure code deals only in :class:`AlgorithmMetrics`.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.baselines.offline import solve_offline, solve_offline_reentry
+from repro.core.base import OnlineAlgorithm
+from repro.core.constraints import validate_matching
 from repro.core.registry import algorithm_factory
 from repro.core.simulator import Scenario, Simulator, SimulatorConfig
 from repro.errors import ConfigurationError
 from repro.experiments.metrics import AlgorithmMetrics, average_metrics
+from repro.utils.jobs import starmap_jobs
 
-__all__ = ["ExperimentConfig", "run_algorithm", "run_comparison"]
+__all__ = ["ExperimentConfig", "run_algorithm", "run_cell", "run_comparison"]
 
 #: Registry name reserved for the offline optimum.
 OFFLINE_NAME = "off"
+
+#: A registry name (``"off"`` is the offline optimum) or a picklable
+#: zero-argument factory of an online algorithm.
+Algorithm = str | Callable[[], OnlineAlgorithm]
 
 
 @dataclass(frozen=True)
@@ -40,9 +48,9 @@ class ExperimentConfig:
         per-seed run; the averaged row then carries the pooled
         :class:`~repro.obs.TelemetrySummary` into the JSON reports.
     jobs:
-        Worker processes for the seed x algorithm cell grid.  ``1`` (the
-        default) runs serially in-process; ``> 1`` fans cells across a
-        :class:`repro.experiments.parallel.ParallelRunner` pool with
+        Worker processes for the algorithm x seed cell grid of
+        :func:`run_comparison`.  ``1`` (the default) runs the cells
+        in-process; ``> 1`` runs them in a process pool with
         byte-identical deterministic output (docs/PERFORMANCE.md);
         ``0`` means one worker per CPU.
     """
@@ -69,19 +77,19 @@ class ExperimentConfig:
         return config
 
 
-def run_algorithm(
-    scenario: Scenario, algorithm: str, config: ExperimentConfig | None = None
+def run_cell(
+    scenario: Scenario,
+    algorithm: Algorithm,
+    seed: int | None,
+    config: ExperimentConfig,
 ) -> AlgorithmMetrics:
-    """Run one algorithm (or ``"off"``) on a scenario; returns the averaged
-    metric row."""
-    config = config or ExperimentConfig()
-    if config.jobs != 1:
-        from repro.experiments.parallel import ParallelRunner
+    """Run one *(algorithm, seed)* cell, the executor's unit of work.
 
-        return ParallelRunner(jobs=config.jobs).run_algorithm(
-            scenario, algorithm, config
-        )
-    if algorithm.lower() == OFFLINE_NAME:
+    ``seed=None`` is OFF's single deterministic solve.  Any other cell is
+    one simulated run, whose matching is checked against the
+    Definition-2.6 constraints before its row is built.
+    """
+    if seed is None:
         if config.worker_reentry:
             solution = solve_offline_reentry(
                 scenario, service_duration=config.service_duration
@@ -89,27 +97,55 @@ def run_algorithm(
         else:
             solution = solve_offline(scenario)
         return AlgorithmMetrics.from_offline(solution)
-    if not config.seeds:
-        raise ConfigurationError("ExperimentConfig.seeds must be non-empty")
-    factory = algorithm_factory(algorithm)
-    rows = []
-    for seed in config.seeds:
-        simulator = Simulator(config.simulator_config(seed))
-        rows.append(AlgorithmMetrics.from_simulation(simulator.run(scenario, factory)))
-    return average_metrics(rows)
+    factory = algorithm_factory(algorithm) if isinstance(algorithm, str) else algorithm
+    result = Simulator(config.simulator_config(seed)).run(scenario, factory)
+    validate_matching(result.all_records())
+    return AlgorithmMetrics.from_simulation(result)
 
 
 def run_comparison(
     scenario: Scenario,
-    algorithms: list[str],
+    algorithms: Sequence[Algorithm],
     config: ExperimentConfig | None = None,
 ) -> list[AlgorithmMetrics]:
     """Run several algorithms on the same scenario (same seeds, same
-    realized worker behaviour — the oracle guarantees identical draws)."""
-    if config is not None and config.jobs != 1:
-        from repro.experiments.parallel import ParallelRunner
+    realized worker behaviour — the oracle guarantees identical draws);
+    returns one seed-averaged row per algorithm, in request order.
 
-        return ParallelRunner(jobs=config.jobs).run_comparison(
-            scenario, algorithms, config
-        )
-    return [run_algorithm(scenario, name, config) for name in algorithms]
+    Each *(algorithm, seed)* cell is a pure function of its arguments:
+    every draw flows from the cell's seed through :mod:`repro.utils.rng`,
+    and the behaviour oracle realises reservations as pure functions of
+    ``(oracle seed, worker, request)``.  So the cells run in-process or
+    across ``config.jobs`` processes alike, and folding them in one fixed
+    order (algorithms in request order, seeds in ``config.seeds`` order,
+    OFF as one cell) makes every deterministic field byte-identical at any
+    job count.  Wall-clock values (``response_time_ms`` and
+    :data:`repro.obs.WALL_CLOCK_FAMILIES`) differ between any two runs.
+    """
+    config = config or ExperimentConfig()
+    cells: list[tuple[int, Algorithm, int | None]] = []
+    for index, algorithm in enumerate(algorithms):
+        if isinstance(algorithm, str) and algorithm.lower() == OFFLINE_NAME:
+            cells.append((index, algorithm, None))
+            continue
+        if not config.seeds:
+            raise ConfigurationError("ExperimentConfig.seeds must be non-empty")
+        for seed in config.seeds:
+            cells.append((index, algorithm, seed))
+    results = starmap_jobs(
+        run_cell,
+        [(scenario, algorithm, seed, config) for _, algorithm, seed in cells],
+        config.jobs,
+    )
+    per_algorithm: list[list[AlgorithmMetrics]] = [[] for _ in algorithms]
+    for (index, _, _), row in zip(cells, results):
+        per_algorithm[index].append(row)
+    return [average_metrics(rows) for rows in per_algorithm]
+
+
+def run_algorithm(
+    scenario: Scenario, algorithm: Algorithm, config: ExperimentConfig | None = None
+) -> AlgorithmMetrics:
+    """Run one algorithm (or ``"off"``) on a scenario; returns the averaged
+    metric row."""
+    return run_comparison(scenario, [algorithm], config)[0]

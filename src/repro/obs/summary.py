@@ -22,8 +22,8 @@ __all__ = [
 #: Metric families whose *values* come from wall-clock reads (Stopwatch
 #: timings).  Everything else in a summary is a deterministic function of
 #: (scenario, seed); strip these before byte-level comparisons — e.g. the
-#: parallel-vs-serial identity guarantee of
-#: :class:`repro.experiments.parallel.ParallelRunner`.
+#: pooled-vs-in-process identity guarantee of
+#: :func:`repro.experiments.harness.run_comparison`.
 #: ``service_latency_seconds`` is the gateway's end-to-end wall latency
 #: histogram (:mod:`repro.service.gateway`); ``claim_backoff_seconds`` is
 #: *not* listed — its values are seeded simulated backoffs, deterministic

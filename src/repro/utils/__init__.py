@@ -1,5 +1,6 @@
 """Shared utilities: deterministic RNG plumbing, timing, memory accounting,
-streaming statistics, and plain-text table rendering.
+streaming statistics, plain-text table rendering, and the process-pool
+fan-out behind every ``--jobs`` flag.
 
 These are the lowest layer of the library; nothing here imports from any
 other :mod:`repro` subpackage except :mod:`repro.errors`.
@@ -11,6 +12,7 @@ from repro.utils.timer import Stopwatch, TimingAccumulator
 from repro.utils.memory import approximate_size_bytes
 from repro.utils.tables import TextTable, format_float, format_si
 from repro.utils.ascii_chart import AsciiChart, render_panel
+from repro.utils.jobs import resolve_jobs, starmap_jobs
 
 __all__ = [
     "SeedSequence",
@@ -25,4 +27,6 @@ __all__ = [
     "format_si",
     "AsciiChart",
     "render_panel",
+    "resolve_jobs",
+    "starmap_jobs",
 ]

@@ -1,7 +1,8 @@
-"""The parallel experiment executor's byte-identity guarantee.
+"""The experiment executor's byte-identity guarantee.
 
-``ParallelRunner`` fans (algorithm, seed) cells across a process pool and
-must merge them into *exactly* the rows the serial harness produces —
+``run_comparison`` runs (algorithm, seed) cells in-process or across a
+process pool (``ExperimentConfig.jobs``) and must merge pooled cells into
+*exactly* the rows the in-process run produces —
 deterministic fields byte for byte, pooled telemetry included.  Wall-clock
 derived values (``response_time_ms``, the
 :data:`repro.obs.WALL_CLOCK_FAMILIES` histogram families) are outside the
@@ -12,6 +13,8 @@ docs/PERFORMANCE.md.
 from __future__ import annotations
 
 import json
+import multiprocessing.pool
+from dataclasses import replace
 
 import pytest
 
@@ -19,14 +22,16 @@ from repro.core.simulator import SimulatorConfig
 from repro.errors import ConfigurationError
 from repro.experiments import (
     ExperimentConfig,
-    ParallelRunner,
     average_metrics,
     run_algorithm,
     run_comparison,
+    run_fault_sweep,
 )
-from repro.experiments.parallel import resolve_jobs, run_cell
+from repro.experiments.ablation import run_ramcom_k_sweep
+from repro.experiments.harness import run_cell
 from repro.experiments.reporting import metrics_to_dict
 from repro.obs import WALL_CLOCK_FAMILIES, MetricsSnapshot
+from repro.utils import resolve_jobs
 
 from conftest import make_request, make_scenario, make_worker
 
@@ -78,14 +83,27 @@ def _canonical(rows) -> str:
 ALGORITHMS = ["demcom", "ramcom", "off"]
 
 
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Record the task count of every pool ``starmap`` in this process."""
+    tasks: list[int] = []
+    starmap = multiprocessing.pool.Pool.starmap
+
+    def spy(self, function, iterable, chunksize=None):
+        iterable = list(iterable)
+        tasks.append(len(iterable))
+        return starmap(self, function, iterable, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy)
+    return tasks
+
+
 class TestByteIdentity:
     def test_parallel_equals_serial_including_telemetry(self):
         scenario = _scenario()
         config = _config()
         serial = run_comparison(scenario, ALGORITHMS, config)
-        parallel = ParallelRunner(jobs=2).run_comparison(
-            scenario, ALGORITHMS, config
-        )
+        parallel = run_comparison(scenario, ALGORITHMS, replace(config, jobs=2))
         assert _canonical(parallel) == _canonical(serial)
 
     def test_config_jobs_dispatches_to_parallel(self):
@@ -97,18 +115,15 @@ class TestByteIdentity:
     def test_run_algorithm_parallel_counterpart(self):
         scenario = _scenario()
         serial = run_algorithm(scenario, "ramcom", _config())
-        parallel = ParallelRunner(jobs=2).run_algorithm(
-            scenario, "ramcom", _config()
-        )
+        parallel = run_algorithm(scenario, "ramcom", _config(jobs=2))
         assert _canonical([parallel]) == _canonical([serial])
 
-    def test_single_job_falls_back_in_process(self):
+    def test_single_job_falls_back_in_process(self, pool_spy):
         scenario = _scenario()
-        config = _config()
-        serial = run_comparison(scenario, ["tota"], config)
-        in_process = ParallelRunner(jobs=1).run_comparison(
-            scenario, ["tota"], config
-        )
+        serial = run_comparison(scenario, ["tota"], _config(seeds=(0,)))
+        # One cell never pays for a pool, whatever the job count.
+        in_process = run_comparison(scenario, ["tota"], _config(seeds=(0,), jobs=2))
+        assert pool_spy == []
         assert _canonical(in_process) == _canonical(serial)
 
 
@@ -132,15 +147,13 @@ class TestCells:
 
     def test_empty_seeds_raise(self):
         with pytest.raises(ConfigurationError):
-            ParallelRunner(jobs=2).run_comparison(
-                _scenario(), ["demcom"], _config(seeds=())
-            )
+            run_comparison(_scenario(), ["demcom"], _config(seeds=(), jobs=2))
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
         assert resolve_jobs(None) >= 1
         assert resolve_jobs(0) == resolve_jobs(None)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=">= 0"):
             resolve_jobs(-2)
 
 
@@ -166,11 +179,47 @@ class TestWallClockCanonicalization:
         scenario = _scenario()
         config = _config(seeds=(0,))
         serial = run_comparison(scenario, ["demcom"], config)[0]
-        parallel = ParallelRunner(jobs=2).run_comparison(
-            scenario, ["demcom", "ramcom"], config
+        parallel = run_comparison(
+            scenario, ["demcom", "ramcom"], replace(config, jobs=2)
         )[0]
         assert serial.telemetry is not None and parallel.telemetry is not None
         assert (
             serial.telemetry.without_wall_clock().as_dict()
             == parallel.telemetry.without_wall_clock().as_dict()
+        )
+
+
+class TestSweepsUseThePool:
+    """``--jobs`` reaches every cell of the chaos and RamCOM-k sweeps."""
+
+    def test_fault_sweep_pools_every_cell(self, pool_spy):
+        scenario = _scenario()
+        config = _config(seeds=(0, 1), telemetry=False)
+        serial = run_fault_sweep(scenario, rates=(0.0, 0.4), config=config)
+        assert pool_spy == []
+        pooled = run_fault_sweep(
+            scenario, rates=(0.0, 0.4), config=replace(config, jobs=2)
+        )
+        # Two algorithms x two seeds per rate, one pool per rate.
+        assert pool_spy == [4, 4]
+        assert [row.fault_rate for row in pooled.rows] == [
+            row.fault_rate for row in serial.rows
+        ]
+        assert _canonical(row.metrics for row in pooled.rows) == _canonical(
+            row.metrics for row in serial.rows
+        )
+
+    def test_ramcom_k_sweep_pools_every_cell(self, pool_spy):
+        scenario = _scenario()
+        config = _config(seeds=(0, 1), telemetry=False)
+        serial = run_ramcom_k_sweep(scenario, config)
+        assert pool_spy == []
+        pooled = run_ramcom_k_sweep(scenario, replace(config, jobs=2))
+        # Every pinned-k row and the randomized row, two seeds each.
+        assert pool_spy == [2 * len(serial.rows)]
+        assert [label for label, _ in pooled.rows] == [
+            label for label, _ in serial.rows
+        ]
+        assert _canonical(row for _, row in pooled.rows) == _canonical(
+            row for _, row in serial.rows
         )
