@@ -36,18 +36,16 @@ from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 #: per-decision latency.
 BUDGET = 0.05
 
-#: Upper bound on probe touchpoints per decision on the disabled path:
-#: decision span + candidates (inner & outer) + offer loop + payment span
-#: + claim span + algorithm counters are all ``enabled`` flag checks;
-#: ``probe.advance`` and stray no-op calls add method-call shapes.  The
-#: runtime constraint sanitizer (``repro.analysis``) adds ``is None``
-#: tests in ``_apply_decision`` and the offer loop — same attribute-load
-#: + branch shape as a flag check, counted in the same bucket.  The
-#: payment estimator's span-leak guard (``finally: if span is not None
-#: and failed``) adds one more is-None test per estimate; the snapshot
-#: fast path itself adds none.
-FLAG_CHECKS_PER_DECISION = 13
-NOOP_CALLS_PER_DECISION = 2
+#: Upper bounds on probe touchpoints per decision on the disabled path,
+#: as counted by ``tests/test_obs.py::TestDisabledPathTouchpoints`` with a
+#: counting null probe: ``probe.enabled`` reads (decision span, candidate
+#: and offer-loop spans, payment and claim spans, algorithm counters) and
+#: unguarded no-op method calls.  Measured on the quick scenario: DemCOM
+#: 5.32 and RamCOM 5.96 flag reads, no calls (6.01 reads for RamCOM on
+#: the full scenario); ``advance_to`` reads the flag before advancing the
+#: sim clock, so no call site is unguarded.
+FLAG_CHECKS_PER_DECISION = 7
+NOOP_CALLS_PER_DECISION = 0
 
 
 def _scenario(quick: bool):

@@ -507,3 +507,77 @@ class TestResilienceInstrumentation:
         assert claim_outcomes  # claims were instrumented
         # The RPC histogram carries per-peer series on the fault path.
         assert "exchange_rpc_seconds" in snapshot.histograms
+
+
+def _load_overhead_bench():
+    """The telemetry-overhead guard module, whose per-decision touchpoint
+    constants the counting test below must bound."""
+    import importlib.util
+    from pathlib import Path
+
+    path = (
+        Path(__file__).resolve().parents[1]
+        / "benchmarks"
+        / "bench_telemetry_overhead.py"
+    )
+    spec = importlib.util.spec_from_file_location("bench_telemetry_overhead", path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class CountingNullProbe(NullProbe):
+    """A disabled probe that counts ``enabled`` reads and no-op calls."""
+
+    def __init__(self) -> None:
+        self.flag_reads = 0
+        self.calls = 0
+
+    @property  # type: ignore[override]
+    def enabled(self) -> bool:
+        self.flag_reads += 1
+        return False
+
+    def advance(self, sim_time: float) -> None:
+        self.calls += 1
+
+    def span(self, name: str, category: str = "sim", **fields: object):
+        self.calls += 1
+        return super().span(name, category, **fields)
+
+    def instant(self, name: str, category: str = "sim", **fields: object) -> None:
+        self.calls += 1
+
+    def count(self, name: str, value: float = 1.0, **labels: str) -> None:
+        self.calls += 1
+
+    def observe(self, name: str, value: float, **labels: str) -> None:
+        self.calls += 1
+
+    def gauge(self, name: str, value: float, **labels: str) -> None:
+        self.calls += 1
+
+
+class TestDisabledPathTouchpoints:
+    """The overhead guard models the disabled path as
+    ``FLAG_CHECKS_PER_DECISION`` flag reads plus ``NOOP_CALLS_PER_DECISION``
+    no-op calls per decision; count both on its own scenario."""
+
+    @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM])
+    def test_touchpoints_within_the_modelled_counts(self, monkeypatch, algorithm):
+        from repro.core import simulator
+
+        bench = _load_overhead_bench()
+        scenario = bench._scenario(quick=True)
+        probe = CountingNullProbe()
+        monkeypatch.setattr(simulator, "NULL_PROBE", probe)
+        Simulator(SimulatorConfig(seed=0)).run(scenario, algorithm)
+        decisions = scenario.request_count
+        assert probe.flag_reads / decisions <= bench.FLAG_CHECKS_PER_DECISION
+        assert probe.calls / decisions <= bench.NOOP_CALLS_PER_DECISION
+
+    def test_advance_leaves_the_shared_null_probe_alone(self, monkeypatch):
+        monkeypatch.setattr(NULL_PROBE, "sim_time", 0.0)
+        Simulator(SimulatorConfig(seed=0)).run(small_scenario(), RamCOM)
+        assert NULL_PROBE.sim_time == 0.0
