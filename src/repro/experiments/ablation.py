@@ -23,7 +23,7 @@ from functools import partial
 
 from repro.core.ramcom import RamCOM
 from repro.core.simulator import Scenario
-from repro.experiments.harness import ExperimentConfig, run_algorithm, run_comparison
+from repro.experiments.harness import ExperimentConfig, run_comparison, run_rows
 from repro.experiments.metrics import AlgorithmMetrics
 from repro.utils.tables import TextTable
 
@@ -58,6 +58,24 @@ class AblationResult:
         return table.render()
 
 
+def _run_settings(
+    result: AblationResult,
+    scenario: Scenario,
+    settings: list[tuple[str, str, ExperimentConfig]],
+    config: ExperimentConfig,
+) -> AblationResult:
+    """Run every ``(label, algorithm, tuned config)`` setting through one
+    :func:`run_rows` call, so ``config.jobs`` fans all their cells across
+    one pool, and append the labelled rows in order."""
+    rows = run_rows(
+        scenario,
+        [(algorithm, tuned) for _, algorithm, tuned in settings],
+        config.jobs,
+    )
+    result.rows.extend(zip([label for label, _, _ in settings], rows))
+    return result
+
+
 def run_cooperation_ablation(
     scenario: Scenario, config: ExperimentConfig | None = None
 ) -> AblationResult:
@@ -67,14 +85,12 @@ def run_cooperation_ablation(
     off_config = replace(
         config, simulator=replace(config.simulator, cooperation_enabled=False)
     )
-    for algorithm in ("demcom", "ramcom"):
-        result.rows.append(
-            (f"{algorithm}+coop", run_algorithm(scenario, algorithm, config))
-        )
-        result.rows.append(
-            (f"{algorithm}-coop", run_algorithm(scenario, algorithm, off_config))
-        )
-    return result
+    settings = [
+        (f"{algorithm}{label}", algorithm, tuned)
+        for algorithm in ("demcom", "ramcom")
+        for label, tuned in (("+coop", config), ("-coop", off_config))
+    ]
+    return _run_settings(result, scenario, settings, config)
 
 
 def run_ramcom_k_sweep(
@@ -99,14 +115,18 @@ def run_payment_accuracy_ablation(
     """DemCOM under different Algorithm-2 accuracy settings."""
     config = config or ExperimentConfig()
     result = AblationResult(name="Algorithm 2 accuracy (xi, eta)")
-    for xi, eta in ((0.2, 0.7), (0.1, 0.5), (0.05, 0.3)):
-        tuned = replace(
-            config,
-            simulator=replace(config.simulator, payment_xi=xi, payment_eta=eta),
+    settings = [
+        (
+            f"xi={xi}, eta={eta}",
+            "demcom",
+            replace(
+                config,
+                simulator=replace(config.simulator, payment_xi=xi, payment_eta=eta),
+            ),
         )
-        row = run_algorithm(scenario, "demcom", tuned)
-        result.rows.append((f"xi={xi}, eta={eta}", row))
-    return result
+        for xi, eta in ((0.2, 0.7), (0.1, 0.5), (0.05, 0.3))
+    ]
+    return _run_settings(result, scenario, settings, config)
 
 
 def run_pricer_breakpoint_ablation(
@@ -115,20 +135,25 @@ def run_pricer_breakpoint_ablation(
     """RamCOM's MER maximization: even grid only vs grid + CDF breakpoints."""
     config = config or ExperimentConfig()
     result = AblationResult(name="MER pricer candidate payments")
-    settings = (
+    grids = (
         (10, True, "grid-10+bp"),
         (50, True, "grid-50+bp"),
         (200, True, "grid-200+bp"),
         (50, False, "grid-50-bp"),
     )
-    for steps, breakpoints, label in settings:
-        tuned = replace(
-            config,
-            simulator=replace(
-                config.simulator,
-                pricer_grid_steps=steps,
-                pricer_history_breakpoints=breakpoints,
+    settings = [
+        (
+            label,
+            "ramcom",
+            replace(
+                config,
+                simulator=replace(
+                    config.simulator,
+                    pricer_grid_steps=steps,
+                    pricer_history_breakpoints=breakpoints,
+                ),
             ),
         )
-        result.rows.append((label, run_algorithm(scenario, "ramcom", tuned)))
-    return result
+        for steps, breakpoints, label in grids
+    ]
+    return _run_settings(result, scenario, settings, config)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.simulator import Scenario
-from repro.experiments.harness import ExperimentConfig, run_comparison
+from repro.experiments.harness import ExperimentConfig, run_rows
 from repro.experiments.metrics import AlgorithmMetrics
 from repro.faults.plan import FaultPlan
 from repro.utils.tables import TextTable
@@ -119,29 +119,33 @@ def run_fault_sweep(
 
     The fault plan at each rate is :meth:`FaultPlan.uniform`, whose draws
     are monotone in the rate (raising it only adds faults), so the
-    degradation curves are smooth rather than re-rolled per point.  Each
-    rate is one :func:`run_comparison`, so ``config.jobs`` fans its cells
-    across a pool.
+    degradation curves are smooth rather than re-rolled per point.  Every
+    (algorithm, rate) row goes to one :func:`run_rows` call, so
+    ``config.jobs`` fans the whole sweep's cells across one pool.
     """
     config = config or ExperimentConfig()
-    per_rate = [
-        run_comparison(
-            scenario,
-            algorithms,
-            replace(
-                config,
-                simulator=replace(
-                    config.simulator,
-                    fault_plan=FaultPlan.uniform(rate, seed=fault_seed),
-                ),
+    rate_configs = [
+        replace(
+            config,
+            simulator=replace(
+                config.simulator,
+                fault_plan=FaultPlan.uniform(rate, seed=fault_seed),
             ),
         )
         for rate in rates
     ]
-    # zip(*per_rate) turns rate-major rows into one tuple per algorithm.
+    metrics = run_rows(
+        scenario,
+        [
+            (algorithm, rate_config)
+            for algorithm in algorithms
+            for rate_config in rate_configs
+        ],
+        config.jobs,
+    )
+    rates_per_algorithm = [rate for _ in algorithms for rate in rates]
     rows = [
         ChaosRow(algorithm=row.algorithm, fault_rate=rate, metrics=row)
-        for algorithm_rows in zip(*per_rate)
-        for rate, row in zip(rates, algorithm_rows)
+        for rate, row in zip(rates_per_algorithm, metrics)
     ]
     return ChaosResult(scenario_name=scenario.name, rows=rows)

@@ -19,7 +19,13 @@ from repro.errors import ConfigurationError
 from repro.experiments.metrics import AlgorithmMetrics, average_metrics
 from repro.utils.jobs import starmap_jobs
 
-__all__ = ["ExperimentConfig", "run_algorithm", "run_cell", "run_comparison"]
+__all__ = [
+    "ExperimentConfig",
+    "run_algorithm",
+    "run_cell",
+    "run_comparison",
+    "run_rows",
+]
 
 #: Registry name reserved for the offline optimum.
 OFFLINE_NAME = "off"
@@ -103,6 +109,48 @@ def run_cell(
     return AlgorithmMetrics.from_simulation(result)
 
 
+def run_rows(
+    scenario: Scenario,
+    rows: Sequence[tuple[Algorithm, ExperimentConfig]],
+    jobs: int = 1,
+) -> list[AlgorithmMetrics]:
+    """Run one seed-averaged row per *(algorithm, config)* pair, in order.
+
+    Each row's own config picks its seeds and simulator settings, and the
+    cells of every row go to one :func:`~repro.utils.jobs.starmap_jobs`
+    call over ``jobs`` processes, so a sweep that varies a config knob
+    across rows still starts at most one pool.
+
+    Each *(algorithm, seed)* cell is a pure function of its arguments:
+    every draw flows from the cell's seed through :mod:`repro.utils.rng`,
+    and the behaviour oracle realises reservations as pure functions of
+    ``(oracle seed, worker, request)``.  So the cells run in-process or
+    across processes alike, and folding them in one fixed order (rows in
+    request order, seeds in their config's ``seeds`` order, OFF as one
+    cell) makes every deterministic field byte-identical at any job
+    count.  Wall-clock values (``response_time_ms`` and
+    :data:`repro.obs.WALL_CLOCK_FAMILIES`) differ between any two runs.
+    """
+    cells: list[tuple[int, Algorithm, int | None, ExperimentConfig]] = []
+    for index, (algorithm, config) in enumerate(rows):
+        if isinstance(algorithm, str) and algorithm.lower() == OFFLINE_NAME:
+            cells.append((index, algorithm, None, config))
+            continue
+        if not config.seeds:
+            raise ConfigurationError("ExperimentConfig.seeds must be non-empty")
+        for seed in config.seeds:
+            cells.append((index, algorithm, seed, config))
+    results = starmap_jobs(
+        run_cell,
+        [(scenario, algorithm, seed, config) for _, algorithm, seed, config in cells],
+        jobs,
+    )
+    per_row: list[list[AlgorithmMetrics]] = [[] for _ in rows]
+    for (index, _, _, _), row in zip(cells, results):
+        per_row[index].append(row)
+    return [average_metrics(cell_rows) for cell_rows in per_row]
+
+
 def run_comparison(
     scenario: Scenario,
     algorithms: Sequence[Algorithm],
@@ -112,35 +160,13 @@ def run_comparison(
     realized worker behaviour — the oracle guarantees identical draws);
     returns one seed-averaged row per algorithm, in request order.
 
-    Each *(algorithm, seed)* cell is a pure function of its arguments:
-    every draw flows from the cell's seed through :mod:`repro.utils.rng`,
-    and the behaviour oracle realises reservations as pure functions of
-    ``(oracle seed, worker, request)``.  So the cells run in-process or
-    across ``config.jobs`` processes alike, and folding them in one fixed
-    order (algorithms in request order, seeds in ``config.seeds`` order,
-    OFF as one cell) makes every deterministic field byte-identical at any
-    job count.  Wall-clock values (``response_time_ms`` and
-    :data:`repro.obs.WALL_CLOCK_FAMILIES`) differ between any two runs.
+    The rows share ``config`` and run through :func:`run_rows` across
+    ``config.jobs`` processes.
     """
     config = config or ExperimentConfig()
-    cells: list[tuple[int, Algorithm, int | None]] = []
-    for index, algorithm in enumerate(algorithms):
-        if isinstance(algorithm, str) and algorithm.lower() == OFFLINE_NAME:
-            cells.append((index, algorithm, None))
-            continue
-        if not config.seeds:
-            raise ConfigurationError("ExperimentConfig.seeds must be non-empty")
-        for seed in config.seeds:
-            cells.append((index, algorithm, seed))
-    results = starmap_jobs(
-        run_cell,
-        [(scenario, algorithm, seed, config) for _, algorithm, seed in cells],
-        config.jobs,
+    return run_rows(
+        scenario, [(algorithm, config) for algorithm in algorithms], config.jobs
     )
-    per_algorithm: list[list[AlgorithmMetrics]] = [[] for _ in algorithms]
-    for (index, _, _), row in zip(cells, results):
-        per_algorithm[index].append(row)
-    return [average_metrics(rows) for rows in per_algorithm]
 
 
 def run_algorithm(

@@ -27,7 +27,12 @@ from repro.experiments import (
     run_comparison,
     run_fault_sweep,
 )
-from repro.experiments.ablation import run_ramcom_k_sweep
+from repro.experiments.ablation import (
+    run_cooperation_ablation,
+    run_payment_accuracy_ablation,
+    run_pricer_breakpoint_ablation,
+    run_ramcom_k_sweep,
+)
 from repro.experiments.harness import run_cell
 from repro.experiments.reporting import metrics_to_dict
 from repro.obs import WALL_CLOCK_FAMILIES, MetricsSnapshot
@@ -190,7 +195,30 @@ class TestWallClockCanonicalization:
 
 
 class TestSweepsUseThePool:
-    """``--jobs`` reaches every cell of the chaos and RamCOM-k sweeps."""
+    """``--jobs`` reaches every cell of the chaos sweep and of every
+    ablation, through one pool per sweep."""
+
+    @pytest.mark.parametrize(
+        ("ablation", "cells"),
+        [
+            (run_cooperation_ablation, 4 * 2),
+            (run_payment_accuracy_ablation, 3 * 2),
+            (run_pricer_breakpoint_ablation, 4 * 2),
+        ],
+    )
+    def test_ablation_pools_every_cell_once(self, pool_spy, ablation, cells):
+        scenario = _scenario()
+        config = _config(seeds=(0, 1), telemetry=False)
+        serial = ablation(scenario, config)
+        assert pool_spy == []
+        pooled = ablation(scenario, replace(config, jobs=2))
+        assert pool_spy == [cells]
+        assert [label for label, _ in pooled.rows] == [
+            label for label, _ in serial.rows
+        ]
+        assert _canonical(row for _, row in pooled.rows) == _canonical(
+            row for _, row in serial.rows
+        )
 
     def test_fault_sweep_pools_every_cell(self, pool_spy):
         scenario = _scenario()
@@ -200,8 +228,8 @@ class TestSweepsUseThePool:
         pooled = run_fault_sweep(
             scenario, rates=(0.0, 0.4), config=replace(config, jobs=2)
         )
-        # Two algorithms x two seeds per rate, one pool per rate.
-        assert pool_spy == [4, 4]
+        # Two algorithms x two rates x two seeds, all in one pool.
+        assert pool_spy == [8]
         assert [row.fault_rate for row in pooled.rows] == [
             row.fault_rate for row in serial.rows
         ]
