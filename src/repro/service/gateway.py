@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import asyncio
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -926,7 +926,13 @@ class MatchingGateway:
         self.registry.histogram("service_latency_seconds").observe(
             elapsed, platform=request.platform_id
         )
-        outcome = replace(outcome, latency_ms=elapsed * 1e3)
+        outcome = ServiceOutcome(
+            outcome.request_id,
+            outcome.status,
+            outcome.worker_id,
+            outcome.payment,
+            elapsed * 1e3,
+        )
         self._outcomes[request.request_id] = outcome
         return outcome
 
