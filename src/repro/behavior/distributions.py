@@ -1,16 +1,17 @@
 """Reservation-price distributions.
 
-Each distribution exposes sampling (the worker's latent draw per offer), the
-CDF (the *true* acceptance probability at a given payment, used by analysis
-and tests), and quantiles (used by workload calibration: "make the minimum
-outer payment land near 70% of the request value", §III-D).
+Each distribution exposes the CDF (the *true* acceptance probability at a
+given payment, used by analysis and tests) and quantiles.  A quantile is
+both the worker's latent draw per offer (inverse-transform sampling of one
+hashed uniform, :meth:`repro.behavior.BehaviorOracle.reservation`) and
+what workload calibration reads ("make the minimum outer payment land near
+70% of the request value", §III-D).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import random
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
@@ -27,10 +28,6 @@ class ReservationDistribution(ABC):
     """A distribution over reservation prices (non-negative reals)."""
 
     @abstractmethod
-    def sample(self, rng: random.Random) -> float:
-        """Draw one reservation price."""
-
-    @abstractmethod
     def cdf(self, value: float) -> float:
         """P(reservation <= value) — the true acceptance probability."""
 
@@ -44,11 +41,12 @@ class ReservationDistribution(ABC):
         return sum(self.quantile((i + 0.5) / steps) for i in range(steps)) / steps
 
     def draw_bounds(self) -> tuple[float, float]:
-        """A closed interval ``[low, high]`` holding every :meth:`sample`.
+        """A closed interval ``[low, high]`` holding every draw, that is
+        every :meth:`quantile` at ``q`` in ``[0, 1)``.
 
         The behaviour oracle settles an offer without drawing when the
         payment lies outside it, so a subclass may narrow it only to bounds
-        it can prove for the floating-point sampler, not for the ideal
+        it can prove for the floating-point quantile, not for the ideal
         distribution.  The default is the whole price domain.
         """
         return 0.0, math.inf
@@ -65,12 +63,9 @@ class UniformDistribution(ReservationDistribution):
         self.low = float(low)
         self.high = float(high)
 
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
     def draw_bounds(self) -> tuple[float, float]:
-        # ``low + (high - low) * random()`` adds a non-negative term to
-        # ``low``, so it never rounds below it; it can round past ``high``.
+        # ``low + q * (high - low)`` adds a non-negative term to ``low``, so
+        # it never rounds below it; it can round past ``high``.
         return self.low, math.inf
 
     def cdf(self, value: float) -> float:
@@ -97,7 +92,9 @@ class EmpiricalDistribution(ReservationDistribution):
     """The empirical distribution of a finite sample.
 
     This is exactly the distribution Definition 3.1 estimates: its CDF at
-    ``v`` is ``N(value <= v) / N``.  Sampling draws a uniform member.
+    ``v`` is ``N(value <= v) / N``.  A draw at a uniform ``q`` in ``[0, 1)``
+    is the member at index ``floor(q * N)``, so each member is equally
+    likely.
     """
 
     def __init__(self, values: Sequence[float]):
@@ -109,11 +106,8 @@ class EmpiricalDistribution(ReservationDistribution):
             raise ConfigurationError("reservation prices must be non-negative")
         self._sorted = sorted(float(v) for v in values)
 
-    def sample(self, rng: random.Random) -> float:
-        return self._sorted[rng.randrange(len(self._sorted))]
-
     def draw_bounds(self) -> tuple[float, float]:
-        # sample() returns a member of the sorted list.
+        # quantile() returns a member of the sorted list.
         return self._sorted[0], self._sorted[-1]
 
     def cdf(self, value: float) -> float:

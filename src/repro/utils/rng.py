@@ -21,9 +21,10 @@ import hashlib
 import random
 from collections.abc import Iterator
 
-__all__ = ["SeedSequence", "derive_rng", "derive_seed"]
+__all__ = ["SeedSequence", "derive_rng", "derive_seed", "derive_uniform"]
 
 _MASK_64 = (1 << 64) - 1
+_UNIT_53 = 2.0**-53
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -31,6 +32,15 @@ def derive_seed(seed: int, label: str) -> int:
     payload = f"{seed:#x}|{label}".encode()
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") & _MASK_64
+
+
+def derive_uniform(seed: int, label: str) -> float:
+    """A stable uniform in ``[0, 1)`` from ``(seed, label)``.
+
+    The top 53 bits of :func:`derive_seed` times ``2**-53``: every value
+    is exact, the largest is ``1 - 2**-53``, and no generator is seeded.
+    """
+    return (derive_seed(seed, label) >> 11) * _UNIT_53
 
 
 def derive_rng(seed: int, label: str) -> random.Random:

@@ -21,9 +21,9 @@ from repro.core import SimulatorConfig
 from repro.experiments.reporting import golden_row
 from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
-OFF_DIGEST = "23ce893e41956d55a0fc5a047a10b8e9c9c8879877a8b1feb78df97f59560d19"
-REENTRY_DIGEST = "3c6bab91d8baa22c00fd32c7cc60c913432d33c599a1fe98449a71cde8bf1ad0"
-BATCH_DIGEST = "195328d0b1195b562522e1583ff741bf8760f6309a101078265e5b25265ea3a2"
+OFF_DIGEST = "dde7e52f4ef252beefe10107e91d7becd97f82002f8c82c316751f023c5166ef"
+REENTRY_DIGEST = "1845b5a2de6c20c616fa516772fe9cc27d1146c095705f3e692918ca7e6b781d"
+BATCH_DIGEST = "82c4e55922390c1f52d73c181f615432469d73b3918bb5cd736fc35630202364"
 
 
 def _sha256(payload: object) -> str:

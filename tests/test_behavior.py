@@ -15,8 +15,12 @@ from repro.behavior import (
     WorkerBehavior,
 )
 from repro.errors import ConfigurationError
+from repro.utils.rng import derive_uniform
 
 probabilities = st.floats(min_value=0.001, max_value=0.999)
+
+#: The largest uniform a reservation draw can see.
+LARGEST_UNIFORM = 1.0 - 2.0**-53
 
 
 class TestUniformDistribution:
@@ -30,7 +34,7 @@ class TestUniformDistribution:
         dist = UniformDistribution(3.0, 3.0)
         assert dist.cdf(3.0) == 1.0
         assert dist.cdf(2.999) == 0.0
-        assert dist.sample(random.Random(0)) == 3.0
+        assert dist.quantile(0.0) == dist.quantile(LARGEST_UNIFORM) == 3.0
 
     def test_invalid_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -49,7 +53,7 @@ class TestUniformDistribution:
     def test_samples_in_support(self):
         dist = UniformDistribution(2.0, 4.0)
         rng = random.Random(7)
-        assert all(2.0 <= dist.sample(rng) <= 4.0 for _ in range(100))
+        assert all(2.0 <= dist.quantile(rng.random()) <= 4.0 for _ in range(100))
 
 
 class TestEmpiricalDistribution:
@@ -78,7 +82,8 @@ class TestEmpiricalDistribution:
         values = [1.0, 3.0, 5.0]
         dist = EmpiricalDistribution(values)
         rng = random.Random(0)
-        assert all(dist.sample(rng) in values for _ in range(50))
+        assert all(dist.quantile(rng.random()) in values for _ in range(50))
+        assert dist.quantile(LARGEST_UNIFORM) == 5.0
 
     def test_mean(self):
         assert EmpiricalDistribution([1.0, 3.0]).mean() == 2.0
@@ -159,6 +164,55 @@ class TestBehaviorOracle:
         assert behavior.true_acceptance_probability(0.6) == pytest.approx(0.5)
 
 
+class TestReservationDrawing:
+    """Each draw is the quantile of one hashed uniform of (seed, base
+    worker, request)."""
+
+    def _oracle(self, dist) -> BehaviorOracle:
+        oracle = BehaviorOracle(seed=11)
+        oracle.register(WorkerBehavior("w", dist, []))
+        return oracle
+
+    def test_draw_is_the_quantile_of_the_hashed_uniform(self):
+        dist = UniformDistribution(0.2, 0.9)
+        u = derive_uniform(11, "reservation/w/r3")
+        assert self._oracle(dist).reservation("w@reentry2", "r3") == dist.quantile(u)
+
+    def test_draws_are_pure_and_skipping_one_changes_no_other(self):
+        dist = EmpiricalDistribution([i / 10 for i in range(10)])
+        every = self._oracle(dist)
+        all_draws = [every.reservation("w", f"r{i}") for i in range(40)]
+        sparse = self._oracle(dist)
+        # Odd requests only, newest first: nothing is consumed in between.
+        for i in reversed(range(1, 40, 2)):
+            assert sparse.reservation("w", f"r{i}") == all_draws[i]
+        assert [every.reservation("w", f"r{i}") for i in range(40)] == all_draws
+
+    def test_largest_uniform_draws_the_top_member(self, monkeypatch):
+        from repro.behavior import worker_model
+
+        monkeypatch.setattr(
+            worker_model, "derive_uniform", lambda seed, label: LARGEST_UNIFORM
+        )
+        values = [i / 50 for i in range(1, 51)]
+        assert self._oracle(EmpiricalDistribution(values)).reservation("w", "r") == 1.0
+        uniform = self._oracle(UniformDistribution(0.3, 0.6))
+        assert 0.3 <= uniform.reservation("w", "r") <= 0.6
+
+    def test_members_of_a_50_value_distribution_are_drawn_evenly(self):
+        values = [round(0.3 + 0.01 * i, 2) for i in range(50)]
+        oracle = self._oracle(EmpiricalDistribution(values))
+        draws = 20_000
+        counts = dict.fromkeys(values, 0)
+        for i in range(draws):
+            counts[oracle.reservation("w", i)] += 1
+        # Binomial(draws, 1/50): mean 400, standard deviation about 19.8;
+        # five deviations bound every fair member with overwhelming odds.
+        p = 1 / len(values)
+        spread = 5 * math.sqrt(draws * p * (1 - p))
+        assert all(abs(count - draws * p) <= spread for count in counts.values())
+
+
 distributions = st.one_of(
     st.lists(
         st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=30
@@ -176,11 +230,13 @@ class TestDrawBounds:
     def test_every_sample_lies_in_the_bounds(self, dist, seed):
         low, high = dist.draw_bounds()
         rng = random.Random(seed)
-        assert all(low <= dist.sample(rng) <= high for _ in range(1000))
+        uniforms = [0.0, LARGEST_UNIFORM] + [rng.random() for _ in range(1000)]
+        assert all(low <= dist.quantile(u) <= high for u in uniforms)
 
     def test_declared_bounds(self):
         assert EmpiricalDistribution([0.7, 0.2, 0.5]).draw_bounds() == (0.2, 0.7)
-        # rng.uniform may round past high, so only low is declared.
+        # low + q * (high - low) may round past high, so only low is
+        # declared.
         assert UniformDistribution(0.3, 0.6).draw_bounds() == (0.3, math.inf)
 
     def test_parameters_that_would_draw_nan_raise(self):
@@ -244,13 +300,13 @@ class TestDrawFreeOffers:
         from repro.behavior import worker_model
 
         labels = []
-        real = worker_model.derive_rng
+        real = worker_model.derive_uniform
 
         def counting(seed, label):
             labels.append(label)
             return real(seed, label)
 
-        monkeypatch.setattr(worker_model, "derive_rng", counting)
+        monkeypatch.setattr(worker_model, "derive_uniform", counting)
         oracle = BehaviorOracle(seed=3)
         oracle.register(
             WorkerBehavior("w", EmpiricalDistribution([0.4, 0.6]), [0.4, 0.6])

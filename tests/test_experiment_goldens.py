@@ -24,9 +24,9 @@ from repro.experiments.ablation import run_ramcom_k_sweep
 from repro.experiments.reporting import metrics_to_dict
 from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
-COMPARISON_DIGEST = "d979c0e4895bdc4fb48c001cd1c5da9c4773c072ff5d05a5a1851b0b173ba13a"
-FAULT_SWEEP_DIGEST = "0bfc52b51cd7064ff01f5a4a4d492867a629a0cf208d194b25528d6df043ac08"
-RAMCOM_K_DIGEST = "6422a331fbb4ce6feb433b26525734f850bf718aed8086f0637c393cf426646e"
+COMPARISON_DIGEST = "5a1bb00c2c5a840a5e81070911b7d6dd11c1c54b5f2214058134e76603688fee"
+FAULT_SWEEP_DIGEST = "1b5b792e5c42a56d741ad1b123a586d1348afdd8d02fa5710dbce1dbe48099bb"
+RAMCOM_K_DIGEST = "6e7fb241f1725e892acacc354d7139a078a2b6a2b57d9980a62933e44bc71bf2"
 
 JOBS = [1, 2]
 

@@ -275,11 +275,11 @@ class TestGoldenMemoryWalk:
     """
 
     RECORDED_ON = (3, 11)
-    GOLDEN = {"DemCOM": 24066, "RamCOM": 23746}
+    GOLDEN = {"DemCOM": 24066, "RamCOM": 23442}
     SYNTHETIC = {
-        ("DemCOM", True): 300367,
+        ("DemCOM", True): 301565,
         ("DemCOM", False): 175622,
-        ("RamCOM", True): 296722,
+        ("RamCOM", True): 297533,
         ("RamCOM", False): 175470,
     }
 

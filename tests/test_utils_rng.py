@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import SeedSequence, derive_rng, derive_seed
+from repro.utils import rng as rng_module
+from repro.utils.rng import SeedSequence, derive_rng, derive_seed, derive_uniform
 
 
 class TestDeriveSeed:
@@ -24,6 +25,25 @@ class TestDeriveSeed:
     @given(st.integers(min_value=0, max_value=2**63), st.text(max_size=40))
     def test_stable_under_repetition(self, seed, label):
         assert derive_seed(seed, label) == derive_seed(seed, label)
+
+
+class TestDeriveUniform:
+    @given(st.integers(min_value=0, max_value=2**63), st.text(max_size=40))
+    def test_in_unit_interval_and_stable(self, seed, label):
+        u = derive_uniform(seed, label)
+        assert 0.0 <= u < 1.0
+        assert u == derive_uniform(seed, label)
+
+    def test_top_53_bits_of_the_derived_seed(self):
+        assert derive_uniform(7, "x") == (derive_seed(7, "x") >> 11) / 2**53
+
+    def test_extreme_seeds_map_to_the_interval_ends(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "derive_seed", lambda seed, label: 0)
+        assert derive_uniform(0, "x") == 0.0
+        monkeypatch.setattr(
+            rng_module, "derive_seed", lambda seed, label: 2**64 - 1
+        )
+        assert derive_uniform(0, "x") == 1.0 - 2.0**-53 < 1.0
 
 
 class TestDeriveRng:
