@@ -9,8 +9,6 @@
   (extension baseline; the paper cites its competitive ratio).
 * :class:`Ranking` — Karp et al.'s RANKING [17] adapted to the platform
   model (extension baseline).
-* :class:`RandomAssign` — uniformly random eligible inner worker (sanity
-  floor).
 
 Importing this package registers every baseline in the algorithm registry.
 """
@@ -18,8 +16,6 @@ Importing this package registers every baseline in the algorithm registry.
 from repro.baselines.tota import TOTA
 from repro.baselines.greedy_rt import GreedyRT
 from repro.baselines.ranking import Ranking
-from repro.baselines.random_assign import RandomAssign
-from repro.baselines.auction import AuctionCOM
 from repro.baselines.batch import BatchMatching
 from repro.baselines.geocrowd import GeoCrowdSolution, solve_geocrowd
 from repro.baselines.offline import (
@@ -33,16 +29,12 @@ from repro.core.registry import register_algorithm
 register_algorithm("tota", TOTA)
 register_algorithm("greedy-rt", GreedyRT)
 register_algorithm("ranking", Ranking)
-register_algorithm("random", RandomAssign)
 register_algorithm("batch", BatchMatching)
-register_algorithm("auction", AuctionCOM)
 
 __all__ = [
     "TOTA",
     "GreedyRT",
     "Ranking",
-    "RandomAssign",
-    "AuctionCOM",
     "BatchMatching",
     "GeoCrowdSolution",
     "solve_geocrowd",

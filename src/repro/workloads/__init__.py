@@ -30,7 +30,6 @@ from repro.workloads.spatial import (
 from repro.workloads.arrival import ArrivalProcess, DiurnalArrivals, UniformArrivals
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 from repro.workloads.gaia import CityTraceConfig, CityTraceGenerator
-from repro.workloads.multi_platform import MultiPlatformConfig, MultiPlatformWorkload
 from repro.workloads.trace_io import RawTrace, load_trace_csv, scenario_from_traces
 from repro.workloads.serialization import (
     load_scenario,
@@ -61,8 +60,6 @@ __all__ = [
     "SyntheticWorkloadConfig",
     "CityTraceConfig",
     "CityTraceGenerator",
-    "MultiPlatformConfig",
-    "MultiPlatformWorkload",
     "RawTrace",
     "load_trace_csv",
     "scenario_from_traces",

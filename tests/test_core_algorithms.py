@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.baselines import TOTA, GreedyRT, Ranking, RandomAssign
+from repro.baselines import TOTA, GreedyRT, Ranking
 from repro.core import DemCOM, RamCOM, Simulator, SimulatorConfig
 from repro.core.base import DecisionKind
 from repro.core.simulator import Scenario
@@ -240,12 +240,6 @@ class TestExtensionBaselines:
             result = run(scenario, Ranking, seed=seed)
             chosen.add(result.platforms["A"].ledger.records[0].worker.worker_id)
         assert chosen == {"w1", "w2"}  # both get picked across seeds
-
-    def test_random_assign_completes(self):
-        workers = [make_worker("w1", "A", 0.0, 0.1, 0.0)]
-        requests = [make_request("r", "A", 1.0)]
-        result = run(fixed_rate_scenario(workers, requests), RandomAssign)
-        assert result.total_completed == 1
 
     def test_decision_constructors(self):
         from repro.core.base import Decision

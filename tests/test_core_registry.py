@@ -17,7 +17,7 @@ from repro.errors import UnknownAlgorithmError
 class TestRegistry:
     def test_builtins_present(self):
         names = available_algorithms()
-        for name in ("demcom", "ramcom", "tota", "greedy-rt", "ranking", "random"):
+        for name in ("demcom", "ramcom", "tota", "greedy-rt", "ranking"):
             assert name in names
 
     def test_make_algorithm_case_insensitive(self):
