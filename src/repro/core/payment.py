@@ -14,8 +14,8 @@ Instances where nobody accepts even at the full request value contribute
 and DemCOM rejects the request (Algorithm 1, lines 13-14).
 
 The estimator is the dominant per-decision cost of DemCOM (one Eq.-4 query
-per candidate per bisection step, times ``n_s`` instances), so by default it
-runs on the snapshot *fast path*: candidate histories are materialised once
+per candidate per bisection step, times ``n_s`` instances), so it runs on
+the snapshot *fast path*: candidate histories are materialised once
 per :meth:`MinimumOuterPaymentEstimator.estimate` call
 (:meth:`~repro.core.acceptance.AcceptanceEstimator.snapshot`), and the Eq.-4
 probability vector at each trial price is computed once and memoised across
@@ -26,10 +26,9 @@ path draws the *exact same RNG sequence* as the reference path (one uniform
 per candidate with positive acceptance probability, in candidate order,
 until one accepts), so results are bit-identical — docs/PERFORMANCE.md
 spells out the argument, and the golden tests in
-``tests/test_perf_fastpath.py`` pin it down.  The fast path is the only
-production implementation; ``fast_path=False`` runs the reference
-per-query loop, kept as the oracle the tests and the hot-path benchmark
-compare against.
+``tests/test_perf_fastpath.py`` pin it down.  The reference per-query loop
+(:meth:`MinimumOuterPaymentEstimator._run_instances_reference`) is kept as
+the oracle those tests swap in for the fast path; no option selects it.
 """
 
 from __future__ import annotations
@@ -94,11 +93,9 @@ class MinimumOuterPaymentEstimator:
     epsilon:
         Absolute bisection floor and the surcharge marking an
         impossible-to-serve instance.
-    fast_path:
-        Run the snapshot fast path (default).  ``False`` selects the
-        reference per-query implementation — same results bit for bit,
-        kept as the golden baseline for the fast-path equivalence tests
-        and ``benchmarks/bench_hotpath.py``.
+
+    :meth:`estimate` runs :meth:`_run_instances_fast`; the bit-identical
+    :meth:`_run_instances_reference` is a test-only oracle.
     """
 
     def __init__(
@@ -107,7 +104,6 @@ class MinimumOuterPaymentEstimator:
         xi: float = 0.1,
         eta: float = 0.5,
         epsilon: float = 1e-6,
-        fast_path: bool = True,
     ):
         if epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
@@ -115,7 +111,6 @@ class MinimumOuterPaymentEstimator:
         self.xi = xi
         self.eta = eta
         self.epsilon = epsilon
-        self.fast_path = fast_path
         self.samples = sample_count(xi, eta)
 
     def _anyone_accepts(
@@ -144,7 +139,8 @@ class MinimumOuterPaymentEstimator:
         rng: random.Random,
         tolerance: float,
     ) -> tuple[float, int, int]:
-        """The pre-fast-path instance loop (kept as the golden baseline)."""
+        """The pre-fast-path instance loop, the equivalence oracle for
+        :meth:`_run_instances_fast`; only tests call it."""
         total = 0.0
         rejected = 0
         iterations = 0
@@ -298,12 +294,7 @@ class MinimumOuterPaymentEstimator:
         failed = True
         try:
             tolerance = max(self.epsilon, self.xi * request_value)
-            run = (
-                self._run_instances_fast
-                if self.fast_path
-                else self._run_instances_reference
-            )
-            total, rejected, iterations = run(
+            total, rejected, iterations = self._run_instances_fast(
                 request_value, worker_ids, rng, tolerance
             )
             estimate = PaymentEstimate(

@@ -18,8 +18,8 @@ makes the discrete maximization exact for the estimator the algorithm
 actually uses.
 
 The any-acceptance product is the pricer's hot loop (one Eq.-4 query per
-candidate per candidate payment).  By default :meth:`quote` prunes it
-without changing a bit of the answer:
+candidate per candidate payment).  :meth:`quote` prunes it without
+changing a bit of the answer:
 
 * it sweeps the candidate payments in ascending order and stops at the
   first payment whose margin ``v_r - v'`` falls *strictly* below the best
@@ -42,8 +42,10 @@ The product multiplies the same factors in the same candidate order
 candidates, and a probability-one candidate's exact ``0.0`` factor zeroes
 the rest just as the reference's early exit does) and the
 ``(expected, payment)`` argmax does not depend on evaluation order, so
-quotes are bit-identical to the reference path (``fast_path=False``),
-which evaluates every payment in build order; see
+quotes are bit-identical to the reference evaluation
+(:meth:`MaximumExpectedRevenuePricer._quote_reference`), which evaluates
+every payment in build order and is kept as the oracle the equivalence
+tests swap in for the pruned sweep; see
 docs/PERFORMANCE.md#pruned-mer-quote and
 docs/PERFORMANCE.md#factor-list-mer-sweep.
 """
@@ -97,11 +99,9 @@ class MaximumExpectedRevenuePricer:
         default, 64, is the smallest measured cap whose RamCOM revenue on
         Tables V-VII and the benchmark traces is no more than 0.25% below
         the former 200's (DESIGN.md §1, docs/PERFORMANCE.md#the-breakpoint-cap).
-    fast_path:
-        Run the pruned ascending sweep (default).  ``False`` selects the
-        reference implementation, which evaluates every candidate payment
-        with one Eq.-4 query per candidate — bit-identical results, kept
-        for the equivalence tests and the ``bench_hotpath`` baseline.
+
+    :meth:`quote` runs :meth:`_quote_pruned`; the bit-identical
+    :meth:`_quote_reference` is a test-only oracle.
     """
 
     def __init__(
@@ -110,7 +110,6 @@ class MaximumExpectedRevenuePricer:
         grid_steps: int = 50,
         include_history_breakpoints: bool = True,
         max_breakpoints: int = 64,
-        fast_path: bool = True,
     ):
         if grid_steps < 1:
             raise ConfigurationError(f"grid_steps must be >= 1, got {grid_steps}")
@@ -122,7 +121,6 @@ class MaximumExpectedRevenuePricer:
         self.grid_steps = grid_steps
         self.include_history_breakpoints = include_history_breakpoints
         self.max_breakpoints = max_breakpoints
-        self.fast_path = fast_path
         #: Cumulative candidate payments built and evaluated by
         #: :meth:`quote`; their ratio is the pruning rate.
         self.payments_built = 0
@@ -281,8 +279,7 @@ class MaximumExpectedRevenuePricer:
             )
         payments = self._candidate_payments(request_value, worker_ids)
         self.payments_built += len(payments)
-        evaluate = self._quote_pruned if self.fast_path else self._quote_reference
-        payment, expected, probability, evaluated = evaluate(
+        payment, expected, probability, evaluated = self._quote_pruned(
             request_value, worker_ids, payments
         )
         self.payments_evaluated += evaluated

@@ -106,12 +106,6 @@ class SimulatorConfig:
     pricer_grid_steps: int = 50
     #: Also evaluate history CDF breakpoints in the MER maximization.
     pricer_history_breakpoints: bool = True
-    #: Run Algorithm 2 on the snapshot fast path and the MER pricer on the
-    #: pruned sweep (docs/PERFORMANCE.md).  ``False`` selects the
-    #: reference per-query implementations — bit-identical results, ~2-5x
-    #: slower; kept for the fast-path equivalence tests and
-    #: ``benchmarks/bench_hotpath.py``.
-    payment_fast_path: bool = True
     #: Algorithm-2 implementation.  Only ``"python"`` exists; any other
     #: value raises :class:`~repro.errors.ConfigurationError`.  Kept so
     #: configurations that name it explicitly still load.
@@ -373,13 +367,11 @@ class SimulationSession:
             self.acceptance,
             xi=config.payment_xi,
             eta=config.payment_eta,
-            fast_path=config.payment_fast_path,
         )
         self.pricer = pricer = MaximumExpectedRevenuePricer(
             self.acceptance,
             grid_steps=config.pricer_grid_steps,
             include_history_breakpoints=config.pricer_history_breakpoints,
-            fast_path=config.payment_fast_path,
         )
 
         self.algorithms: dict[str, OnlineAlgorithm] = {}

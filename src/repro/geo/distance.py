@@ -2,9 +2,15 @@
 
 The paper's model uses planar Euclidean distance; §II remarks that road
 network (shortest-path) distance is a drop-in replacement because only the
-*service range predicate* changes.  We provide Euclidean (default),
-Manhattan (a simple road-grid proxy used by the road-network extension), and
-haversine for geographic traces.
+*service range predicate* changes.
+
+No run path calls these functions: :meth:`Point.distance_to
+<repro.geo.point.Point.distance_to>` computes the Euclidean distance
+inline, :mod:`repro.geo.roadnet` computes its own shortest paths, and
+:mod:`repro.workloads.trace_io` projects coordinates without them.  They
+are exported from :mod:`repro.geo` and serve the tests as oracles:
+``manhattan`` for the road network's full-grid distances and
+``haversine_km`` for the trace projection.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ def haversine_km(a: Point, b: Point) -> float:
     """Great-circle distance in kilometres.
 
     Points are interpreted as ``(x=longitude, y=latitude)`` in degrees.
-    Used when loading geographic trace data instead of the planar city model.
+    Only tests call it, as the oracle for the planar projection of
+    :mod:`repro.workloads.trace_io`.
     """
     lon1, lat1 = math.radians(a.x), math.radians(a.y)
     lon2, lat2 = math.radians(b.x), math.radians(b.y)

@@ -244,18 +244,19 @@ class TestMaximumExpectedRevenuePricer:
         assert quote.payment == pytest.approx(2.0)
         assert quote.expected_revenue == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("fast_path", [True, False])
+    @pytest.mark.parametrize("path", ["fast", "reference"])
     @pytest.mark.parametrize(
         ("cap", "payments"),
         [(0, [2.5, 5.0, 7.5, 10.0]), (1, [2.5, 5.0, 7.5, 10.0, 2.0])],
     )
-    def test_breakpoint_cap_is_checked_before_adding(self, fast_path, cap, payments):
+    def test_breakpoint_cap_is_checked_before_adding(self, path, cap, payments):
         pricer = self._pricer(
-            {"w": [0.2, 0.5, 0.7]},
-            grid_steps=4,
-            max_breakpoints=cap,
-            fast_path=fast_path,
+            {"w": [0.2, 0.5, 0.7]}, grid_steps=4, max_breakpoints=cap
         )
+        if path == "reference":
+            # The test-only seam: the reference evaluation in place of the
+            # pruned sweep, on this instance.
+            pricer._quote_pruned = pricer._quote_reference
         assert pricer._candidate_payments(10.0, ["w"]) == payments
         quote = pricer.quote(10.0, ["w"])
         assert pricer.payments_built == len(payments)

@@ -5,13 +5,19 @@ reference implementations — same estimates, same quotes, and the same RNG
 stream (one uniform per candidate with positive acceptance probability, in
 candidate order, until one accepts).  These tests pin that down at three
 levels: the estimator/pricer units, the RNG-boundary edge cases, and full
-DemCOM / RamCOM simulations run with ``payment_fast_path`` on vs off.
+DemCOM / RamCOM simulations run as shipped and with the reference paths
+swapped in.  No option selects a reference path: the tests reach
+``_run_instances_reference`` and ``_quote_reference`` by replacing their
+fast twins on one instance (:func:`_reference_estimator`,
+:func:`_reference_pricer`) or on the class (:func:`_reference_paths`).
 Golden digests (:class:`TestPythonPathByteIdentity`) pin the fast path's
-outputs themselves.
+outputs themselves, and counted-work tests (:class:`TestEq4EvaluationCounts`,
+:class:`TestPruningCounters`) pin how much Eq.-4 work each path does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import pickle
@@ -22,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.behavior import worker_model
 from repro.core import DemCOM, RamCOM, Simulator, SimulatorConfig
+from repro.core import payment as payment_module
 from repro.core.acceptance import AcceptanceEstimator, AcceptanceSnapshot
 from repro.core.events import EventKind
 from repro.core.payment import MinimumOuterPaymentEstimator
@@ -30,6 +37,38 @@ from repro.utils.rng import derive_rng
 from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
 from conftest import make_request, make_scenario, make_worker
+
+
+def _reference_estimator(*args, **kwargs) -> MinimumOuterPaymentEstimator:
+    """An estimator whose ``estimate`` runs the reference instance loop."""
+    estimator = MinimumOuterPaymentEstimator(*args, **kwargs)
+    estimator._run_instances_fast = estimator._run_instances_reference
+    return estimator
+
+
+def _reference_pricer(*args, **kwargs) -> MaximumExpectedRevenuePricer:
+    """A pricer whose ``quote`` runs the reference evaluation."""
+    pricer = MaximumExpectedRevenuePricer(*args, **kwargs)
+    pricer._quote_pruned = pricer._quote_reference
+    return pricer
+
+
+@contextlib.contextmanager
+def _reference_paths():
+    """Swap the reference paths in on every estimator and pricer, for the
+    simulator runs inside the ``with`` block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            MinimumOuterPaymentEstimator,
+            "_run_instances_fast",
+            MinimumOuterPaymentEstimator._run_instances_reference,
+        )
+        patch.setattr(
+            MaximumExpectedRevenuePricer,
+            "_quote_pruned",
+            MaximumExpectedRevenuePricer._quote_reference,
+        )
+        yield
 
 
 def _populated_estimator(mode: str) -> tuple[AcceptanceEstimator, list[str]]:
@@ -88,8 +127,8 @@ class TestEstimatorEquivalence:
     @pytest.mark.parametrize("mode", ["relative", "absolute"])
     def test_estimates_and_rng_stream_bit_identical(self, mode):
         acceptance, workers = _populated_estimator(mode)
-        fast = MinimumOuterPaymentEstimator(acceptance, fast_path=True)
-        slow = MinimumOuterPaymentEstimator(acceptance, fast_path=False)
+        fast = MinimumOuterPaymentEstimator(acceptance)
+        slow = _reference_estimator(acceptance)
         rng_fast = derive_rng(5, "fastpath/draws")
         rng_slow = derive_rng(5, "fastpath/draws")
         pick = derive_rng(5, "fastpath/calls")
@@ -108,8 +147,8 @@ class TestEstimatorEquivalence:
         # accepting, so the fast path must too.
         acceptance = AcceptanceEstimator(mode="absolute")
         acceptance.set_history("w", [1.0, 2.0, 3.0])
-        fast = MinimumOuterPaymentEstimator(acceptance, fast_path=True)
-        slow = MinimumOuterPaymentEstimator(acceptance, fast_path=False)
+        fast = MinimumOuterPaymentEstimator(acceptance)
+        slow = _reference_estimator(acceptance)
         rng_fast, rng_slow = random.Random(3), random.Random(3)
         assert fast.estimate(50.0, ["w"], rng_fast) == slow.estimate(
             50.0, ["w"], rng_slow
@@ -120,8 +159,8 @@ class TestEstimatorEquivalence:
 
     def test_zero_default_probability_draws_nothing_for_cold_workers(self):
         acceptance = AcceptanceEstimator(default_probability=0.0)
-        fast = MinimumOuterPaymentEstimator(acceptance, fast_path=True)
-        slow = MinimumOuterPaymentEstimator(acceptance, fast_path=False)
+        fast = MinimumOuterPaymentEstimator(acceptance)
+        slow = _reference_estimator(acceptance)
         rng_fast, rng_slow = random.Random(4), random.Random(4)
         assert fast.estimate(10.0, ["a", "b"], rng_fast) == slow.estimate(
             10.0, ["a", "b"], rng_slow
@@ -132,7 +171,7 @@ class TestEstimatorEquivalence:
 
     def test_no_candidates_short_circuits(self):
         acceptance = AcceptanceEstimator()
-        fast = MinimumOuterPaymentEstimator(acceptance, fast_path=True)
+        fast = MinimumOuterPaymentEstimator(acceptance)
         rng = random.Random(1)
         estimate = fast.estimate(10.0, [], rng)
         assert estimate.always_rejected
@@ -145,14 +184,10 @@ class TestPricerEquivalence:
     def test_quotes_bit_identical(self, mode, breakpoints):
         acceptance, workers = _populated_estimator(mode)
         fast = MaximumExpectedRevenuePricer(
-            acceptance,
-            include_history_breakpoints=breakpoints,
-            fast_path=True,
+            acceptance, include_history_breakpoints=breakpoints
         )
-        slow = MaximumExpectedRevenuePricer(
-            acceptance,
-            include_history_breakpoints=breakpoints,
-            fast_path=False,
+        slow = _reference_pricer(
+            acceptance, include_history_breakpoints=breakpoints
         )
         pick = derive_rng(11, "fastpath/quotes")
         for _ in range(25):
@@ -195,7 +230,7 @@ class TestBreakpointCap:
     def test_fast_equals_reference_at_the_default_cap(self, mode):
         acceptance, workers = self._dense(mode)
         fast = MaximumExpectedRevenuePricer(acceptance)
-        slow = MaximumExpectedRevenuePricer(acceptance, fast_path=False)
+        slow = _reference_pricer(acceptance)
         pick = derive_rng(31, "fastpath/dense-quotes")
         for _ in range(20):
             value = 5.0 + 95.0 * pick.random()
@@ -276,10 +311,8 @@ class TestPrunedQuote:
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_field_for_field(self, case):
         acceptance, worker_ids, value, knobs = case
-        pruned = MaximumExpectedRevenuePricer(acceptance, fast_path=True, **knobs)
-        reference = MaximumExpectedRevenuePricer(
-            acceptance, fast_path=False, **knobs
-        )
+        pruned = MaximumExpectedRevenuePricer(acceptance, **knobs)
+        reference = _reference_pricer(acceptance, **knobs)
         assert _quote_bits(pruned.quote(value, worker_ids)) == _quote_bits(
             reference.quote(value, worker_ids)
         )
@@ -306,7 +339,7 @@ class TestPrunedQuote:
         # v = 6.6, (6.6 / 50) * 50 rounds above v and must still win.
         acceptance = AcceptanceEstimator(default_probability=0.0)
         pruned = MaximumExpectedRevenuePricer(acceptance)
-        reference = MaximumExpectedRevenuePricer(acceptance, fast_path=False)
+        reference = _reference_pricer(acceptance)
         quote = pruned.quote(value, ["a", "b"])
         assert _quote_bits(quote) == _quote_bits(reference.quote(value, ["a", "b"]))
         assert quote.payment == (value / 50) * 50
@@ -319,10 +352,8 @@ class TestPrunedQuote:
 
     @staticmethod
     def _check(acceptance, value, worker_ids, **knobs):
-        pruned = MaximumExpectedRevenuePricer(acceptance, fast_path=True, **knobs)
-        reference = MaximumExpectedRevenuePricer(
-            acceptance, fast_path=False, **knobs
-        )
+        pruned = MaximumExpectedRevenuePricer(acceptance, **knobs)
+        reference = _reference_pricer(acceptance, **knobs)
         quote = pruned.quote(value, worker_ids)
         assert _quote_bits(quote) == _quote_bits(reference.quote(value, worker_ids))
         return quote, pruned
@@ -407,13 +438,12 @@ def _golden_scenario():
     return make_scenario(workers, requests, platform_ids=["A", "B"])
 
 
-def _golden_report(algorithm, fast_path: bool) -> str:
+def _golden_report(algorithm) -> str:
     config = SimulatorConfig(
         seed=7,
         measure_response_time=False,
         worker_reentry=True,
         service_duration=600.0,
-        payment_fast_path=fast_path,
     )
     result = Simulator(config).run(_golden_scenario(), algorithm)
     payload = {}
@@ -437,23 +467,23 @@ def _golden_report(algorithm, fast_path: bool) -> str:
 
 
 class TestEndToEndGolden:
-    """The byte-identity the determinism suite relies on: flipping
-    ``payment_fast_path`` must not move a single float."""
+    """The byte-identity the determinism suite relies on: swapping the
+    reference paths in must not move a single float."""
 
     @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM], ids=lambda a: a.name)
     def test_fast_path_report_is_byte_identical(self, algorithm):
-        assert _golden_report(algorithm, True) == _golden_report(
-            algorithm, False
-        )
+        fast = _golden_report(algorithm)
+        with _reference_paths():
+            reference = _golden_report(algorithm)
+        assert fast == reference
 
 
-def _golden_pricer_totals(fast_path: bool) -> tuple[int, int]:
+def _golden_pricer_totals() -> tuple[int, int]:
     config = SimulatorConfig(
         seed=7,
         measure_response_time=False,
         worker_reentry=True,
         service_duration=600.0,
-        payment_fast_path=fast_path,
     )
     scenario = _golden_scenario()
     session = Simulator(config).session(scenario, RamCOM)
@@ -474,13 +504,56 @@ class TestPruningCounters:
     EVALUATED = 1132
 
     def test_totals_pinned_on_golden_ramcom_run(self):
-        assert _golden_pricer_totals(fast_path=True) == (
-            self.BUILT,
-            self.EVALUATED,
-        )
+        assert _golden_pricer_totals() == (self.BUILT, self.EVALUATED)
 
     def test_reference_evaluates_every_payment(self):
-        assert _golden_pricer_totals(fast_path=False) == (self.BUILT, self.BUILT)
+        with _reference_paths():
+            totals = _golden_pricer_totals()
+        assert totals == (self.BUILT, self.BUILT)
+
+
+class TestEq4EvaluationCounts:
+    """Deterministic, host-independent guard on Algorithm 2's memoised
+    price grid: the fast path computes each trial price's Eq.-4 vector
+    once and shares it across the Monte-Carlo instances, where the
+    reference asks one ``probability`` query per candidate per probe.
+
+    The fast path's Eq.-4 evaluations are its ``bisect_right`` calls,
+    which it reads from ``repro.core.payment`` on every ``estimate``.
+    """
+
+    FAST = {"relative": 216, "absolute": 384}
+    REFERENCE = {"relative": 3393, "absolute": 6045}
+
+    @staticmethod
+    def _estimate_all(estimator, workers):
+        for value in (3.0, 10.0, 25.0):
+            estimator.estimate(value, workers, random.Random(1))
+
+    @pytest.mark.parametrize("mode", ["relative", "absolute"])
+    def test_counts_pinned(self, mode, monkeypatch):
+        acceptance, workers = _populated_estimator(mode)
+        calls = {"bisect": 0, "probability": 0}
+        bisect_right = payment_module.bisect_right
+        probability = AcceptanceEstimator.probability
+
+        def counting_bisect(*args):
+            calls["bisect"] += 1
+            return bisect_right(*args)
+
+        def counting_probability(self, *args):
+            calls["probability"] += 1
+            return probability(self, *args)
+
+        monkeypatch.setattr(payment_module, "bisect_right", counting_bisect)
+        monkeypatch.setattr(AcceptanceEstimator, "probability", counting_probability)
+        # Neither path reaches the other's Eq.-4 entry point.
+        self._estimate_all(MinimumOuterPaymentEstimator(acceptance), workers)
+        assert calls == {"bisect": self.FAST[mode], "probability": 0}
+        fast, calls["bisect"] = calls["bisect"], 0
+        self._estimate_all(_reference_estimator(acceptance), workers)
+        assert calls == {"bisect": 0, "probability": self.REFERENCE[mode]}
+        assert calls["probability"] >= 10 * fast
 
 
 def _ramcom_draws(monkeypatch, scenario, config) -> tuple[int, int]:
@@ -560,7 +633,7 @@ class TestPythonPathByteIdentity:
     @pytest.mark.parametrize("mode", ["relative", "absolute"])
     def test_estimates_and_rng_stream_pinned(self, mode):
         acceptance, workers = _populated_estimator(mode)
-        estimator = MinimumOuterPaymentEstimator(acceptance, fast_path=True)
+        estimator = MinimumOuterPaymentEstimator(acceptance)
         rng = derive_rng(5, "fastpath/draws")
         pick = derive_rng(5, "fastpath/calls")
         payments = []
@@ -582,7 +655,7 @@ class TestPythonPathByteIdentity:
     @pytest.mark.parametrize("mode", ["relative", "absolute"])
     def test_quotes_pinned(self, mode):
         acceptance, workers = _populated_estimator(mode)
-        pricer = MaximumExpectedRevenuePricer(acceptance, fast_path=True)
+        pricer = MaximumExpectedRevenuePricer(acceptance)
         pick = derive_rng(11, "fastpath/quotes")
         quotes = []
         for _ in range(10):
@@ -603,6 +676,6 @@ class TestPythonPathByteIdentity:
 
     @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM])
     def test_full_simulation_reports_pinned(self, algorithm):
-        report = _golden_report(algorithm, True)
+        report = _golden_report(algorithm)
         digest = hashlib.sha256(report.encode()).hexdigest()
         assert digest == self.REPORT_GOLDENS[algorithm.name]
