@@ -35,7 +35,6 @@ def bench_experiment_config() -> ExperimentConfig:
     """The harness configuration shared by the table/figure benches."""
     return ExperimentConfig(
         seeds=tuple(range(BENCH_SEEDS)),
-        worker_reentry=True,
         service_duration=1800.0,
         jobs=BENCH_JOBS,
     )

@@ -54,10 +54,6 @@ class WorkerBehavior:
         self.distribution = distribution
         self.history = list(history)
 
-    def true_acceptance_probability(self, offer: float) -> float:
-        """P(accept) at a normalized offer (a rate in relative mode)."""
-        return self.distribution.cdf(offer)
-
 
 class BehaviorOracle:
     """Realizes reservation draws deterministically per (worker, request).

@@ -896,10 +896,7 @@ def _serve_gateway(args: argparse.Namespace):
         print(f"restored: {args.restore}")
     elif journal is not None and journal.checkpoint_path.exists():
         gateway, report = recover_gateway(
-            args.journal,
-            fsync=args.fsync,
-            fsync_interval=args.fsync_interval,
-            checkpoint_every=args.checkpoint_every,
+            journal,
             clock=clock,
             admission=admission,
             events=args.events,

@@ -11,8 +11,8 @@ of ``shard_count`` shard gateways.  Two construction modes exist:
 
 ``ShardPlan.from_density``
     Heterogeneity-aware: counts arrival weight per cell from a scenario's
-    event stream, splits *hot* cells (weight above ``hot_factor`` times
-    the mean) into four half-size subcells, then walks the regions in
+    event stream, splits *hot* cells (weight above :data:`HOT_FACTOR`
+    times the mean) into four half-size subcells, then walks the regions in
     deterministic scan order cutting contiguous, load-balanced bands.
     This mirrors the density-adaptive partitioning argument of
     arXiv 2310.12433: dense downtown cells get finer shard granularity
@@ -39,6 +39,9 @@ Cell = tuple[int, int]
 # because it is salted per process and would break replay determinism.
 _MIX_X = 73856093
 _MIX_Y = 19349663
+
+#: A cell weighing more than this many times the mean is hot.
+HOT_FACTOR = 2.0
 
 
 def _cell_key(cell: Cell) -> str:
@@ -146,20 +149,15 @@ class ShardPlan:
         shard_count: int,
         cell_km: float,
         reach_km: float = 0.0,
-        hot_factor: float = 2.0,
     ) -> "ShardPlan":
         """Heterogeneity-aware plan from observed arrival density.
 
         Requests weigh 1.0 and workers 0.5 (requests drive matching
         work; workers mostly sit in the grid index).  Cells whose weight
-        exceeds ``hot_factor`` times the mean are split into four
+        exceeds :data:`HOT_FACTOR` times the mean are split into four
         half-size subcells so the balancing walk can cut *through* a
         hotspot instead of handing one shard the whole downtown.
         """
-        if hot_factor <= 1.0:
-            raise ConfigurationError(
-                f"hot_factor must be > 1, got {hot_factor}"
-            )
         weight: dict[Cell, float] = {}
         subweight: dict[Cell, dict[Cell, float]] = {}
         half = cell_km / 2.0
@@ -190,7 +188,7 @@ class ShardPlan:
         min_j = min(cell[1] for cell in weight)
         max_j = max(cell[1] for cell in weight)
         mean = sum(weight.values()) / len(weight)
-        hot_cutoff = hot_factor * mean
+        hot_cutoff = HOT_FACTOR * mean
 
         # Regions in scan order: (base cell, subcell-or-None, weight).
         regions: list[tuple[Cell, Cell | None, float]] = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.behavior.worker_model import BehaviorOracle
 from repro.core.entities import Request, Worker
@@ -155,7 +155,6 @@ class PlatformContext:
     cooperation_enabled: bool = True
     probe: Probe = NULL_PROBE
     sanitizer: "ConstraintSanitizer | None" = None
-    extra: dict = field(default_factory=dict)
 
     def inner_candidates(self, request: Request) -> list[Worker]:
         """Eligible inner workers, nearest first."""

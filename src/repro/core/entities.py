@@ -4,7 +4,8 @@ Definitions 2.1-2.3 of the paper.  A request is ``<t, l_r, v_r>``; a worker
 is ``<t, l_w, rad_w>`` plus, in this implementation, the identity of the
 home platform — "inner" vs "outer" (Definitions 2.2/2.3) is *relative* to
 the platform handling a request, so it is not a property of the worker but
-of the (worker, platform) pair, exposed via :meth:`Worker.is_inner_for`.
+of the (worker, platform) pair: a worker is inner for the platform whose
+id equals its ``platform_id``.
 """
 
 from __future__ import annotations
@@ -135,10 +136,6 @@ class Worker:
         if time < self.arrival_time:
             return False
         return self.departure_time is None or time <= self.departure_time
-
-    def is_inner_for(self, platform_id: str) -> bool:
-        """True iff this worker is an *inner* worker of ``platform_id``."""
-        return self.platform_id == platform_id
 
     def can_reach(self, request: Request) -> bool:
         """Range constraint: request location inside the service disk."""

@@ -46,7 +46,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import CircuitBreakerConfig, FaultPlan, RetryPolicy
+from repro.faults.plan import FaultPlan
 from repro.faults.resilient import ResilienceStats, ResilientExchange
 from repro.obs import NULL_PROBE, Telemetry, TelemetrySummary
 from repro.utils.memory import approximate_size_bytes
@@ -126,15 +126,11 @@ class SimulatorConfig:
     #: Extension (paper §II): replace Euclidean range checks with
     #: shortest-path distance over this road network.
     road_network: object | None = None
-    #: Resilience extension: inject faults into the cooperation exchange.
-    #: ``None`` (and any zero plan) leaves runs bit-identical to the
-    #: unwrapped exchange; see docs/RESILIENCE.md.
+    #: Resilience extension: inject faults into the cooperation exchange,
+    #: with the default retry policy and circuit breaker.  ``None`` (and
+    #: any zero plan) leaves runs bit-identical to the unwrapped exchange;
+    #: see docs/RESILIENCE.md.
     fault_plan: FaultPlan | None = None
-    #: Sim-time retry/backoff policy for exchange claims (defaults apply
-    #: when a fault plan is set and this is None).
-    retry_policy: RetryPolicy | None = None
-    #: Per-peer circuit breaker tunables (defaults when None).
-    breaker: CircuitBreakerConfig | None = None
     #: Telemetry bundle (:class:`repro.obs.Telemetry`): a live metrics
     #: registry plus (optionally) a span tracer, surfaced after the run as
     #: ``SimulationResult.telemetry``.  ``None`` (the default) routes every
@@ -220,17 +216,6 @@ class SimulationResult:
         )
         count = sum(p.response_time.count for p in self.platforms.values())
         return (total_seconds / count) * 1e3 if count else 0.0
-
-    def response_time_percentile_ms(self, q: float) -> float:
-        """Pooled per-request latency percentile (reservoir estimate)."""
-        samples: list[float] = []
-        for platform in self.platforms.values():
-            samples.extend(platform.response_time.samples())
-        if not samples:
-            return 0.0
-        from repro.utils.stats import quantile
-
-        return quantile(sorted(samples), q) * 1e3
 
     @property
     def resilience(self) -> ResilienceStats:
@@ -349,8 +334,6 @@ class SimulationSession:
             self._resilient = ResilientExchange(
                 exchange,
                 FaultInjector(config.fault_plan),
-                retry_policy=config.retry_policy,
-                breaker_config=config.breaker,
                 probe=self._probe,
             )
             exchange = self._resilient

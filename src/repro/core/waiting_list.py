@@ -87,12 +87,6 @@ class WaitingList:
         """The largest *live* service radius (0.0 for an empty pool)."""
         return self._radii[-1] if self._radii else 0.0
 
-    def discard(self, worker_id: str) -> Worker | None:
-        """Remove if present; returns the worker or None."""
-        if worker_id in self._workers:
-            return self.remove(worker_id)
-        return None
-
     def get(self, worker_id: str) -> Worker | None:
         """Look up a waiting worker."""
         return self._workers.get(worker_id)
@@ -159,11 +153,6 @@ class WaitingList:
                 eligible.append((distance, worker_id, worker))
         eligible.sort()
         return eligible
-
-    def nearest_eligible(self, request: Request) -> Worker | None:
-        """The closest eligible worker, or None."""
-        eligible = self.eligible_for(request)
-        return eligible[0] if eligible else None
 
     def workers(self) -> list[Worker]:
         """Snapshot of all waiting workers in arrival order."""

@@ -37,6 +37,9 @@ __all__ = [
 #: Theorem 2's bound: 1 / (8e).
 RAMCOM_THEORETICAL_CR = 1.0 / (8.0 * math.e)
 
+#: Arrival orders :func:`adversarial_ratio` enumerates at most (7!).
+MAX_ORDERS = 5040
+
 
 @dataclass
 class CompetitiveRatioReport:
@@ -94,14 +97,15 @@ def _run_on_order(
 
 
 def adversarial_ratio(
-    scenario: Scenario, algorithm: str, max_orders: int = 5040, seed: int = 0
+    scenario: Scenario, algorithm: str, seed: int = 0
 ) -> CompetitiveRatioReport:
     """Min ratio over arrival orders (exhaustive for small instances).
 
     Only *valid* online inputs are enumerated: every permutation of the
     event list (a worker may arrive after requests it then cannot serve —
-    that is exactly the adversary's power).  For more than ``max_orders``
-    permutations the enumeration is truncated deterministically.
+    that is exactly the adversary's power).  For more than
+    :data:`MAX_ORDERS` permutations the enumeration is truncated
+    deterministically.
     """
     event_count = len(scenario.events)
     if event_count > 9:
@@ -114,7 +118,7 @@ def adversarial_ratio(
         algorithm=algorithm, model="adversarial", optimum=base_optimum
     )
     for index, order in enumerate(itertools.permutations(range(event_count))):
-        if index >= max_orders:
+        if index >= MAX_ORDERS:
             break
         revenue, optimum = _run_on_order(scenario, list(order), algorithm, seed)
         if optimum <= 0:

@@ -56,6 +56,9 @@ PANEL_IDS = {
 
 DEFAULT_ALGORITHMS = ["tota", "demcom", "ramcom"]
 
+#: Seed of every sweep point's synthetic scenario.
+SCENARIO_SEED = 11
+
 #: axis -> (the SyntheticWorkloadConfig field it sweeps, that field's
 #: type, Table IV's sweep values).
 _AXES: dict[str, tuple[str, type, tuple]] = {
@@ -115,7 +118,6 @@ def run_figure5_panel(
     base: SyntheticWorkloadConfig | None = None,
     config: ExperimentConfig | None = None,
     algorithms: list[str] | None = None,
-    scenario_seed: int = 11,
 ) -> FigurePanel:
     """Regenerate one Fig.-5 panel.
 
@@ -126,9 +128,7 @@ def run_figure5_panel(
     """
     if axis in _AXES and (axis, metric) not in PANEL_IDS:
         raise KeyError(f"unknown figure metric {metric!r}")
-    return run_figure5_axis(
-        axis, values, base, config, algorithms, scenario_seed
-    )[metric]
+    return run_figure5_axis(axis, values, base, config, algorithms)[metric]
 
 
 def run_figure5_axis(
@@ -137,7 +137,6 @@ def run_figure5_axis(
     base: SyntheticWorkloadConfig | None = None,
     config: ExperimentConfig | None = None,
     algorithms: list[str] | None = None,
-    scenario_seed: int = 11,
 ) -> dict[str, FigurePanel]:
     """Regenerate all four panels of one Fig.-5 row from a single sweep.
 
@@ -164,7 +163,7 @@ def run_figure5_axis(
     }
     for x in sweep:
         workload_config = replace(base, **{field_name: field_type(x)})
-        scenario = SyntheticWorkload(workload_config).build(seed=scenario_seed)
+        scenario = SyntheticWorkload(workload_config).build(seed=SCENARIO_SEED)
         rows = run_comparison(scenario, algorithms, config)
         for metric in metrics:
             panels[metric].x_values.append(float(x))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.baselines.offline import solve_offline, solve_offline_reentry
+from repro.baselines.offline import solve_offline_reentry
 from repro.core.base import OnlineAlgorithm
 from repro.core.constraints import validate_matching
 from repro.core.registry import algorithm_factory
@@ -44,9 +44,10 @@ class ExperimentConfig:
     seeds:
         Simulator seeds to average over (the paper's tables average per-day
         results over a month; seeds play the role of days).
-    worker_reentry / service_duration:
-        The table experiments run with reentry on (a taxi serves many
-        requests per day — Table III's |CpR| >> |W| requires it).
+    service_duration:
+        Occupation per service.  Every experiment runs with worker reentry
+        on (a taxi serves many requests per day — Table III's
+        |CpR| >> |W| requires it).
     simulator:
         Base simulator config; per-seed runs override only the seed.
     telemetry:
@@ -62,7 +63,6 @@ class ExperimentConfig:
     """
 
     seeds: tuple[int, ...] = (0, 1, 2)
-    worker_reentry: bool = True
     service_duration: float = 1800.0
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
     telemetry: bool = False
@@ -73,7 +73,7 @@ class ExperimentConfig:
         config = replace(
             self.simulator,
             seed=seed,
-            worker_reentry=self.worker_reentry,
+            worker_reentry=True,
             service_duration=self.service_duration,
         )
         if self.telemetry and config.telemetry is None:
@@ -96,12 +96,9 @@ def run_cell(
     Definition-2.6 constraints before its row is built.
     """
     if seed is None:
-        if config.worker_reentry:
-            solution = solve_offline_reentry(
-                scenario, service_duration=config.service_duration
-            )
-        else:
-            solution = solve_offline(scenario)
+        solution = solve_offline_reentry(
+            scenario, service_duration=config.service_duration
+        )
         return AlgorithmMetrics.from_offline(solution)
     factory = algorithm_factory(algorithm) if isinstance(algorithm, str) else algorithm
     result = Simulator(config.simulator_config(seed)).run(scenario, factory)

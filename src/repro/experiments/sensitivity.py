@@ -36,6 +36,9 @@ __all__ = [
 
 ALGORITHMS = ["tota", "demcom", "ramcom"]
 
+#: Seed of every sensitivity point's synthetic scenario.
+SCENARIO_SEED = 21
+
 
 @dataclass
 class SensitivityResult:
@@ -96,9 +99,8 @@ def _base_workload(**overrides) -> SyntheticWorkloadConfig:
 def _run_point(
     workload: SyntheticWorkloadConfig,
     config: ExperimentConfig,
-    scenario_seed: int,
 ) -> dict[str, AlgorithmMetrics]:
-    scenario = SyntheticWorkload(workload).build(seed=scenario_seed)
+    scenario = SyntheticWorkload(workload).build(seed=SCENARIO_SEED)
     rows = run_comparison(scenario, ALGORITHMS, config)
     return {name: row for name, row in zip(ALGORITHMS, rows)}
 
@@ -106,7 +108,6 @@ def _run_point(
 def going_rate_sensitivity(
     values: tuple[float, ...] = (0.6, 0.7, 0.8, 0.9),
     config: ExperimentConfig | None = None,
-    scenario_seed: int = 21,
 ) -> SensitivityResult:
     """Sweep the mean going rate (workers' price cliff location)."""
     config = config or ExperimentConfig()
@@ -115,42 +116,39 @@ def going_rate_sensitivity(
         workload = _base_workload(
             behavior=BehaviorConfig(going_rate_mean=value)
         )
-        result.rows.append((value, _run_point(workload, config, scenario_seed)))
+        result.rows.append((value, _run_point(workload, config)))
     return result
 
 
 def jitter_sensitivity(
     values: tuple[float, ...] = (0.01, 0.03, 0.08, 0.15),
     config: ExperimentConfig | None = None,
-    scenario_seed: int = 21,
 ) -> SensitivityResult:
     """Sweep the within-worker cliff sharpness."""
     config = config or ExperimentConfig()
     result = SensitivityResult(parameter="jitter")
     for value in values:
         workload = _base_workload(behavior=BehaviorConfig(jitter=value))
-        result.rows.append((value, _run_point(workload, config, scenario_seed)))
+        result.rows.append((value, _run_point(workload, config)))
     return result
 
 
 def skew_sensitivity(
     values: tuple[float, ...] = (0.0, 0.3, 0.6, 0.9),
     config: ExperimentConfig | None = None,
-    scenario_seed: int = 21,
 ) -> SensitivityResult:
     """Sweep Fig. 2's spatial imbalance."""
     config = config or ExperimentConfig()
     result = SensitivityResult(parameter="skew")
     for value in values:
         workload = _base_workload(skew=value)
-        result.rows.append((value, _run_point(workload, config, scenario_seed)))
+        result.rows.append((value, _run_point(workload, config)))
     return result
 
 
 def occupation_sensitivity(
     values: tuple[float, ...] = (900.0, 1800.0, 3600.0),
     config: ExperimentConfig | None = None,
-    scenario_seed: int = 21,
 ) -> SensitivityResult:
     """Sweep the per-service worker occupation (scarcity dial)."""
     config = config or ExperimentConfig()
@@ -158,5 +156,5 @@ def occupation_sensitivity(
     workload = _base_workload()
     for value in values:
         tuned = replace(config, service_duration=value)
-        result.rows.append((value, _run_point(workload, tuned, scenario_seed)))
+        result.rows.append((value, _run_point(workload, tuned)))
     return result

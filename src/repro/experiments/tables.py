@@ -31,6 +31,9 @@ TABLE_IDS = {
 #: Default algorithm order, matching the paper's table rows.
 DEFAULT_ALGORITHMS = ["off", "tota", "demcom", "ramcom"]
 
+#: Seed of the generated city trace (one "day").
+SCENARIO_SEED = 7
+
 
 @dataclass
 class TableResult:
@@ -91,7 +94,6 @@ class TableResult:
 def run_city_table(
     table_id: str,
     scale: float = 0.02,
-    scenario_seed: int = 7,
     config: ExperimentConfig | None = None,
     algorithms: list[str] | None = None,
 ) -> TableResult:
@@ -103,15 +105,13 @@ def run_city_table(
         ``"V"``, ``"VI"`` or ``"VII"`` (or a pair name directly).
     scale:
         Fraction of the Table-III entity counts to simulate.
-    scenario_seed:
-        Seed of the generated city trace (one "day").
     config:
         Harness configuration (seeds averaged, reentry, service duration).
     """
     pair = TABLE_IDS.get(table_id.upper(), table_id)
     if pair not in CITY_PAIRS:
         raise KeyError(f"unknown table {table_id!r}")
-    scenario = build_city_pair(pair, scale=scale, seed=scenario_seed)
+    scenario = build_city_pair(pair, scale=scale, seed=SCENARIO_SEED)
     rows = run_comparison(
         scenario, algorithms or list(DEFAULT_ALGORITHMS), config
     )

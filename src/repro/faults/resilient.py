@@ -148,21 +148,6 @@ class ResilientExchange:
 
     # -- plumbing -------------------------------------------------------------
 
-    @property
-    def wrapped(self) -> "CooperationExchange":
-        """The underlying exchange."""
-        return self._inner
-
-    @property
-    def injector(self) -> FaultInjector:
-        """The fault source."""
-        return self._injector
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The claim retry policy."""
-        return self._policy
-
     def advance_to(self, time: float) -> None:
         """Move the wrapper's sim clock forward (never backward)."""
         if time > self._now:

@@ -1,7 +1,7 @@
 """Axis-aligned bounding boxes.
 
 Used by the workload generators (a city is a bounding box populated with
-hotspots) and by the spatial indexes (grid extents, k-d tree pruning).
+hotspots) and by the road-network grid.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ class BoundingBox:
             raise ConfigurationError(f"square side must be positive, got {side_km}")
         return cls(0.0, 0.0, side_km, side_km)
 
-    @classmethod
-    def around(cls, points: list[Point]) -> "BoundingBox":
-        """The tightest box containing ``points`` (non-empty)."""
-        if not points:
-            raise ConfigurationError("BoundingBox.around requires at least one point")
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        return cls(min(xs), min(ys), max(xs), max(ys))
-
     @property
     def width(self) -> float:
         """Extent along x."""
@@ -55,16 +46,6 @@ class BoundingBox:
     def height(self) -> float:
         """Extent along y."""
         return self.max_y - self.min_y
-
-    @property
-    def area(self) -> float:
-        """Rectangle area."""
-        return self.width * self.height
-
-    @property
-    def center(self) -> Point:
-        """The box's centroid."""
-        return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
 
     def contains(self, point: Point) -> bool:
         """True iff ``point`` is inside the closed box."""
@@ -79,17 +60,3 @@ class BoundingBox:
             min(max(point.x, self.min_x), self.max_x),
             min(max(point.y, self.min_y), self.max_y),
         )
-
-    def expand(self, margin: float) -> "BoundingBox":
-        """Return a box grown by ``margin`` on every side."""
-        return BoundingBox(
-            self.min_x - margin,
-            self.min_y - margin,
-            self.max_x + margin,
-            self.max_y + margin,
-        )
-
-    def intersects_disk(self, center: Point, radius: float) -> bool:
-        """True iff the closed disk ``(center, radius)`` touches the box."""
-        clamped = self.clamp(center)
-        return clamped.squared_distance_to(center) <= radius * radius

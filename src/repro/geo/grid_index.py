@@ -69,15 +69,6 @@ class GridIndex:
         if not bucket:
             del self._cells[cell]
 
-    def discard(self, key: Hashable) -> None:
-        """Remove ``key`` if present; no-op otherwise."""
-        if key in self._locations:
-            self.remove(key)
-
-    def location_of(self, key: Hashable) -> Point:
-        """Return the stored location of ``key``."""
-        return self._locations[key]
-
     def buckets_within(
         self, center: Point, radius: float
     ) -> Iterator[dict[Hashable, Point]]:

@@ -39,14 +39,6 @@ class Point:
         """True iff ``other`` lies inside this point's closed ``radius`` disk."""
         return self.squared_distance_to(other) <= radius * radius
 
-    def translate(self, dx: float, dy: float) -> "Point":
-        """Return a new point offset by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> tuple[float, float]:
-        """Return ``(x, y)``."""
-        return (self.x, self.y)
-
     def __iter__(self):
         yield self.x
         yield self.y

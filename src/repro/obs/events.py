@@ -446,8 +446,6 @@ class EventLog(EventSink):
         path: str | Path,
         *,
         registry: MetricsRegistry | None = None,
-        ring: int = 4096,
-        queue_limit: int = 1024,
     ) -> "EventLog":
         """Reopen a stream a crashed process left behind.
 
@@ -458,9 +456,7 @@ class EventLog(EventSink):
         across the crash, not raw bytes).
         """
         file, recorded = RecordFile.open(path, EVENT_MAGIC, EventLogError)
-        log = cls(
-            path=None, registry=registry, ring=ring, queue_limit=queue_limit
-        )
+        log = cls(path=None, registry=registry)
         log.path, log._file, log.next_seq = file.path, file, file.next_seq
         log._ring.extend(recorded)
         return log

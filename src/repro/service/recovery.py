@@ -82,22 +82,21 @@ class RecoveryReport:
 
 
 def recover_gateway(
-    directory: str | Path,
-    fsync: str = "interval",
-    fsync_interval: int = 256,
-    checkpoint_every: int = 4096,
+    journal: JournalConfig | str | Path,
     clock: ServiceClock | None = None,
     admission: AdmissionPolicy | None = None,
     crash_plan: CrashPlan | None = None,
     events: str | Path | None = None,
 ) -> tuple[MatchingGateway, RecoveryReport]:
-    """Rebuild the gateway a crashed process left in ``directory``.
+    """Rebuild the gateway a crashed process left in ``journal``.
 
-    Returns the recovered (not yet started) gateway and a
-    :class:`RecoveryReport`.  ``crash_plan`` arms kill points in the
-    *recovered* process — the soak harness uses this to chain
-    crash→recover cycles; the injector starts from boundary zero, like a
-    freshly restarted binary.  ``events`` resumes the crashed process's
+    ``journal`` is the crashed gateway's :class:`JournalConfig`, or its
+    directory with the default durability settings (as for
+    :class:`MatchingGateway`).  Returns the recovered (not yet started)
+    gateway and a :class:`RecoveryReport`.  ``crash_plan`` arms kill
+    points in the *recovered* process — the soak harness uses this to
+    chain crash→recover cycles; the injector starts from boundary zero,
+    like a freshly restarted binary.  ``events`` resumes the crashed process's
     ``COMEVT1`` stream (:meth:`~repro.obs.events.EventLog.resume`), or
     starts one when the file is absent: the torn tail is truncated, the
     journaled events the file lacks are emitted (step 5), an ops
@@ -108,11 +107,8 @@ def recover_gateway(
     from the engine, or does not extend the event file, and
     :class:`~repro.errors.ServiceError` when the checkpoint is damaged.
     """
-    config = JournalConfig(
-        directory=directory,
-        fsync=fsync,
-        fsync_interval=fsync_interval,
-        checkpoint_every=checkpoint_every,
+    config = (
+        journal if isinstance(journal, JournalConfig) else JournalConfig(journal)
     )
     watch = Stopwatch().start()
     if not config.checkpoint_path.exists():

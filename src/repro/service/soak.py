@@ -244,10 +244,7 @@ async def run_soak(
                 else None
             )
             gateway, report = recover_gateway(
-                directory,
-                fsync=soak.fsync,
-                fsync_interval=soak.fsync_interval,
-                checkpoint_every=soak.checkpoint_every,
+                journal_config,
                 clock=clock,
                 crash_plan=next_plan,
                 events=event_log_path,

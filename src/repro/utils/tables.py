@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows the paper's tables report; this
 module owns the formatting so tables V–VII and the figure-5 series all render
-consistently (aligned columns, stable float formatting, optional markdown).
+consistently (aligned columns, stable float formatting).
 """
 
 from __future__ import annotations
@@ -86,23 +86,4 @@ class TextTable:
             lines.append(
                 "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
             )
-        return "\n".join(lines)
-
-    def render_markdown(self) -> str:
-        """Render as a GitHub-flavoured markdown table."""
-        lines = []
-        if self.title:
-            lines.append(f"**{self.title}**")
-            lines.append("")
-        lines.append("| " + " | ".join(self.headers) + " |")
-        lines.append("|" + "|".join("---" for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
-    def render_csv(self) -> str:
-        """Render as minimal CSV (no quoting; cells contain no commas)."""
-        lines = [",".join(self.headers)]
-        for row in self.rows:
-            lines.append(",".join(row))
         return "\n".join(lines)

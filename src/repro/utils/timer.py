@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from repro.utils.rng import derive_rng
-from repro.utils.stats import RunningStats, quantile
+from repro.utils.stats import RunningStats
 
 __all__ = ["Stopwatch", "TimingAccumulator"]
 
@@ -65,10 +65,10 @@ class Stopwatch:
 class TimingAccumulator:
     """Accumulates per-event latencies into streaming statistics.
 
-    Latencies are recorded in seconds and reported in milliseconds, matching
-    the paper's tables.  A bounded reservoir keeps a uniform sample of
-    latencies so tail percentiles stay available without storing every
-    measurement (100k requests would otherwise distort the memory metric).
+    Latencies are recorded in seconds.  A bounded reservoir keeps a uniform
+    sample of latencies so tail percentiles stay available without storing
+    every measurement (100k requests would otherwise distort the memory
+    metric).
     """
 
     RESERVOIR_SIZE = 1000
@@ -77,21 +77,16 @@ class TimingAccumulator:
         self._stats = RunningStats()
         self._reservoir: list[float] = []
         self._reservoir_rng = derive_rng(0x5EED, "timer/reservoir")
-        #: Sorted view of the reservoir, rebuilt lazily on first percentile
-        #: query after a mutation (repeated queries must not re-sort).
-        self._sorted: list[float] | None = None
 
     def record(self, seconds: float) -> None:
         """Record one latency sample, in seconds."""
         self._stats.add(seconds)
         if len(self._reservoir) < self.RESERVOIR_SIZE:
             self._reservoir.append(seconds)
-            self._sorted = None
         else:
             slot = self._reservoir_rng.randrange(self._stats.count)
             if slot < self.RESERVOIR_SIZE:
                 self._reservoir[slot] = seconds
-                self._sorted = None
 
     def samples(self) -> list[float]:
         """A copy of the reservoir sample of latencies, in seconds.
@@ -103,43 +98,10 @@ class TimingAccumulator:
         """
         return list(self._reservoir)
 
-    def percentile_ms(self, q: float) -> float:
-        """Latency percentile in milliseconds, from the reservoir sample.
-
-        Exact while fewer than ``RESERVOIR_SIZE`` samples were recorded; a
-        uniform-sample estimate afterwards.  Returns 0.0 with no samples.
-        The sorted view is cached between :meth:`record` calls, so
-        querying many percentiles costs one sort, not one per query.
-        """
-        if not self._reservoir:
-            return 0.0
-        if self._sorted is None:
-            self._sorted = sorted(self._reservoir)
-        return quantile(self._sorted, q) * 1e3
-
-    def time(self) -> Stopwatch:
-        """Return a started stopwatch whose ``stop()`` must be recorded
-        manually; provided for callers that need the raw value too."""
-        return Stopwatch().start()
-
     @property
     def count(self) -> int:
         """Number of recorded samples."""
         return self._stats.count
-
-    @property
-    def mean_ms(self) -> float:
-        """Mean latency in milliseconds (0.0 if no samples)."""
-        if self._stats.count == 0:
-            return 0.0
-        return self._stats.mean * 1e3
-
-    @property
-    def max_ms(self) -> float:
-        """Maximum latency in milliseconds (0.0 if no samples)."""
-        if self._stats.count == 0:
-            return 0.0
-        return self._stats.max * 1e3
 
     @property
     def total_seconds(self) -> float:

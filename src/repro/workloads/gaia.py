@@ -44,6 +44,9 @@ from repro.workloads.value_models import RealFareModel
 
 __all__ = ["CityTraceConfig", "CityTraceGenerator"]
 
+#: Hotspot centres per city trace.
+HOTSPOT_COUNT = 6
+
 
 @dataclass(frozen=True)
 class CityTraceConfig:
@@ -56,12 +59,10 @@ class CityTraceConfig:
     workers_per_platform: dict[str, int]
     radius_km: float = 1.0
     city_km: float = 20.0
-    hotspot_count: int = 6
     skew: float = 0.45
     history_length: int = 50
     horizon_seconds: float = 86_400.0
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
-    service_duration_seconds: float = 1800.0
 
     def __post_init__(self) -> None:
         if set(self.requests_per_platform) != set(self.workers_per_platform):
@@ -105,7 +106,7 @@ class CityTraceGenerator:
 
         patterns = complementary_hotspots(
             box,
-            config.hotspot_count,
+            HOTSPOT_COUNT,
             config.skew,
             seeds.rng("hotspots"),
             sigma_km=sigma_km,

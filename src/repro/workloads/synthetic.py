@@ -44,6 +44,9 @@ RADIUS_SWEEP = (0.5, 1.0, 1.5, 2.0, 2.5)
 DEFAULT_REQUESTS = 2500
 DEFAULT_WORKERS = 500
 
+#: Hotspot centres per synthetic city.
+HOTSPOT_COUNT = 5
+
 
 @dataclass
 class SyntheticWorkloadConfig:
@@ -55,7 +58,6 @@ class SyntheticWorkloadConfig:
     value_distribution: str = "real"
     #: City square side (km); the paper samples from the full Chengdu box.
     city_km: float = 20.0
-    hotspot_count: int = 5
     #: Fig.-2 imbalance between the platforms' worker/request densities.
     skew: float = 0.45
     arrival: str = "diurnal"
@@ -100,7 +102,7 @@ class SyntheticWorkload:
             worker_arrivals = arrivals
 
         patterns = complementary_hotspots(
-            box, config.hotspot_count, config.skew, seeds.rng("hotspots")
+            box, HOTSPOT_COUNT, config.skew, seeds.rng("hotspots")
         )
         first, second = config.platform_ids
         pattern_map = {first: patterns["A"], second: patterns["B"]}

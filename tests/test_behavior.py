@@ -159,10 +159,6 @@ class TestBehaviorOracle:
         assert "w2" not in oracle
         assert len(oracle) == 1
 
-    def test_true_acceptance_probability(self):
-        behavior = WorkerBehavior("w", UniformDistribution(0.4, 0.8), [])
-        assert behavior.true_acceptance_probability(0.6) == pytest.approx(0.5)
-
 
 class TestReservationDrawing:
     """Each draw is the quantile of one hashed uniform of (seed, base

@@ -38,11 +38,6 @@ class TestWorker:
         with pytest.raises(ConfigurationError):
             make_worker(radius=0.0)
 
-    def test_is_inner_for(self):
-        worker = make_worker(platform="A")
-        assert worker.is_inner_for("A")
-        assert not worker.is_inner_for("B")
-
     def test_can_reach_boundary(self):
         worker = make_worker(x=0, y=0, radius=1.0)
         assert worker.can_reach(make_request(x=1.0, y=0.0))

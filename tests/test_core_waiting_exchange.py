@@ -40,12 +40,6 @@ class TestWaitingList:
         with pytest.raises(SimulationError):
             WaitingList().remove("ghost")
 
-    def test_discard(self):
-        waiting = WaitingList()
-        assert waiting.discard("ghost") is None
-        waiting.add(make_worker("w1"))
-        assert waiting.discard("w1") is not None
-
     def test_iteration_in_arrival_order(self):
         waiting = WaitingList()
         for worker_id, t in (("a", 3.0), ("b", 1.0), ("c", 2.0)):
@@ -80,12 +74,6 @@ class TestWaitingList:
         waiting.add(make_worker("near", x=0.1))
         eligible = waiting.eligible_for(make_request(x=0.0))
         assert [w.worker_id for w in eligible] == ["near", "far"]
-
-    def test_nearest_eligible(self):
-        waiting = WaitingList()
-        assert waiting.nearest_eligible(make_request()) is None
-        waiting.add(make_worker("w", x=0.2))
-        assert waiting.nearest_eligible(make_request(x=0.0)).worker_id == "w"
 
     def test_clear(self):
         waiting = WaitingList()

@@ -466,14 +466,6 @@ class TestTimingSamplesAccessor:
         samples.append(99.0)
         assert acc.samples() == [0.1, 0.2, 0.3]
 
-    def test_result_percentile_uses_public_accessor(self):
-        scenario = _scenario()
-        result = Simulator(SimulatorConfig(seed=0)).run(scenario, DemCOM)
-        assert result.response_time_percentile_ms(0.5) >= 0.0
-        assert result.response_time_percentile_ms(1.0) >= (
-            result.response_time_percentile_ms(0.0)
-        )
-
 
 class TestChaosCLI:
     def test_chaos_subcommand_runs_and_saves(self, tmp_path, capsys):

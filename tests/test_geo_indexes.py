@@ -53,15 +53,12 @@ class TestGridIndexBasics:
         index.insert("a", Point(0, 0))
         index.insert("a", Point(10, 10))
         assert len(index) == 1
-        assert index.location_of("a") == Point(10, 10)
+        assert index.query_radius(Point(10, 10), 0.0) == ["a"]
         assert index.query_radius(Point(0, 0), 0.5) == []
 
     def test_remove_missing_raises(self):
         with pytest.raises(KeyError):
             GridIndex(1.0).remove("ghost")
-
-    def test_discard_is_silent(self):
-        GridIndex(1.0).discard("ghost")
 
     def test_negative_radius_raises(self):
         with pytest.raises(ConfigurationError):

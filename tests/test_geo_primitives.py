@@ -31,12 +31,8 @@ class TestPoint:
         assert Point(0, 0).within(Point(0, 1), 1.0)
         assert not Point(0, 0).within(Point(0, 1.0001), 1.0)
 
-    def test_translate(self):
-        assert Point(1, 2).translate(3, -1) == Point(4, 1)
-
     def test_iter_and_tuple(self):
         assert tuple(Point(1, 2)) == (1.0, 2.0)
-        assert Point(1, 2).as_tuple() == (1, 2)
 
     def test_hashable_and_frozen(self):
         p = Point(1, 2)
@@ -85,20 +81,10 @@ class TestBoundingBox:
         box = BoundingBox.square(10.0)
         assert box.width == 10.0
         assert box.height == 10.0
-        assert box.area == 100.0
-        assert box.center == Point(5, 5)
 
     def test_square_nonpositive_raises(self):
         with pytest.raises(ConfigurationError):
             BoundingBox.square(0.0)
-
-    def test_around(self):
-        box = BoundingBox.around([Point(1, 2), Point(-1, 5)])
-        assert box.min_x == -1 and box.max_y == 5
-
-    def test_around_empty_raises(self):
-        with pytest.raises(ConfigurationError):
-            BoundingBox.around([])
 
     def test_contains_closed(self):
         box = BoundingBox.square(1.0)
@@ -110,15 +96,6 @@ class TestBoundingBox:
         box = BoundingBox.square(1.0)
         assert box.clamp(Point(2, -1)) == Point(1, 0)
         assert box.clamp(Point(0.5, 0.5)) == Point(0.5, 0.5)
-
-    def test_expand(self):
-        box = BoundingBox.square(1.0).expand(0.5)
-        assert box.min_x == -0.5 and box.max_x == 1.5
-
-    def test_intersects_disk(self):
-        box = BoundingBox.square(1.0)
-        assert box.intersects_disk(Point(1.5, 0.5), 0.6)
-        assert not box.intersects_disk(Point(3.0, 0.5), 0.6)
 
     @given(points)
     def test_clamped_point_inside(self, p):

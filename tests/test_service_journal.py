@@ -110,7 +110,6 @@ async def drive_with_recovery(
     recovery.
     """
     directory = Path(directory)
-    recovery = dict(JOURNAL_KWARGS, events=events)
     arrivals = list(scenario.events)
     crashes = 0
     try:
@@ -128,7 +127,7 @@ async def drive_with_recovery(
         # operator action (wipe, start fresh) is lossless.
         crashes += 1
         try:
-            gateway, __ = recover_gateway(directory, **recovery)
+            gateway, __ = recover_gateway(journal_config(directory), events=events)
         except ServiceError:
             shutil.rmtree(directory)
             directory.mkdir()
@@ -153,7 +152,7 @@ async def drive_with_recovery(
             if not _induced(gateway, error):
                 raise
             crashes += 1
-            gateway, __ = recover_gateway(directory, **recovery)
+            gateway, __ = recover_gateway(journal_config(directory), events=events)
             await gateway.start()
             continue  # retry the in-flight arrival
         index += 1
@@ -166,7 +165,7 @@ async def drive_with_recovery(
         if not _induced(gateway, error):
             raise
         crashes += 1
-        gateway, __ = recover_gateway(directory, **recovery)
+        gateway, __ = recover_gateway(journal_config(directory), events=events)
         await gateway.start()
         await gateway.drain()
     return gateway, crashes
@@ -593,7 +592,7 @@ class TestKilledEventLog:
         )
         with pytest.raises(JournalError, match="not a prefix of the journal"):
             recover_gateway(
-                tmp_path / "a", events=tmp_path / "b.comevt", **JOURNAL_KWARGS
+                journal_config(tmp_path / "a"), events=tmp_path / "b.comevt"
             )
 
 
@@ -687,7 +686,7 @@ class TestRecoveryEdges:
         journal.commit()
         journal.close()
         with pytest.raises(ServiceError, match="no checkpoint"):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     def test_corrupt_checkpoint_is_rejected(self, tmp_path):
         scenario = build_scenario()
@@ -705,7 +704,7 @@ class TestRecoveryEdges:
         config = journal_config(tmp_path)
         config.checkpoint_path.write_bytes(b"garbage, not a COMSNAP1")
         with pytest.raises(ServiceError):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     def test_checkpoint_from_a_different_history_is_rejected(self, tmp_path):
         config = journal_config(tmp_path)
@@ -724,7 +723,7 @@ class TestRecoveryEdges:
             meta={"journal_seq": 99, "journal_format": JOURNAL_FORMAT},
         )
         with pytest.raises(JournalError, match="different histories"):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     @pytest.mark.parametrize("leftover", [b"", JOURNAL_MAGIC])
     def test_emptied_journal_is_from_a_different_history(
@@ -737,7 +736,7 @@ class TestRecoveryEdges:
         config.journal_path.write_bytes(leftover)
         match = "different histories" if leftover else "not a COMWAL1 journal"
         with pytest.raises(JournalError, match=match):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     def test_checkpoint_of_an_older_journal_format_is_rejected(self, tmp_path):
         config = journal_config(tmp_path)
@@ -754,7 +753,7 @@ class TestRecoveryEdges:
             meta={"journal_seq": 1, "journal_format": 1},
         )
         with pytest.raises(JournalError, match="format 1; this build reads format 2"):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     @pytest.mark.parametrize(
         ("field", "value", "match"),
@@ -779,7 +778,7 @@ class TestRecoveryEdges:
             forged.append(record.kind, record.time, **fields)
         forged.close()
         with pytest.raises(JournalError, match=match):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     def test_replay_divergence_is_rejected(self, tmp_path):
         scenario = build_scenario()
@@ -822,7 +821,7 @@ class TestRecoveryEdges:
         journal.commit()
         journal.close()
         with pytest.raises(JournalError, match="replay diverged"):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     def test_ref_outside_the_scenario_is_rejected(self, tmp_path):
         journaled_run(tmp_path, build_scenario())
@@ -830,7 +829,7 @@ class TestRecoveryEdges:
         journal.append_worker_ref("ghost-worker", 1.0)
         journal.close()
         with pytest.raises(JournalError, match="ref not in the scenario"):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     def test_unknown_record_kind_is_rejected(self, tmp_path):
         scenario = build_scenario()
@@ -851,7 +850,7 @@ class TestRecoveryEdges:
         journal.commit()
         journal.close()
         with pytest.raises(JournalError, match="unknown kind"):
-            recover_gateway(tmp_path, **JOURNAL_KWARGS)
+            recover_gateway(journal_config(tmp_path))
 
     def test_crashed_gateway_refuses_further_submissions(self, tmp_path):
         scenario = build_scenario()
@@ -976,7 +975,7 @@ class TestTcpCrashRecovery:
                 while gateway.crash_error is None:
                     await asyncio.sleep(0.005)
                 replacement, report = recover_gateway(
-                    tmp_path / "wal", **JOURNAL_KWARGS
+                    journal_config(tmp_path / "wal")
                 )
                 assert report.records_replayed > 0
                 respawn = MatchingServer(replacement, host=host, port=port)

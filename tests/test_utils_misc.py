@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.utils.memory import approximate_size_bytes
+from repro.utils.stats import quantile
 from repro.utils.tables import TextTable, format_float, format_si
 from repro.utils.timer import Stopwatch, TimingAccumulator
 
@@ -58,16 +59,14 @@ class TestStopwatch:
 class TestTimingAccumulator:
     def test_empty_means_zero(self):
         acc = TimingAccumulator()
-        assert acc.mean_ms == 0.0
-        assert acc.max_ms == 0.0
+        assert acc.count == 0
+        assert acc.total_seconds == 0.0
 
     def test_records_in_milliseconds(self):
         acc = TimingAccumulator()
         acc.record(0.001)
         acc.record(0.003)
         assert acc.count == 2
-        assert acc.mean_ms == pytest.approx(2.0)
-        assert acc.max_ms == pytest.approx(3.0)
         assert acc.total_seconds == pytest.approx(0.004)
 
 
@@ -144,67 +143,23 @@ class TestTextTable:
         with pytest.raises(ValueError):
             table.add_row([1])
 
-    def test_markdown(self):
-        table = TextTable(["a"])
-        table.add_row([1])
-        markdown = table.render_markdown()
-        assert "| a |" in markdown
-        assert "|---|" in markdown
-
-    def test_csv(self):
-        table = TextTable(["a", "b"])
-        table.add_row([1, 2.5])
-        assert table.render_csv().splitlines() == ["a,b", "1,2.500"]
-
 
 class TestTimingPercentiles:
     def test_exact_until_reservoir_full(self):
         acc = TimingAccumulator()
-        for value in range(1, 101):
-            acc.record(value / 1000.0)
-        assert acc.percentile_ms(0.5) == pytest.approx(50.5, abs=1.0)
-        assert acc.percentile_ms(1.0) == pytest.approx(100.0)
+        values = [value / 1000.0 for value in range(1, 101)]
+        for value in values:
+            acc.record(value)
+        assert acc.samples() == values
+        assert quantile(sorted(acc.samples()), 0.5) == pytest.approx(0.0505, abs=1e-3)
 
     def test_empty_is_zero(self):
-        assert TimingAccumulator().percentile_ms(0.9) == 0.0
+        assert TimingAccumulator().samples() == []
 
     def test_reservoir_bounded(self):
         acc = TimingAccumulator()
         for value in range(5000):
             acc.record(float(value))
-        assert len(acc._reservoir) == TimingAccumulator.RESERVOIR_SIZE
+        assert len(acc.samples()) == TimingAccumulator.RESERVOIR_SIZE
         # The estimate still tracks the true distribution roughly.
-        assert acc.percentile_ms(0.5) == pytest.approx(2500 * 1e3, rel=0.15)
-
-    def test_repeated_queries_use_cached_sort(self):
-        acc = TimingAccumulator()
-        for value in (0.005, 0.001, 0.003, 0.002, 0.004):
-            acc.record(value)
-        first = [acc.percentile_ms(q) for q in (0.1, 0.5, 0.9)]
-        assert acc._sorted is not None
-        cached = acc._sorted
-        second = [acc.percentile_ms(q) for q in (0.1, 0.5, 0.9)]
-        # Same answers, and the sorted view object was not rebuilt.
-        assert second == first
-        assert acc._sorted is cached
-
-    def test_record_invalidates_cached_sort(self):
-        acc = TimingAccumulator()
-        acc.record(0.002)
-        acc.record(0.001)
-        assert acc.percentile_ms(1.0) == pytest.approx(2.0)
-        acc.record(0.009)
-        assert acc._sorted is None
-        assert acc.percentile_ms(1.0) == pytest.approx(9.0)
-
-    def test_reservoir_replacement_invalidates_cache(self):
-        acc = TimingAccumulator()
-        for value in range(TimingAccumulator.RESERVOIR_SIZE):
-            acc.record(float(value))
-        acc.percentile_ms(0.5)
-        # Keep recording until a reservoir slot is actually replaced, then
-        # the cached sorted view must have been dropped.
-        before = acc.samples()
-        while acc.samples() == before:
-            acc.record(1e9)
-        assert acc._sorted is None
+        assert quantile(sorted(acc.samples()), 0.5) == pytest.approx(2500, rel=0.15)
