@@ -167,8 +167,9 @@ def _documented_cells() -> dict[str, list[str]]:
 
 def assert_matches_experiments_md(result: TableResult) -> None:
     """Every measured value lies within half a unit of its printed last
-    place in EXPERIMENTS.md (time and memory rows depend on the host and
-    are not checked).  Applies only at the document's settings."""
+    place in EXPERIMENTS.md (the time row depends on the host and the
+    memory row prints one range, so neither is checked).  Applies only at
+    the document's settings."""
     if BENCH_SCALE != 0.01 or BENCH_SEEDS != 2:
         return
     documented = _documented_cells()

@@ -382,15 +382,22 @@ class SimulationSession:
                 ledger=MatchingLedger(platform_id)
             )
 
-        # Pre-load every worker's history into the Eq.-4 estimator.
+        # Pre-load every worker's history into the Eq.-4 estimator, and
+        # count what the memory model (DESIGN.md §1.4) charges for.
+        workers = history_entries = 0
         for event in scenario.events:
             if event.kind is EventKind.WORKER:
                 assert event.worker is not None
+                workers += 1
                 worker_id = event.worker.worker_id
                 if worker_id in scenario.oracle:
-                    self.acceptance.set_history(
-                        worker_id, scenario.oracle.history_of(worker_id)
-                    )
+                    history = scenario.oracle.history_of(worker_id)
+                    self.acceptance.set_history(worker_id, history)
+                    history_entries += len(history)
+        self._worker_count = workers
+        self._request_count = len(scenario.events) - workers
+        #: Loaded history values plus one per cooperative completion.
+        self._history_entries = history_entries
 
         # Reentry queue: (time, sequence, worker) — sequence breaks ties.
         self._reentry_heap: list[tuple[float, int, Worker]] = []
@@ -646,17 +653,15 @@ class SimulationSession:
                 )
 
         memory_bytes = approximate_size_bytes(
-            {
-                "outcomes": {
-                    pid: outcome.ledger.records
-                    for pid, outcome in self.outcomes.items()
-                },
-                "waiting": {
-                    pid: self.exchange.inner_list(pid).workers()
-                    for pid in scenario.platform_ids
-                },
-                "entities": (scenario.events.workers, scenario.events.requests),
-            }
+            requests=self._request_count,
+            workers=self._worker_count,
+            history_entries=self._history_entries,
+            match_records=sum(
+                len(outcome.ledger.records) for outcome in self.outcomes.values()
+            ),
+            waiting_entries=sum(
+                len(self.exchange.inner_list(pid)) for pid in scenario.platform_ids
+            ),
         )
 
         telemetry_summary: TelemetrySummary | None = None
@@ -671,8 +676,7 @@ class SimulationSession:
                     )
             if self._run_span is not None:
                 self._run_span.annotate(
-                    requests=scenario.request_count,
-                    workers=scenario.worker_count,
+                    requests=self._request_count, workers=self._worker_count
                 )
                 self._run_span.end()
             telemetry_summary = config.telemetry.summary()
@@ -790,6 +794,7 @@ class SimulationSession:
             self.acceptance.record_completion(
                 worker.worker_id, decision.payment, request.value
             )
+            self._history_entries += 1
 
         if sanitizer is not None:
             sanitizer.commit_assignment(

@@ -45,11 +45,14 @@ class ExperimentConfig:
         Simulator seeds to average over (the paper's tables average per-day
         results over a month; seeds play the role of days).
     service_duration:
-        Occupation per service.  Every experiment runs with worker reentry
-        on (a taxi serves many requests per day — Table III's
-        |CpR| >> |W| requires it).
+        Occupation per service.  ``None`` (the default) takes the base
+        simulator config's; a value given here takes precedence over it.
     simulator:
-        Base simulator config; per-seed runs override only the seed.
+        Base simulator config, 1800 s per service by default.  Per-seed
+        runs override its ``seed``, its ``service_duration`` (only when
+        ``service_duration`` above is given) and its ``worker_reentry``:
+        every experiment runs with worker reentry on (a taxi serves many
+        requests per day — Table III's |CpR| >> |W| requires it).
     telemetry:
         Attach a fresh :class:`repro.obs.Telemetry` (metrics only) to each
         per-seed run; the averaged row then carries the pooled
@@ -63,10 +66,19 @@ class ExperimentConfig:
     """
 
     seeds: tuple[int, ...] = (0, 1, 2)
-    service_duration: float = 1800.0
-    simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
+    service_duration: float | None = None
+    simulator: SimulatorConfig = field(
+        default_factory=lambda: SimulatorConfig(service_duration=1800.0)
+    )
     telemetry: bool = False
     jobs: int = 1
+
+    @property
+    def occupation(self) -> float:
+        """The service duration every run of this experiment uses."""
+        if self.service_duration is None:
+            return self.simulator.service_duration
+        return self.service_duration
 
     def simulator_config(self, seed: int) -> SimulatorConfig:
         """The per-seed simulator configuration."""
@@ -74,7 +86,7 @@ class ExperimentConfig:
             self.simulator,
             seed=seed,
             worker_reentry=True,
-            service_duration=self.service_duration,
+            service_duration=self.occupation,
         )
         if self.telemetry and config.telemetry is None:
             from repro.obs import Telemetry
@@ -97,7 +109,7 @@ def run_cell(
     """
     if seed is None:
         solution = solve_offline_reentry(
-            scenario, service_duration=config.service_duration
+            scenario, service_duration=config.occupation
         )
         return AlgorithmMetrics.from_offline(solution)
     factory = algorithm_factory(algorithm) if isinstance(algorithm, str) else algorithm

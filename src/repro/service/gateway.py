@@ -805,12 +805,12 @@ class MatchingGateway:
     # -- replay interning ----------------------------------------------------
     # A submitted entity that matches its canonical object in the gateway's
     # scenario (by field equality) is replaced with it, so the matching
-    # state shares storage with the trace.  The analytic memory metric
-    # (§V-C2) id-deduplicates shared objects; without interning, entities
-    # arriving as copies — wire-decoded over TCP, or submitted after a
-    # snapshot restore whose session holds pickled copies — would be
-    # double-counted relative to the batch simulator, breaking the
-    # byte-identity of the replayed metric row.
+    # state shares storage with the trace.  Entities arrive as copies —
+    # wire-decoded over TCP, or submitted after a snapshot restore whose
+    # session holds pickled copies.  An interned entity is journaled as a
+    # bare id ref, and a checkpoint encodes it as a memo reference into the
+    # scenario pickled once, which keeps the journal and the checkpoints
+    # small.  The memory metric counts items and does not depend on it.
 
     def _canonical_request(self, request: Request) -> Request:
         if self._request_index is None:

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG plumbing, timing, memory accounting,
+"""Shared utilities: deterministic RNG plumbing, timing, the memory-cost count,
 streaming statistics, plain-text table rendering, and the process-pool
 fan-out behind every ``--jobs`` flag.
 

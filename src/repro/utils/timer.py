@@ -3,7 +3,7 @@
 The paper reports the *average response time of each request* — the latency
 between a request arriving and the platform's serve/borrow/reject decision.
 :class:`Stopwatch` wraps ``time.perf_counter`` and :class:`TimingAccumulator`
-aggregates per-request latencies into streaming statistics.
+counts per-request latencies, sums them and keeps a reservoir sample.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 from repro.utils.rng import derive_rng
-from repro.utils.stats import RunningStats
 
 __all__ = ["Stopwatch", "TimingAccumulator"]
 
@@ -63,28 +62,29 @@ class Stopwatch:
 
 
 class TimingAccumulator:
-    """Accumulates per-event latencies into streaming statistics.
+    """Accumulates per-event latencies: their count, their sum and a sample.
 
     Latencies are recorded in seconds.  A bounded reservoir keeps a uniform
     sample of latencies so tail percentiles stay available without storing
-    every measurement (100k requests would otherwise distort the memory
-    metric).
+    every measurement.
     """
 
     RESERVOIR_SIZE = 1000
 
     def __init__(self) -> None:
-        self._stats = RunningStats()
+        self._count = 0
+        self._total = 0.0
         self._reservoir: list[float] = []
         self._reservoir_rng = derive_rng(0x5EED, "timer/reservoir")
 
     def record(self, seconds: float) -> None:
         """Record one latency sample, in seconds."""
-        self._stats.add(seconds)
+        self._count += 1
+        self._total += seconds
         if len(self._reservoir) < self.RESERVOIR_SIZE:
             self._reservoir.append(seconds)
         else:
-            slot = self._reservoir_rng.randrange(self._stats.count)
+            slot = self._reservoir_rng.randrange(self._count)
             if slot < self.RESERVOIR_SIZE:
                 self._reservoir[slot] = seconds
 
@@ -101,9 +101,9 @@ class TimingAccumulator:
     @property
     def count(self) -> int:
         """Number of recorded samples."""
-        return self._stats.count
+        return self._count
 
     @property
     def total_seconds(self) -> float:
         """Sum of all recorded latencies, in seconds."""
-        return self._stats.total
+        return self._total

@@ -23,7 +23,7 @@ from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
 OFF_DIGEST = "dde7e52f4ef252beefe10107e91d7becd97f82002f8c82c316751f023c5166ef"
 REENTRY_DIGEST = "1845b5a2de6c20c616fa516772fe9cc27d1146c095705f3e692918ca7e6b781d"
-BATCH_DIGEST = "82c4e55922390c1f52d73c181f615432469d73b3918bb5cd736fc35630202364"
+BATCH_DIGEST = "406f02efc0edf698f5f6b6fcd55ff3faef06da83c78a4609397b8a7fc933ee75"
 
 
 def _sha256(payload: object) -> str:
@@ -57,7 +57,4 @@ def test_offline_reentry_records_pinned(scenario):
 
 def test_batch_golden_row_pinned(scenario):
     row = golden_row(scenario, "batch", SimulatorConfig(measure_response_time=False))
-    # The memory walk sums sys.getsizeof, which differs across interpreter
-    # versions; every other field is a function of the scenario.
-    del row["memory_mb"]
     assert _sha256(row) == BATCH_DIGEST

@@ -7,9 +7,8 @@ the job count.  These digests fix the canonical rows of one comparison,
 one fault sweep and one RamCOM threshold sweep at ``jobs=1`` and
 ``jobs=2``: a refactor of the executor must keep them bit-identical.
 
-Canonical rows drop ``response_time_ms`` (wall clock) and ``memory_mb``
-(the memory walk sums ``sys.getsizeof``, which differs across interpreter
-versions), and keep telemetry only through ``without_wall_clock()``.
+Canonical rows drop ``response_time_ms`` (wall clock) and keep telemetry
+only through ``without_wall_clock()``.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from repro.experiments.ablation import run_ramcom_k_sweep
 from repro.experiments.reporting import metrics_to_dict
 from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
-COMPARISON_DIGEST = "5a1bb00c2c5a840a5e81070911b7d6dd11c1c54b5f2214058134e76603688fee"
-FAULT_SWEEP_DIGEST = "1b5b792e5c42a56d741ad1b123a586d1348afdd8d02fa5710dbce1dbe48099bb"
-RAMCOM_K_DIGEST = "6e7fb241f1725e892acacc354d7139a078a2b6a2b57d9980a62933e44bc71bf2"
+COMPARISON_DIGEST = "0f4ef4f64150948ee8d33edd2f728909d8de6a6b56bf2e1b549be927a0b49418"
+FAULT_SWEEP_DIGEST = "34d500f81006553366ddfcd1648d4409e89a778ea097c7b2a8260a9d213e8435"
+RAMCOM_K_DIGEST = "9d7ed960915f86f84c22d55027959da28b64164712789fe0f7e394fb6aab1b71"
 
 JOBS = [1, 2]
 
@@ -34,7 +33,6 @@ JOBS = [1, 2]
 def _canonical(row) -> dict:
     entry = metrics_to_dict(row)
     del entry["response_time_ms"]
-    del entry["memory_mb"]
     if row.telemetry is not None:
         entry["telemetry"] = row.telemetry.without_wall_clock().as_dict()
     return entry

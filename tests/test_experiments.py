@@ -99,6 +99,34 @@ class TestHarness:
         with pytest.raises(ConfigurationError):
             run_algorithm(tiny_scenario(), "tota", ExperimentConfig(seeds=()))
 
+    def test_base_service_duration_is_honoured(self):
+        config = ExperimentConfig(
+            seeds=(0,), simulator=SimulatorConfig(service_duration=600.0)
+        )
+        assert config.occupation == 600.0
+        per_seed = config.simulator_config(0)
+        assert per_seed.service_duration == 600.0
+        assert per_seed.worker_reentry
+        scenario = tiny_scenario(seed=2)
+        completed = {
+            duration: Simulator(
+                SimulatorConfig(seed=0, worker_reentry=True, service_duration=duration)
+            )
+            .run(scenario, algorithm_factory("demcom"))
+            .total_completed
+            for duration in (600.0, 1800.0)
+        }
+        assert completed[600.0] != completed[1800.0]
+        row = run_algorithm(scenario, "demcom", config)
+        assert row.total_completed == completed[600.0]
+        # The experiment's own value, when given, takes precedence.
+        explicit = ExperimentConfig(
+            simulator=SimulatorConfig(service_duration=600.0),
+            service_duration=900.0,
+        )
+        assert explicit.simulator_config(0).service_duration == 900.0
+        assert ExperimentConfig().simulator_config(0).service_duration == 1800.0
+
     def test_comparison_order(self):
         rows = run_comparison(tiny_scenario(), ["tota", "ramcom"], TINY_CONFIG)
         assert [row.algorithm for row in rows] == ["TOTA", "RamCOM"]

@@ -1,258 +1,97 @@
-"""The memory-cost walk (``approximate_size_bytes``, paper §V-C2).
+"""The memory-cost model (``approximate_size_bytes``, paper §V-C2).
 
-:func:`approximate_size_bytes` resolves each class's kind (value, atomic,
-mapping, sequence or object) and its ``__slots__`` once per walk instead of
-per node.  :func:`_reference_size` below is the per-node ``isinstance``
-walk it replaced, kept here as the oracle: every case must measure the same
-byte count through both.  The golden DemCOM / RamCOM runs additionally pin
-the absolute ``memory_bytes`` recorded before the per-class dispatch landed.
+The metric is a fixed byte cost per stored item of each kind times the
+number of such items (DESIGN.md §1.4), so it is a pure function of the
+run's outcome: the golden runs pin it on every interpreter, a session
+finalizes without walking any object, and a session restored from a
+pickled copy measures what the uninterrupted run measures.
 """
 
 from __future__ import annotations
 
+import pickle
 import sys
-import types
-from collections import OrderedDict, defaultdict
-from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro.core.simulator as simulator_module
 from repro.core import DemCOM, RamCOM, Simulator, SimulatorConfig
-from repro.utils.memory import _container_size, approximate_size_bytes
+from repro.core.events import EventKind
+from repro.utils import memory
+from repro.utils.memory import approximate_size_bytes
 from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
-from conftest import make_worker
 from test_perf_fastpath import _golden_scenario
 
-_ATOMIC_TYPES = (int, float, complex, bool, bytes, str, type(None), range)
-_VALUE_TYPES = (int, float, complex, bool, type(None))
-
-
-def _reference_size(obj: object, _seen: set[int] | None = None) -> int:
-    """The per-node ``isinstance`` walk: five type checks per node, the
-    ``Mapping`` ABC check among them, plus a ``__slots__`` lookup."""
-    if isinstance(obj, _VALUE_TYPES):
-        return sys.getsizeof(obj)
-    if _seen is None:
-        _seen = set()
-    object_id = id(obj)
-    if object_id in _seen:
-        return 0
-    _seen.add(object_id)
-
-    size = _container_size(obj)
-    if isinstance(obj, _ATOMIC_TYPES):
-        return size
-
-    if isinstance(obj, Mapping):
-        for key, value in obj.items():
-            size += _reference_size(key, _seen)
-            size += _reference_size(value, _seen)
-        return size
-
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            size += _reference_size(item, _seen)
-        return size
-
-    instance_dict = getattr(obj, "__dict__", None)
-    if instance_dict is not None:
-        size += _reference_size(instance_dict, _seen)
-    slots = getattr(type(obj), "__slots__", ())
-    if isinstance(slots, str):
-        slots = (slots,)
-    for slot in slots:
-        if hasattr(obj, slot):
-            size += _reference_size(getattr(obj, slot), _seen)
-    return size
-
-
-def _assert_same(obj: object) -> int:
-    size = approximate_size_bytes(obj)
-    assert size == _reference_size(obj)
-    return size
-
-
-class _DictSubclass(dict):
-    pass
-
-
-class _ListSubclass(list):
-    pass
-
-
-class _StringSlot:
-    __slots__ = "payload"
-
-    def __init__(self, payload):
-        self.payload = payload
-
-
-class _SlotsAndDict:
-    __slots__ = ("slotted", "__dict__")
-
-    def __init__(self):
-        self.slotted = list(range(20))
-        self.loose = {"k": "v" * 40}
-
-
-class _Base:
-    __slots__ = ("a",)
-
-    def __init__(self):
-        self.a = [1.5, 2.5]
-
-
-class _Derived(_Base):
-    __slots__ = ("b",)
-
-    def __init__(self):
-        super().__init__()
-        self.b = "derived"
-
-
-class _PartlyFilled:
-    __slots__ = ("set_slot", "unset_slot")
-
-    def __init__(self):
-        self.set_slot = (1, 2, 3)
-
-
-class _Plain:
-    def __init__(self, child):
-        self.child = child
-        self.number = 7.25
-
-
-class TestPerClassDispatch:
-    """Each class's kind and slot layout, checked against the per-node
-    ``isinstance`` walk."""
-
-    def test_dict_and_list_subclasses(self):
-        mapping = _DictSubclass(a=[1, 2, 3], b="text")
-        sequence = _ListSubclass([mapping, 4.5, "x"])
-        # Walked as their base kind: the contents contribute.
-        assert _assert_same(mapping) > sys.getsizeof(mapping) + sys.getsizeof(
-            mapping["a"]
-        )
-        assert _assert_same(sequence) > sys.getsizeof(sequence) + sys.getsizeof(
-            mapping
-        )
-
-    def test_ordered_dict_and_defaultdict(self):
-        _assert_same(OrderedDict([("x", [1.0, 2.0]), ("y", "long" * 10)]))
-        grouped: defaultdict[str, list[int]] = defaultdict(list)
-        grouped["a"].extend(range(5))
-        _assert_same(grouped)
-
-    def test_mapping_proxy(self):
-        proxy = types.MappingProxyType({"k": list(range(10)), 3: "v"})
-        size = _assert_same(proxy)
-        # Walked as a mapping: its values contribute.
-        assert size > sys.getsizeof(proxy) + sys.getsizeof(list(range(10)))
-
-    def test_string_slots(self):
-        holder = _StringSlot(list(range(30)))
-        size = _assert_same(holder)
-        assert size >= sys.getsizeof(holder) + sys.getsizeof(list(range(30)))
-
-    def test_slots_and_dict(self):
-        both = _SlotsAndDict()
-        size = _assert_same(both)
-        # Both the slot value and the instance-dict value are counted.
-        assert size > sys.getsizeof(both.slotted) + sys.getsizeof(both.loose["k"])
-
-    def test_inherited_slots_follow_the_reference(self):
-        _assert_same(_Derived())
-
-    def test_unset_slot_is_skipped(self):
-        _assert_same(_PartlyFilled())
-
-    def test_class_first_seen_after_the_cache_warmed(self):
-        class LateArrival:
-            __slots__ = ("data",)
-
-            def __init__(self):
-                self.data = {"late": list(range(12))}
-
-        warm = [make_worker(f"w{i}", x=i * 0.1) for i in range(50)]
-        payload = {"warm": warm, "then": [_Plain(LateArrival())]}
-        _assert_same(payload)
-        # A fresh walk over the late class alone resolves it cold.
-        _assert_same(LateArrival())
-
-    def test_numbers_counted_per_reference_and_shared_objects_once(self):
-        shared = [3.0] * 4
-        big = 10**30
-        once = _assert_same([shared, big, True, None])
-        twice = _assert_same([shared, shared, big, big, True, None])
-        # The second list reference is free; the second number is not.
-        two_more_slots = _container_size([None] * 6) - _container_size([None] * 4)
-        assert twice - once == two_more_slots + sys.getsizeof(big)
-
-    def test_cycles_terminate(self):
-        node = _Plain(None)
-        node.child = [node, {"self": node}]
-        _assert_same(node)
-
-    def test_explicit_seen_set_is_shared(self):
-        shared = list(range(40))
-        seen: set[int] = set()
-        first = approximate_size_bytes(shared, seen)
-        outer = [shared]
-        assert approximate_size_bytes(outer, seen) == _container_size(outer)
-        assert first == _reference_size(list(range(40)))
-
-
-_LEAVES = st.one_of(
-    st.integers(),
-    st.floats(allow_nan=False),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=12),
-    st.binary(max_size=8),
+_COUNTS = dict(
+    requests=0, workers=0, history_entries=0, match_records=0, waiting_entries=0
 )
 
 
-def _structures():
-    return st.recursive(
-        _LEAVES,
-        lambda children: st.one_of(
-            st.lists(children, max_size=5),
-            st.lists(children, max_size=5).map(tuple),
-            st.lists(children, max_size=5).map(_ListSubclass),
-            st.dictionaries(st.text(max_size=5), children, max_size=4),
-            st.dictionaries(st.text(max_size=5), children, max_size=4).map(
-                OrderedDict
+class TestCountModel:
+    @pytest.mark.parametrize(
+        "kind, cost",
+        [
+            ("requests", memory.REQUEST_BYTES),
+            ("workers", memory.WORKER_BYTES),
+            ("history_entries", memory.HISTORY_ENTRY_BYTES),
+            ("match_records", memory.MATCH_RECORD_BYTES),
+            ("waiting_entries", memory.WAITING_ENTRY_BYTES),
+        ],
+    )
+    def test_each_kind_costs_its_constant(self, kind, cost):
+        assert approximate_size_bytes(**_COUNTS) == 0
+        assert approximate_size_bytes(**{**_COUNTS, kind: 7}) == 7 * cost
+
+    @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM], ids=lambda a: a.name)
+    def test_finalize_counts_each_kind(self, algorithm):
+        scenario = _synthetic_scenario()
+        session = Simulator(_synthetic_config(reentry=True)).session(
+            scenario, algorithm
+        )
+        _feed(session, list(scenario.events))
+        result = session.finalize()
+        loaded = sum(
+            len(scenario.oracle.history_of(worker.worker_id))
+            for worker in scenario.events.workers
+        )
+        assert result.total_cooperative > 0
+        assert result.memory_bytes == approximate_size_bytes(
+            requests=scenario.request_count,
+            workers=scenario.worker_count,
+            history_entries=loaded + result.total_cooperative,
+            match_records=result.total_completed,
+            waiting_entries=sum(
+                len(session.exchange.inner_list(pid)) for pid in scenario.platform_ids
             ),
-            st.frozensets(st.integers(), max_size=5),
-            children.map(_Plain),
-            children.map(_StringSlot),
-        ),
-        max_leaves=30,
-    )
+        )
 
 
-class TestDispatchMatchesReference:
-    @given(_structures())
-    @settings(max_examples=200, deadline=None)
-    def test_random_structures(self, structure):
-        assert approximate_size_bytes(structure) == _reference_size(structure)
+def _feed(session, events) -> None:
+    for event in events:
+        if event.kind is EventKind.WORKER:
+            session.submit_worker(event.worker, time=event.time)
+        else:
+            session.submit_request(event.request, time=event.time)
 
 
-def _synthetic_run(algorithm, reentry: bool):
-    workload = SyntheticWorkload(
+def _synthetic_scenario():
+    return SyntheticWorkload(
         SyntheticWorkloadConfig(request_count=400, worker_count=110, city_km=3.0)
-    )
-    config = SimulatorConfig(
+    ).build(17)
+
+
+def _synthetic_config(reentry: bool) -> SimulatorConfig:
+    return SimulatorConfig(
         seed=3,
         measure_response_time=False,
         worker_reentry=reentry,
         service_duration=1800.0,
     )
-    return Simulator(config).run(workload.build(17), algorithm)
+
+
+def _synthetic_run(algorithm, reentry: bool):
+    return Simulator(_synthetic_config(reentry)).run(_synthetic_scenario(), algorithm)
 
 
 def _golden_run(algorithm):
@@ -266,27 +105,16 @@ def _golden_run(algorithm):
 
 
 class TestGoldenMemoryWalk:
-    """``memory_bytes`` of the golden runs, recorded on the per-node walk.
+    """``memory_bytes`` of the golden runs, and the absence of a walk."""
 
-    ``sys.getsizeof`` figures depend on the interpreter version, so the
-    absolute values are pinned for the version they were recorded on;
-    every version checks the finalize walk against the reference walk over
-    the very structure the simulator measures.
-    """
-
-    RECORDED_ON = (3, 11)
-    GOLDEN = {"DemCOM": 24066, "RamCOM": 23442}
+    GOLDEN = {"DemCOM": 7736, "RamCOM": 7776}
     SYNTHETIC = {
-        ("DemCOM", True): 301565,
-        ("DemCOM", False): 175622,
-        ("RamCOM", True): 297533,
-        ("RamCOM", False): 175470,
+        ("DemCOM", True): 93488,
+        ("DemCOM", False): 78400,
+        ("RamCOM", True): 94704,
+        ("RamCOM", False): 78784,
     }
 
-    @pytest.mark.skipif(
-        sys.version_info[:2] != RECORDED_ON,
-        reason="getsizeof figures were recorded on CPython 3.11",
-    )
     @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM], ids=lambda a: a.name)
     def test_pinned_bytes(self, algorithm):
         assert _golden_run(algorithm).memory_bytes == self.GOLDEN[algorithm.name]
@@ -295,14 +123,40 @@ class TestGoldenMemoryWalk:
             assert result.memory_bytes == self.SYNTHETIC[(algorithm.name, reentry)]
 
     @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM], ids=lambda a: a.name)
-    def test_finalize_walk_matches_reference(self, algorithm, monkeypatch):
-        measured: list[tuple[int, int]] = []
+    def test_finalize_does_not_walk(self, algorithm, monkeypatch):
+        calls: list[dict] = []
 
-        def both(obj):
-            measured.append((approximate_size_bytes(obj), _reference_size(obj)))
-            return measured[-1][0]
+        def counted(**counts):
+            calls.append(counts)
+            return approximate_size_bytes(**counts)
 
-        monkeypatch.setattr(simulator_module, "approximate_size_bytes", both)
+        def no_walk(*args):
+            raise AssertionError("sys.getsizeof called")
+
+        monkeypatch.setattr(simulator_module, "approximate_size_bytes", counted)
+        monkeypatch.setattr(sys, "getsizeof", no_walk)
         result = _synthetic_run(algorithm, reentry=True)
-        assert len(measured) == 1
-        assert measured[0][0] == measured[0][1] == result.memory_bytes
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert result.memory_bytes == self.SYNTHETIC[(algorithm.name, True)]
+
+
+class TestObjectIdentity:
+    """The count reads no object identity: copies measure like originals."""
+
+    @pytest.mark.parametrize("algorithm", [DemCOM, RamCOM], ids=lambda a: a.name)
+    def test_restored_session_matches_the_uninterrupted_run(self, algorithm):
+        scenario = _synthetic_scenario()
+        config = _synthetic_config(reentry=True)
+        expected = Simulator(config).run(scenario, algorithm).memory_bytes
+
+        session = Simulator(config).session(scenario, algorithm)
+        events = list(scenario.events)
+        half = len(events) // 2
+        _feed(session, events[:half])
+        # A plain pickle round trip: the restored session holds copies of
+        # every entity, and the rest of the stream arrives as further
+        # copies that share no object with either.
+        restored = pickle.loads(pickle.dumps(session))
+        _feed(restored, pickle.loads(pickle.dumps(events[half:])))
+        assert restored.finalize().memory_bytes == expected

@@ -1,12 +1,12 @@
-"""Tests for timers, memory accounting and table rendering."""
+"""Tests for timers and table rendering."""
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
 
-from repro.utils.memory import approximate_size_bytes
 from repro.utils.stats import quantile
 from repro.utils.tables import TextTable, format_float, format_si
 from repro.utils.timer import Stopwatch, TimingAccumulator
@@ -70,44 +70,6 @@ class TestTimingAccumulator:
         assert acc.total_seconds == pytest.approx(0.004)
 
 
-class TestApproximateSize:
-    def test_atomic(self):
-        assert approximate_size_bytes(1) > 0
-        assert approximate_size_bytes("hello") > 0
-
-    def test_container_grows_with_content(self):
-        small = approximate_size_bytes([1] * 10)
-        large = approximate_size_bytes(list(range(1000)))
-        assert large > small
-
-    def test_shared_objects_counted_once(self):
-        shared = list(range(100))
-        single = approximate_size_bytes([shared])
-        double = approximate_size_bytes([shared, shared])
-        # The second reference adds only list overhead, not the payload.
-        assert double - single < approximate_size_bytes(shared) / 2
-
-    def test_cycles_terminate(self):
-        a: list = []
-        a.append(a)
-        assert approximate_size_bytes(a) > 0
-
-    def test_objects_with_slots(self):
-        class Slotted:
-            __slots__ = ("x", "y")
-
-            def __init__(self):
-                self.x = list(range(50))
-                self.y = "payload"
-
-        assert approximate_size_bytes(Slotted()) > approximate_size_bytes(object())
-
-    def test_mapping(self):
-        assert approximate_size_bytes({"k": list(range(100))}) > approximate_size_bytes(
-            {}
-        )
-
-
 class TestFormatting:
     def test_format_float_basic(self):
         assert format_float(1.23456) == "1.235"
@@ -163,3 +125,16 @@ class TestTimingPercentiles:
         assert len(acc.samples()) == TimingAccumulator.RESERVOIR_SIZE
         # The estimate still tracks the true distribution roughly.
         assert quantile(sorted(acc.samples()), 0.5) == pytest.approx(2500, rel=0.15)
+
+    def test_reservoir_draws_pinned(self):
+        # Recorded before the accumulator kept a plain count and total in
+        # place of full running statistics: the draws must not move.
+        acc = TimingAccumulator()
+        for value in range(3000):
+            acc.record(value / 7.0)
+        digest = hashlib.sha256(repr(acc.samples()).encode()).hexdigest()
+        assert digest == (
+            "949c44a8968c28634a487df2e1aa848858d143f1ddd89db7fa9535c8a0da10c0"
+        )
+        assert acc.count == 3000
+        assert acc.total_seconds == 642642.857142857
