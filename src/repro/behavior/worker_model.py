@@ -82,29 +82,30 @@ class BehaviorOracle:
 
     def behavior_of(self, worker_id: Hashable) -> WorkerBehavior:
         """Look up a worker's behaviour (reentry clones resolve to base)."""
+        return self._resolve(worker_id)[0]
+
+    def _resolve(self, worker_id: Hashable) -> tuple[WorkerBehavior, Hashable]:
+        """A worker's behaviour and the base id its draws are labelled
+        with; a reentry clone resolves to its base worker for both."""
         behavior = self._behaviors.get(worker_id)
-        if behavior is None:
-            behavior = self._behaviors.get(self._base_id(worker_id))
+        base_id = worker_id
+        if isinstance(worker_id, str) and "@reentry" in worker_id:
+            base_id = worker_id.split("@reentry", 1)[0]
+            if behavior is None:
+                behavior = self._behaviors.get(base_id)
         if behavior is None:
             raise ConfigurationError(
                 f"no behaviour registered for worker {worker_id!r}; every "
                 "worker that can receive offers must be registered with the "
                 "oracle (workload generators do this automatically)"
             )
-        return behavior
+        return behavior, base_id
 
     def __contains__(self, worker_id: Hashable) -> bool:
         return worker_id in self._behaviors
 
     def __len__(self) -> int:
         return len(self._behaviors)
-
-    @staticmethod
-    def _base_id(worker_id: Hashable) -> Hashable:
-        """Strip a reentry-clone suffix so clones share the base's draws."""
-        if isinstance(worker_id, str) and "@reentry" in worker_id:
-            return worker_id.split("@reentry", 1)[0]
-        return worker_id
 
     def reservation(self, worker_id: Hashable, request_id: Hashable) -> float:
         """The realized reservation draw of ``worker`` for ``request``.
@@ -114,17 +115,16 @@ class BehaviorOracle:
         clones share the base worker's draw and every algorithm sees
         identical randomness.
         """
-        return self._draw(self.behavior_of(worker_id), worker_id, request_id)
+        behavior, base_id = self._resolve(worker_id)
+        return self._draw(behavior, base_id, request_id)
 
     def _draw(
-        self, behavior: WorkerBehavior, worker_id: Hashable, request_id: Hashable
+        self, behavior: WorkerBehavior, base_id: Hashable, request_id: Hashable
     ) -> float:
         # Inverse-transform sampling from one hashed uniform per draw: no
         # generator state exists, so a draw that is skipped changes no
         # other draw.
-        u = derive_uniform(
-            self.seed, f"reservation/{self._base_id(worker_id)}/{request_id}"
-        )
+        u = derive_uniform(self.seed, f"reservation/{base_id}/{request_id}")
         return behavior.distribution.quantile(u)
 
     def reservation_price(
@@ -158,7 +158,7 @@ class BehaviorOracle:
         and the answer is bit-identical to drawing
         (docs/PERFORMANCE.md#draw-free-offer-decisions).
         """
-        behavior = self.behavior_of(worker_id)
+        behavior, base_id = self._resolve(worker_id)
         low, high = behavior.distribution.draw_bounds()
         # Absolute mode compares raw prices: ``x * 1.0 == x`` exactly.
         scale = request_value if self.mode == "relative" else 1.0
@@ -167,7 +167,7 @@ class BehaviorOracle:
                 return False
             if payment >= high * scale - 1e-12:
                 return True
-        draw = self._draw(behavior, worker_id, request_id)
+        draw = self._draw(behavior, base_id, request_id)
         return payment >= draw * scale - 1e-12
 
     def history_of(self, worker_id: Hashable) -> list[float]:

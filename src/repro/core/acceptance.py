@@ -203,23 +203,6 @@ class AcceptanceEstimator:
                 rows.append((None, 0))
         return AcceptanceSnapshot(self.mode, self.default_probability, rows)
 
-    def candidate_payments(
-        self, worker_id: Hashable, request_value: float
-    ) -> list[float]:
-        """The payments at which this worker's estimated CDF steps, capped
-        at ``request_value`` — the MER pricer's exact breakpoints."""
-        history = self._histories.get(worker_id, [])
-        if self.mode == "absolute":
-            end = bisect.bisect_right(history, request_value)
-            return history[:end]
-        payments = []
-        for rate in history:
-            payment = rate * request_value
-            if payment > request_value:
-                break
-            payments.append(payment)
-        return payments
-
     def support(self, worker_id: Hashable) -> tuple[float, float] | None:
         """(min, max) of the worker's history entries, or None if empty."""
         history = self._histories.get(worker_id)

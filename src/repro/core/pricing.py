@@ -27,10 +27,15 @@ changing a bit of the answer:
   expected revenue by its margin, which only shrinks as ``v'`` grows, and
   a tie must still be evaluated because it goes to the higher payment;
 * candidate histories are materialised once per call
-  (:meth:`~repro.core.acceptance.AcceptanceEstimator.snapshot`) and each
-  candidate keeps a monotone cursor into its sorted history in place of a
-  ``bisect`` per (payment, candidate) — offers never decrease, so the
-  cursor always equals ``bisect_right``;
+  (:meth:`~repro.core.acceptance.AcceptanceEstimator.snapshot`); the
+  breakpoints are read from that snapshot, and each candidate keeps a
+  monotone cursor into its sorted history in place of a ``bisect`` per
+  (payment, candidate) — offers never decrease, so the cursor always
+  equals ``bisect_right``;
+* one bisect settles the leading payments below every history value:
+  each leaves every factor at 1.0, so each has probability 0 and ties the
+  one before it at expected revenue 0, and the reference ends that run on
+  its highest payment; they still count as evaluated;
 * the sweep keeps one factor ``1 - pr(v', w)`` per candidate, in candidate
   order, and a heap of the cursors' next history values, so a payment
   touches only the candidates whose cursor it moves; the product
@@ -46,18 +51,20 @@ quotes are bit-identical to the reference evaluation
 (:meth:`MaximumExpectedRevenuePricer._quote_reference`), which evaluates
 every payment in build order and is kept as the oracle the equivalence
 tests swap in for the pruned sweep; see
-docs/PERFORMANCE.md#pruned-mer-quote and
-docs/PERFORMANCE.md#factor-list-mer-sweep.
+docs/PERFORMANCE.md#pruned-mer-quote,
+docs/PERFORMANCE.md#factor-list-mer-sweep and
+docs/PERFORMANCE.md#snapshot-fed-quote-and-zero-run.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
-from repro.core.acceptance import AcceptanceEstimator
+from repro.core.acceptance import AcceptanceEstimator, AcceptanceSnapshot
 from repro.errors import ConfigurationError
 
 __all__ = ["MaximumExpectedRevenuePricer", "PricingQuote"]
@@ -126,34 +133,25 @@ class MaximumExpectedRevenuePricer:
         self.payments_built = 0
         self.payments_evaluated = 0
 
-    def _any_acceptance_probability(
-        self, payment: float, request_value: float, worker_ids: Sequence[Hashable]
-    ) -> float:
-        none_accepts = 1.0
-        for worker_id in worker_ids:
-            none_accepts *= 1.0 - self.estimator.probability(
-                payment, worker_id, request_value
-            )
-            if none_accepts == 0.0:
-                return 1.0
-        return 1.0 - none_accepts
-
     def _candidate_payments(
-        self, request_value: float, worker_ids: Sequence[Hashable]
+        self, request_value: float, snapshot: AcceptanceSnapshot
     ) -> list[float]:
         step = request_value / self.grid_steps
         payments = [step * i for i in range(1, self.grid_steps + 1)]
         if self.include_history_breakpoints:
+            # Every CDF step point <= v_r is a candidate payment, taken in
+            # candidate order and ascending within a candidate until the
+            # cap: ``rate * v_r`` in relative mode (a rate just above 1.0
+            # may round to exactly v_r and stays), the raw value otherwise.
+            scale = request_value if snapshot.mode == "relative" else 1.0
             breakpoints: set[float] = set()
             cap = self.max_breakpoints
-            for worker_id in worker_ids:
+            for history, _ in snapshot.rows:
                 if len(breakpoints) >= cap:
                     break
-                # Every CDF step point <= v_r is a candidate payment.
-                for payment in self.estimator.candidate_payments(
-                    worker_id, request_value
-                ):
-                    if len(breakpoints) >= cap:
+                for value in history or ():
+                    payment = value * scale
+                    if payment > request_value or len(breakpoints) >= cap:
                         break
                     breakpoints.add(payment)
             payments.extend(v for v in breakpoints if 0.0 < v <= request_value)
@@ -162,7 +160,7 @@ class MaximumExpectedRevenuePricer:
     def _quote_reference(
         self,
         request_value: float,
-        worker_ids: Sequence[Hashable],
+        snapshot: AcceptanceSnapshot,
         payments: list[float],
     ) -> tuple[float, float, float, int]:
         """Every candidate payment, in build order, one Eq.-4 query per
@@ -171,9 +169,12 @@ class MaximumExpectedRevenuePricer:
         best_expected = -1.0
         best_probability = 0.0
         for payment in payments:
-            probability = self._any_acceptance_probability(
-                payment, request_value, worker_ids
-            )
+            none_accepts = 1.0
+            for candidate in snapshot.probabilities(payment, request_value):
+                none_accepts *= 1.0 - candidate
+                if none_accepts == 0.0:
+                    break
+            probability = 1.0 - none_accepts
             expected = (request_value - payment) * probability
             # Tie-break toward higher payment: same platform revenue but a
             # higher chance of acceptance (and a happier lender).
@@ -188,39 +189,59 @@ class MaximumExpectedRevenuePricer:
     def _quote_pruned(
         self,
         request_value: float,
-        worker_ids: Sequence[Hashable],
+        snapshot: AcceptanceSnapshot,
         payments: list[float],
     ) -> tuple[float, float, float, int]:
         """Ascending sweep with a strict revenue-bound stop over a list of
         per-candidate factors that only changes where a history cursor
         moves; bit-identical to :meth:`_quote_reference`
-        (docs/PERFORMANCE.md#factor-list-mer-sweep)."""
+        (docs/PERFORMANCE.md#factor-list-mer-sweep,
+        docs/PERFORMANCE.md#snapshot-fed-quote-and-zero-run)."""
         payments.sort()
-        rows = self.estimator.snapshot(worker_ids).rows
-        relative = self.estimator.mode == "relative"
-        cold_factor = 1.0 - self.estimator.default_probability
+        rows = snapshot.rows
+        relative = snapshot.mode == "relative"
+        cold_factor = 1.0 - snapshot.default_probability
         # factors[i] is candidate i's 1 - pr(offer) at the current offer, in
         # candidate order: 1.0 - position / size for a warm candidate whose
         # cursor sits at position = bisect_right(history, offer), and for a
         # cold one 1.0 until the first positive payment, cold_factor after.
         # Every factor starts at 1.0, so the empty offer's product is 1.0.
         factors = [1.0] * len(rows)
-        cold = [index for index, (history, _) in enumerate(rows) if history is None]
         # One (next history value, candidate, cursor) entry per warm
         # candidate whose cursor can still move; offers never decrease, so
         # an entry pops exactly when the offer passes its value.
-        cursors = [
-            (history[0], index, 0)
-            for index, (history, _) in enumerate(rows)
-            if history is not None
-        ]
+        cursors = []
+        cold = []
+        for index, (history, _) in enumerate(rows):
+            if history is None:
+                cold.append(index)
+            else:
+                cursors.append((history[0], index, 0))
         heapq.heapify(cursors)
+        # The leading payments below the lowest history value (and, with a
+        # cold candidate whose factor is not 1.0, the zero payments) leave
+        # every factor at 1.0: probability 0, and each ties the last at
+        # expected 0, so the reference ends the run on its highest payment,
+        # at margin * 0.0 (-0.0 where the top grid point rounds past v_r).
+        start = len(payments)
+        if cursors:
+            start = bisect.bisect_left(
+                payments,
+                cursors[0][0],
+                key=(lambda payment: payment / request_value) if relative else None,
+            )
+        if cold and cold_factor != 1.0:
+            start = min(start, bisect.bisect_right(payments, 0.0))
+        if start:
+            best_payment = payments[start - 1]
+            best_expected = (request_value - best_payment) * 0.0
+        else:
+            best_payment = request_value
+            best_expected = -1.0
         none_accepts = 1.0
-        best_payment = request_value
-        best_expected = -1.0
         best_probability = 0.0
-        evaluated = 0
-        for payment in payments:
+        evaluated = start
+        for payment in payments[start:]:
             margin = request_value - payment
             # expected <= margin (probability <= 1) and margin never grows
             # with payment, so once margin < best no later payment can beat
@@ -277,10 +298,11 @@ class MaximumExpectedRevenuePricer:
             return PricingQuote(
                 payment=request_value, expected_revenue=0.0, acceptance_probability=0.0
             )
-        payments = self._candidate_payments(request_value, worker_ids)
+        snapshot = self.estimator.snapshot(worker_ids)
+        payments = self._candidate_payments(request_value, snapshot)
         self.payments_built += len(payments)
         payment, expected, probability, evaluated = self._quote_pruned(
-            request_value, worker_ids, payments
+            request_value, snapshot, payments
         )
         self.payments_evaluated += evaluated
         return PricingQuote(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import pytest
@@ -312,6 +313,44 @@ class TestDrawFreeOffers:
         assert labels == []
         oracle.offer("w@reentry2", "r", 5.0, 10.0)
         assert labels == ["reservation/w/r"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mode=st.sampled_from(["relative", "absolute"]),
+        dist=distributions,
+        generation=st.integers(min_value=1, max_value=40),
+        request_id=st.one_of(st.text(max_size=6), st.integers()),
+        value=st.floats(min_value=1e-3, max_value=1e4),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_clone_offers_answer_and_draw_as_the_base(
+        self, mode, dist, generation, request_id, value, seed
+    ):
+        from repro.behavior import worker_model
+
+        oracle = BehaviorOracle(seed=seed, mode=mode)
+        oracle.register(WorkerBehavior("w", dist, []))
+        state = pickle.dumps(oracle)
+        clone = f"w@reentry{generation}"
+        payments = _boundary_payments(oracle, dist, "w", request_id, value)
+        labels = []
+        real = worker_model.derive_uniform
+
+        def recording(seed, label):
+            labels.append(label)
+            return real(seed, label)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(worker_model, "derive_uniform", recording)
+            for payment in payments + [0.0, math.inf, -math.inf]:
+                base = oracle.offer("w", request_id, payment, value)
+                base_labels, labels[:] = labels[:], []
+                assert oracle.offer(clone, request_id, payment, value) is base
+                assert labels == base_labels
+                assert set(labels) <= {f"reservation/w/{request_id}"}
+                labels.clear()
+        # Offers to clones leave nothing behind on the oracle.
+        assert pickle.dumps(oracle) == state
 
     def test_unregistered_worker_raises(self):
         oracle = BehaviorOracle(seed=0)

@@ -64,17 +64,6 @@ class TestAcceptanceEstimator:
         assert estimator.history_size("w") == 2
         assert estimator.probability(5.0, "w", 10.0) == 0.5
 
-    def test_candidate_payments_relative(self):
-        estimator = AcceptanceEstimator()
-        estimator.set_history("w", [0.5, 0.9, 1.2])
-        payments = estimator.candidate_payments("w", 10.0)
-        assert payments == [5.0, 9.0]  # 1.2 exceeds the value, dropped
-
-    def test_candidate_payments_absolute(self):
-        estimator = AcceptanceEstimator(mode="absolute")
-        estimator.set_history("w", [3.0, 12.0])
-        assert estimator.candidate_payments("w", 10.0) == [3.0]
-
     def test_support(self):
         estimator = AcceptanceEstimator()
         assert estimator.support("w") is None
@@ -244,6 +233,21 @@ class TestMaximumExpectedRevenuePricer:
         assert quote.payment == pytest.approx(2.0)
         assert quote.expected_revenue == pytest.approx(4.0)
 
+    def test_breakpoints_relative(self):
+        pricer = self._pricer({"w": [0.5, 0.9, 1.2]}, grid_steps=1)
+        snapshot = pricer.estimator.snapshot(["w"])
+        payments = pricer._candidate_payments(10.0, snapshot)
+        # The grid's one point, then the breakpoints; 1.2 exceeds the value.
+        assert payments[0] == 10.0
+        assert sorted(payments[1:]) == [5.0, 9.0]
+
+    def test_breakpoints_absolute(self):
+        acceptance = AcceptanceEstimator(mode="absolute")
+        acceptance.set_history("w", [3.0, 12.0])
+        pricer = MaximumExpectedRevenuePricer(acceptance, grid_steps=1)
+        payments = pricer._candidate_payments(10.0, acceptance.snapshot(["w"]))
+        assert payments == [10.0, 3.0]  # 12.0 exceeds the value, dropped
+
     @pytest.mark.parametrize("path", ["fast", "reference"])
     @pytest.mark.parametrize(
         ("cap", "payments"),
@@ -257,7 +261,8 @@ class TestMaximumExpectedRevenuePricer:
             # The test-only seam: the reference evaluation in place of the
             # pruned sweep, on this instance.
             pricer._quote_pruned = pricer._quote_reference
-        assert pricer._candidate_payments(10.0, ["w"]) == payments
+        snapshot = pricer.estimator.snapshot(["w"])
+        assert pricer._candidate_payments(10.0, snapshot) == payments
         quote = pricer.quote(10.0, ["w"])
         assert pricer.payments_built == len(payments)
         assert (quote.payment, quote.acceptance_probability) == (5.0, 2 / 3)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import pickle
 import random
 
@@ -249,32 +250,58 @@ def _quote_bits(quote) -> tuple[str, str, str]:
     )
 
 
+#: Subnormal request values: at 50 steps every grid payment underflows to
+#: 0.0, and ``rate * v`` rounds to exactly ``v`` for some rates above 1.0
+#: (below the normal range one unit of ``v`` is coarse).
+_TINY_VALUES = [1e-322, 5e-323]
+
+
 @st.composite
 def _pricing_cases(draw):
     """One pricer configuration, candidate set and request value.
 
-    Covers both estimator modes, cold-only / warm-only / mixed candidate
-    sets, default probabilities 0 and 1, duplicate history values,
-    history values on grid points, grid-only pricing and breakpoint caps
-    from 0 to cap-hitting.  Histories may sit wholly above the request
-    value, so some sets have zero acceptance probability everywhere.
+    Covers both estimator modes; cold-only, warm-only and mixed candidate
+    sets at default probabilities 0, 0.3 and 1; a floor under every
+    history value at, just past or between grid points, or above every
+    payment, so the zero-probability prefix takes every length, up to a
+    quote where no payment moves a cursor; history values on grid
+    points, heavy duplicates (a candidate may leave the breakpoint cap
+    unfilled), and values above the request value, among them rates just
+    above 1.0 whose payment rounds to exactly ``v`` at a subnormal ``v``;
+    grid payments that underflow to 0.0; grid-only pricing and breakpoint
+    caps from 0 to cap-hitting.
     """
     mode = draw(st.sampled_from(["relative", "absolute"]))
     default_probability = draw(st.sampled_from([0.0, 0.3, 1.0]))
     value = draw(
         st.one_of(
-            st.sampled_from([1.0, 6.6, 10.0, 13.7]),
+            st.sampled_from([1.0, 6.6, 10.0, 13.7, *_TINY_VALUES]),
             st.floats(min_value=0.5, max_value=200.0),
         )
     )
     grid_steps = draw(st.sampled_from([1, 4, 10, 50]))
     step = value / grid_steps
+    # History entries live in offer space: rates in relative mode, raw
+    # prices in absolute mode.
+    top = 1.0 if mode == "relative" else value
     if mode == "relative":
         grid_entries = [step * i / value for i in range(1, grid_steps + 1)]
-        entry = st.floats(min_value=0.0, max_value=1.3)
     else:
         grid_entries = [step * i for i in range(1, grid_steps + 1)]
-        entry = st.floats(min_value=0.0, max_value=1.3 * value)
+    above = [math.nextafter(top, math.inf), top * 1.01, top * 1.02, top * 1.04]
+    entry = st.one_of(
+        st.floats(min_value=0.0, max_value=1.3 * top),
+        st.sampled_from(grid_entries),
+        st.sampled_from(above),
+    )
+    floor = draw(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from(grid_entries),
+            st.sampled_from(grid_entries).map(lambda e: math.nextafter(e, math.inf)),
+            st.just(2.0 * top),
+        )
+    )
     composition = draw(st.sampled_from(["cold", "warm", "mixed"]))
     acceptance = AcceptanceEstimator(
         default_probability=default_probability, mode=mode
@@ -287,21 +314,41 @@ def _pricing_cases(draw):
             composition == "mixed" and draw(st.booleans())
         ):
             continue
-        history = draw(
-            st.lists(
-                st.one_of(entry, st.sampled_from(grid_entries)),
-                min_size=1,
-                max_size=12,
+        if draw(st.booleans()):
+            history = draw(st.lists(entry, min_size=1, max_size=12))
+        else:
+            # Few distinct values, many times each.
+            history = draw(st.integers(min_value=1, max_value=6)) * draw(
+                st.lists(entry, min_size=1, max_size=2)
             )
-        )
         repeats = draw(st.integers(min_value=0, max_value=len(history)))
-        acceptance.set_history(worker_id, history + history[:repeats])
+        acceptance.set_history(
+            worker_id, [max(floor, e) for e in history + history[:repeats]]
+        )
     knobs = {
         "grid_steps": grid_steps,
         "include_history_breakpoints": draw(st.booleans()),
         "max_breakpoints": draw(st.sampled_from([0, 1, 3, 200])),
     }
     return acceptance, worker_ids, value, knobs
+
+
+def _strict_stop_count(reference, value, worker_ids) -> int:
+    """How many payments the ascending sweep evaluates before its strict
+    stop, from the reference's expected revenue at each payment alone."""
+    snapshot = reference.estimator.snapshot(worker_ids)
+    payments = sorted(reference._candidate_payments(value, snapshot))
+    best_payment, best_expected = value, -1.0
+    for count, payment in enumerate(payments):
+        margin = value - payment
+        if margin < best_expected and best_expected > 0.0:
+            return count
+        _, expected, _, _ = reference._quote_reference(value, snapshot, [payment])
+        if expected > best_expected or (
+            expected == best_expected and payment > best_payment
+        ):
+            best_payment, best_expected = payment, expected
+    return len(payments)
 
 
 class TestPrunedQuote:
@@ -313,12 +360,21 @@ class TestPrunedQuote:
         acceptance, worker_ids, value, knobs = case
         pruned = MaximumExpectedRevenuePricer(acceptance, **knobs)
         reference = _reference_pricer(acceptance, **knobs)
-        assert _quote_bits(pruned.quote(value, worker_ids)) == _quote_bits(
-            reference.quote(value, worker_ids)
+        quote = pruned.quote(value, worker_ids)
+        expected = reference.quote(value, worker_ids)
+        assert quote.payment.hex() == expected.payment.hex()
+        assert quote.expected_revenue.hex() == expected.expected_revenue.hex()
+        assert (
+            quote.acceptance_probability.hex()
+            == expected.acceptance_probability.hex()
         )
         assert pruned.payments_built == reference.payments_built
         assert reference.payments_evaluated == reference.payments_built
-        assert 1 <= pruned.payments_evaluated <= pruned.payments_built
+        # The zero-probability prefix the sweep settles by one bisect still
+        # counts as evaluated, payment by payment.
+        assert pruned.payments_evaluated == _strict_stop_count(
+            reference, value, worker_ids
+        )
 
     def test_strict_stop_keeps_the_higher_tied_payment(self):
         # pr(5) = 0.5 and pr(7.5) = 1 tie at expected revenue 2.5; 7.5's
@@ -404,6 +460,46 @@ class TestPrunedQuote:
         acceptance.set_history("warm", [2.5, 6.0])
         self._check(acceptance, 10.0, ["cold0", "warm", "cold1"])
         self._check(acceptance, 10.0, ["cold0", "cold1"])
+
+    @pytest.mark.parametrize("mode", ["relative", "absolute"])
+    def test_zero_prefix_of_every_length(self, mode):
+        # A floor at, or one ulp past, each grid offer: the payments below
+        # it are settled by one bisect and still counted; a floor above
+        # every payment leaves no cursor to move.
+        top = 1.0 if mode == "relative" else 10.0
+        grid = [top * i / 10 for i in range(1, 11)]
+        floors = grid + [math.nextafter(f, math.inf) for f in grid] + [2.0 * top]
+        for floor in floors:
+            acceptance = AcceptanceEstimator(mode=mode)
+            acceptance.set_history("w0", [floor, floor])
+            acceptance.set_history("w1", [max(floor, 0.75 * top), 2.0 * top])
+            _, pruned = self._check(acceptance, 10.0, ["w0", "w1"], grid_steps=10)
+            assert pruned.payments_evaluated == _strict_stop_count(
+                _reference_pricer(acceptance, grid_steps=10), 10.0, ["w0", "w1"]
+            )
+
+    def test_rates_whose_payment_rounds_to_v(self):
+        # At a subnormal v, rates just above 1.0 pay exactly v and stay
+        # breakpoints; 1.04 * v lies past v and is dropped.
+        value = 1e-322
+        acceptance = AcceptanceEstimator()
+        acceptance.set_history("w", [0.5, math.nextafter(1.0, 2.0), 1.02, 1.04])
+        pricer = MaximumExpectedRevenuePricer(acceptance, grid_steps=4)
+        payments = pricer._candidate_payments(value, acceptance.snapshot(["w"]))
+        assert sorted(payments[4:]) == [0.5 * value, value]
+        self._check(acceptance, value, ["w"], grid_steps=4)
+
+    def test_duplicates_leave_the_cap_unfilled(self):
+        # w0's four entries make one breakpoint, so a cap of 3 goes on to
+        # take two from w1.
+        acceptance = AcceptanceEstimator(mode="absolute")
+        acceptance.set_history("w0", [4.0] * 4)
+        acceptance.set_history("w1", [2.0, 3.0, 5.0, 6.0])
+        knobs = {"grid_steps": 1, "max_breakpoints": 3}
+        pricer = MaximumExpectedRevenuePricer(acceptance, **knobs)
+        snapshot = acceptance.snapshot(["w0", "w1"])
+        assert sorted(pricer._candidate_payments(10.0, snapshot)) == [2, 3, 4, 10]
+        self._check(acceptance, 10.0, ["w0", "w1"], **knobs)
 
     def test_underflowing_grid_payment_keeps_cold_factor_one(self):
         # v / 50 rounds to 0.0, so every grid payment is 0.0: a cold
