@@ -61,8 +61,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.core.acceptance import AcceptanceEstimator, AcceptanceSnapshot
 from repro.errors import ConfigurationError
@@ -138,23 +140,42 @@ class MaximumExpectedRevenuePricer:
     ) -> list[float]:
         step = request_value / self.grid_steps
         payments = [step * i for i in range(1, self.grid_steps + 1)]
-        if self.include_history_breakpoints:
-            # Every CDF step point <= v_r is a candidate payment, taken in
-            # candidate order and ascending within a candidate until the
-            # cap: ``rate * v_r`` in relative mode (a rate just above 1.0
-            # may round to exactly v_r and stays), the raw value otherwise.
-            scale = request_value if snapshot.mode == "relative" else 1.0
-            breakpoints: set[float] = set()
-            cap = self.max_breakpoints
-            for history, _ in snapshot.rows:
-                if len(breakpoints) >= cap:
-                    break
-                for value in history or ():
-                    payment = value * scale
-                    if payment > request_value or len(breakpoints) >= cap:
+        if not self.include_history_breakpoints:
+            return payments
+        # The CDF step points <= v_r (``rate * v_r`` in relative mode) in
+        # candidate order, ascending within a candidate, up to the cap of
+        # distinct payments (docs/PERFORMANCE.md#one-sort-breakpoint-build).
+        relative = snapshot.mode == "relative"
+        scale = request_value if relative else 1.0
+        bound = 1.0 if relative else request_value
+        cap = self.max_breakpoints
+        rows = iter(snapshot.rows)
+        prefixes: list[float] = []  # the <= v_r prefixes, read as needed
+        taken = 0
+        breakpoints: list[float] = []  # distinct, ascending
+        while len(breakpoints) < cap:
+            # A round takes the next ``room`` values; each adds at most one
+            # distinct payment, so a round never overshoots the cap.
+            room = cap - len(breakpoints)
+            for history, size in rows:
+                if history is not None:
+                    end = bisect.bisect_right(history, bound)
+                    # A rate just above 1.0 may pay exactly v_r (subnormal).
+                    while relative and end < size and history[end] * scale <= scale:
+                        end += 1
+                    prefixes += history[:end]
+                    if len(prefixes) >= taken + room:
                         break
-                    breakpoints.add(payment)
-            payments.extend(v for v in breakpoints if 0.0 < v <= request_value)
+            chunk = prefixes[taken : taken + room]
+            if not chunk:
+                break
+            taken += len(chunk)
+            breakpoints += [value * scale for value in chunk]
+            breakpoints.sort()
+            first_of_run = map(operator.ne, breakpoints, [None, *breakpoints])
+            breakpoints = list(compress(breakpoints, first_of_run))
+        # Every breakpoint is <= v_r already; keep the positive ones.
+        payments += breakpoints[bisect.bisect_right(breakpoints, 0.0) :]
         return payments
 
     def _quote_reference(

@@ -70,7 +70,10 @@ class WaitingList:
                 f"worker {worker.worker_id} is already in the waiting list"
             )
         self._workers[worker.worker_id] = worker
-        self._index.insert(worker.worker_id, worker.location)
+        x, y = worker.location.x, worker.location.y
+        # eligible_with_distance reads these fields from the grid bucket.
+        payload = (x, y, worker.service_radius, worker.arrival_time, worker)
+        self._index.insert(worker.worker_id, worker.location, payload)
         bisect.insort(self._radii, worker.service_radius)
 
     def remove(self, worker_id: str) -> Worker:
@@ -114,13 +117,14 @@ class WaitingList:
         order per-platform results with one sort that merges sorted runs.
 
         One pass over the grid buckets within the largest live radius does
-        the whole query: per stored point it forms ``dx, dy`` once, applies
-        the time constraint and the worker's own range test
-        (:meth:`Worker.arrived_before` and :meth:`Worker.can_reach`, the
-        same float operations inlined), and takes the Euclidean distance
-        as ``math.hypot(dx, dy)`` (:meth:`Point.distance_to`).  The
-        pool-wide ``squared <= max_radius**2`` prefilter is implied by the
-        worker's own test, because squaring preserves ``radius <=
+        the whole query: per ``(x, y, service_radius, arrival_time,
+        worker)`` payload that :meth:`add` stored it applies the time
+        constraint, forms ``dx, dy`` once, applies the worker's own range
+        test (:meth:`Worker.arrived_before` and :meth:`Worker.can_reach`,
+        the same float operations inlined), and takes the Euclidean
+        distance as ``math.hypot(dx, dy)`` (:meth:`Point.distance_to`).
+        The pool-wide ``squared <= max_radius**2`` prefilter is implied by
+        the worker's own test, because squaring preserves ``radius <=
         max_radius`` under rounding.  Worker ids are unique keys, so a
         plain tuple sort orders by ``(distance, worker_id)`` and never
         compares two workers.
@@ -129,17 +133,14 @@ class WaitingList:
         request_x = location.x
         request_y = location.y
         request_time = request.arrival_time
-        workers = self._workers
         road_network = self.road_network
         eligible: list[tuple[float, str, Worker]] = []
         for bucket in self._index.buckets_within(location, self._max_radius):
-            for worker_id, point in bucket.items():
-                worker = workers[worker_id]
-                if not worker.arrival_time <= request_time:
+            for worker_id, (x, y, radius, arrival_time, worker) in bucket.items():
+                if not arrival_time <= request_time:
                     continue
-                dx = point.x - request_x
-                dy = point.y - request_y
-                radius = worker.service_radius
+                dx = x - request_x
+                dy = y - request_y
                 if not dx * dx + dy * dy <= radius * radius:
                     continue
                 if road_network is None:

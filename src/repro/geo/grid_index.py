@@ -37,7 +37,7 @@ class GridIndex:
         if cell_size <= 0:
             raise ConfigurationError(f"cell_size must be positive, got {cell_size}")
         self.cell_size = float(cell_size)
-        self._cells: dict[tuple[int, int], dict[Hashable, Point]] = {}
+        self._cells: dict[tuple[int, int], dict[Hashable, object]] = {}
         self._locations: dict[Hashable, Point] = {}
 
     def __len__(self) -> int:
@@ -52,12 +52,14 @@ class GridIndex:
             int(math.floor(point.y / self.cell_size)),
         )
 
-    def insert(self, key: Hashable, point: Point) -> None:
-        """Insert ``key`` at ``point``; re-inserting an existing key moves it."""
+    def insert(self, key: Hashable, point: Point, payload: object = None) -> None:
+        """Insert ``key`` at ``point`` with ``payload`` (by default the point,
+        which :meth:`query_radius` and :meth:`nearest` read); re-inserting
+        an existing key moves it and replaces its payload."""
         if key in self._locations:
             self.remove(key)
         cell = self._cell_of(point)
-        self._cells.setdefault(cell, {})[key] = point
+        self._cells.setdefault(cell, {})[key] = point if payload is None else payload
         self._locations[key] = point
 
     def remove(self, key: Hashable) -> None:
@@ -71,8 +73,8 @@ class GridIndex:
 
     def buckets_within(
         self, center: Point, radius: float
-    ) -> Iterator[dict[Hashable, Point]]:
-        """The non-empty ``key -> point`` buckets of every cell that can
+    ) -> Iterator[dict[Hashable, object]]:
+        """The non-empty ``key -> payload`` buckets of every cell that can
         hold a point of the closed disk ``(center, radius)``.
 
         The cells cover the disk's bounding square, padded by a relative

@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from collections.abc import Iterator
 
 __all__ = ["SeedSequence", "derive_rng", "derive_seed", "derive_uniform"]
 
-_MASK_64 = (1 << 64) - 1
 _UNIT_53 = 2.0**-53
+#: The first 8 bytes of a digest as a big-endian unsigned integer.
+_FIRST_U64 = struct.Struct(">Q").unpack_from
 
 
 def derive_seed(seed: int, label: str) -> int:
     """Derive a stable 64-bit child seed from ``seed`` and a string label."""
-    payload = f"{seed:#x}|{label}".encode()
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") & _MASK_64
+    return _FIRST_U64(hashlib.sha256(f"{seed:#x}|{label}".encode()).digest())[0]
 
 
 def derive_uniform(seed: int, label: str) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.exchange import CooperationExchange
+from repro.core.simulator import SimulationSession
 from repro.core.waiting_list import WaitingList
 from repro.errors import ExchangeUnavailableError, SimulationError
 from repro.faults import FaultInjector, FaultPlan, OutageWindow, ResilientExchange
@@ -124,11 +125,14 @@ def _coordinate(low: float, high: float):
 
 @st.composite
 def _pools(draw, road: bool):
-    """A waiting list, some departures and a request.
+    """A waiting list, some departures and returns, and a request.
 
     Coordinates mix cell edges with arbitrary floats; radii include the
     edge spacings, so a worker one radius from an edge-aligned request is
     exactly on its disk boundary; arrival times straddle the request's.
+    A departed worker may come back as a ``@reentry`` clone at the same
+    point with a later arrival time, as the simulator's reentry does, so
+    a grid entry that kept the departed worker's fields would show.
     """
     low, high = (0.0, 4.0) if road else (-3.0, 4.0)
     cell = draw(st.sampled_from([0.5, 1.0, 1.3]))
@@ -156,6 +160,10 @@ def _pools(draw, road: bool):
         departed = draw(st.lists(st.sampled_from(waiting.workers()), unique=True))
         for worker in departed:
             waiting.remove(worker.worker_id)
+        for worker in departed:
+            if draw(st.booleans()):
+                later = worker.arrival_time + draw(st.sampled_from([0.5, 1.0, 2.5]))
+                waiting.add(SimulationSession._reentered_worker(worker, later))
     request = make_request(
         t=2.0, x=draw(_coordinate(low, high)), y=draw(_coordinate(low, high))
     )

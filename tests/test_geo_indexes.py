@@ -56,6 +56,25 @@ class TestGridIndexBasics:
         assert index.query_radius(Point(10, 10), 0.0) == ["a"]
         assert index.query_radius(Point(0, 0), 0.5) == []
 
+    def test_reinsert_replaces_the_payload(self):
+        index = GridIndex(1.0)
+        point = Point(0.3, 0.3)
+        index.insert("a", point, payload="first")
+        index.insert("a", point, payload="second")
+        assert [dict(b) for b in index.buckets_within(point, 0.1)] == [
+            {"a": "second"}
+        ]
+        # Without a payload the bucket holds the point again, which is
+        # what query_radius and nearest read.
+        index.insert("a", point)
+        assert [dict(b) for b in index.buckets_within(point, 0.1)] == [{"a": point}]
+        assert index.query_radius(point, 0.0) == ["a"]
+        assert index.nearest(Point(1.0, 1.0)) == (
+            "a",
+            point.distance_to(Point(1.0, 1.0)),
+        )
+        assert dict(index.items()) == {"a": point}
+
     def test_remove_missing_raises(self):
         with pytest.raises(KeyError):
             GridIndex(1.0).remove("ghost")

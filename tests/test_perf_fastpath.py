@@ -9,7 +9,8 @@ DemCOM / RamCOM simulations run as shipped and with the reference paths
 swapped in.  No option selects a reference path: the tests reach
 ``_run_instances_reference`` and ``_quote_reference`` by replacing their
 fast twins on one instance (:func:`_reference_estimator`,
-:func:`_reference_pricer`) or on the class (:func:`_reference_paths`).
+:func:`_reference_pricer`) or on the class (:func:`_reference_paths`);
+the breakpoint build's oracle is :func:`_candidate_payments_reference`.
 Golden digests (:class:`TestPythonPathByteIdentity`) pin the fast path's
 outputs themselves, and counted-work tests (:class:`TestEq4EvaluationCounts`,
 :class:`TestPruningCounters`) pin how much Eq.-4 work each path does.
@@ -514,6 +515,141 @@ class TestPrunedQuote:
         acceptance.set_history("warm", [5e-324, value])
         self._check(acceptance, value, ["cold", "warm"])
         self._check(acceptance, value, ["warm", "cold"])
+
+
+def _candidate_payments_reference(
+    pricer: MaximumExpectedRevenuePricer,
+    request_value: float,
+    snapshot: AcceptanceSnapshot,
+) -> list[float]:
+    """The breakpoint build one value at a time: the equivalence oracle for
+    ``_candidate_payments``'s one-sort rounds.
+
+    The even grid, then every history payment ``<= v`` in candidate order,
+    ascending within a candidate, into a set whose size is checked against
+    the cap before each add; the set's positive members follow the grid.
+    """
+    step = request_value / pricer.grid_steps
+    payments = [step * i for i in range(1, pricer.grid_steps + 1)]
+    if pricer.include_history_breakpoints:
+        scale = request_value if snapshot.mode == "relative" else 1.0
+        breakpoints: set[float] = set()
+        cap = pricer.max_breakpoints
+        for history, _ in snapshot.rows:
+            if len(breakpoints) >= cap:
+                break
+            for value in history or ():
+                payment = value * scale
+                if payment > request_value or len(breakpoints) >= cap:
+                    break
+                breakpoints.add(payment)
+        payments.extend(v for v in breakpoints if 0.0 < v <= request_value)
+    return payments
+
+
+def _payment_bits(payments: list[float]) -> list[str]:
+    """A payment list as a multiset, bit for bit."""
+    return sorted(payment.hex() for payment in payments)
+
+
+@st.composite
+def _breakpoint_cases(draw):
+    """Candidate histories built to stress the cap and the dedup.
+
+    Values come from a small shared pool, so they repeat within and across
+    candidates; relative-mode pools hold adjacent rates whose payments
+    collide only after scaling; ``0.0`` and ``-0.0`` and values past the
+    request value (rates just above 1.0, which pay exactly ``v`` at a
+    subnormal ``v``) mix in; some candidates are cold.
+    """
+    mode = draw(st.sampled_from(["relative", "absolute"]))
+    value = draw(
+        st.one_of(
+            st.sampled_from([1.0, 3.0, 6.6, 10.0, 13.7, *_TINY_VALUES]),
+            st.floats(min_value=0.5, max_value=200.0),
+        )
+    )
+    top = 1.0 if mode == "relative" else value
+    entries = st.floats(min_value=0.0, max_value=1.3 * top)
+    pool = draw(st.lists(entries, min_size=1, max_size=8))
+    if mode == "relative":
+        # A rate and the next float up may pay the same after rounding.
+        pool += [math.nextafter(rate, math.inf) for rate in pool]
+    pool += [0.0, -0.0, top, math.nextafter(top, math.inf), top * 1.01]
+    acceptance = AcceptanceEstimator(mode=mode)
+    worker_ids = []
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        worker_ids.append(f"w{index}")
+        if draw(st.integers(min_value=0, max_value=3)):
+            acceptance.set_history(
+                f"w{index}",
+                draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)),
+            )
+    knobs = {
+        "grid_steps": draw(st.sampled_from([1, 10, 50])),
+        "max_breakpoints": draw(st.sampled_from([0, 1, 3, 64, 200])),
+    }
+    return acceptance, worker_ids, value, knobs
+
+
+class TestOneSortBreakpointBuild:
+    """``_candidate_payments`` builds in rounds of one sort each; the set it
+    yields, and so ``payments_built``, equals the one-value-at-a-time
+    oracle's."""
+
+    @given(_breakpoint_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_value_oracle(self, case):
+        acceptance, worker_ids, value, knobs = case
+        snapshot = acceptance.snapshot(worker_ids)
+        pricer = MaximumExpectedRevenuePricer(acceptance, **knobs)
+        built = pricer._candidate_payments(value, snapshot)
+        expected = _candidate_payments_reference(pricer, value, snapshot)
+        assert _payment_bits(built) == _payment_bits(expected)
+        # The grid, then the breakpoints ascending: two sorted runs.
+        breakpoints = built[knobs["grid_steps"] :]
+        assert breakpoints == sorted(breakpoints)
+        oracle = MaximumExpectedRevenuePricer(acceptance, **knobs)
+        oracle._candidate_payments = lambda value, snapshot: (
+            _candidate_payments_reference(oracle, value, snapshot)
+        )
+        assert _quote_bits(pricer.quote(value, worker_ids)) == _quote_bits(
+            oracle.quote(value, worker_ids)
+        )
+        assert pricer.payments_built == oracle.payments_built
+        assert pricer.payments_evaluated == oracle.payments_evaluated
+
+    def test_duplicate_moves_the_cut_into_a_later_candidate(self):
+        # w0's repeated 2.0 adds one payment, so a cap of 3 still has room
+        # after w0's three values: w1's smallest value, 1.0, is the third
+        # breakpoint and w1's 6.0 is not taken.
+        acceptance = AcceptanceEstimator(mode="absolute")
+        acceptance.set_history("w0", [2.0, 2.0, 5.0])
+        acceptance.set_history("w1", [1.0, 6.0])
+        pricer = MaximumExpectedRevenuePricer(
+            acceptance, grid_steps=1, max_breakpoints=3
+        )
+        snapshot = acceptance.snapshot(["w0", "w1"])
+        assert pricer._candidate_payments(10.0, snapshot) == [10.0, 1.0, 2.0, 5.0]
+        oracle = _candidate_payments_reference(pricer, 10.0, snapshot)
+        assert sorted(oracle) == [1.0, 2.0, 5.0, 10.0]
+
+    def test_rates_that_collide_only_after_scaling(self):
+        # At v = 3, 0.1 and the next float up pay the same, and so do 0.2
+        # and its neighbour: five rates make three payments, and a cap of
+        # 3 takes all three.
+        rates = [0.1, math.nextafter(0.1, 1.0), 0.2, math.nextafter(0.2, 1.0), 0.4]
+        assert rates[0] * 3.0 == rates[1] * 3.0 and rates[2] * 3.0 == rates[3] * 3.0
+        acceptance = AcceptanceEstimator()
+        acceptance.set_history("w", rates)
+        pricer = MaximumExpectedRevenuePricer(
+            acceptance, grid_steps=1, max_breakpoints=3
+        )
+        snapshot = acceptance.snapshot(["w"])
+        expected = [3.0, 0.1 * 3.0, 0.2 * 3.0, 0.4 * 3.0]
+        assert pricer._candidate_payments(3.0, snapshot) == expected
+        oracle = _candidate_payments_reference(pricer, 3.0, snapshot)
+        assert sorted(oracle) == sorted(expected)
 
 
 def _golden_scenario():
