@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.experiments.harness import ExperimentConfig
+from repro.workloads.synthetic import RADIUS_SWEEP, REQUEST_SWEEP, WORKER_SWEEP
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.01"))
 BENCH_SEEDS = int(os.environ.get("REPRO_BENCH_SEEDS", "2"))
@@ -40,16 +41,19 @@ def bench_experiment_config() -> ExperimentConfig:
     )
 
 
+#: Fig.-5 axis -> Table IV's full sweep grid.
+FIGURE_SWEEPS = {
+    "requests": REQUEST_SWEEP,
+    "workers": WORKER_SWEEP,
+    "radius": RADIUS_SWEEP,
+}
+
+#: Points of each grid the default (reduced) sweep keeps: the heaviest
+#: |R| and |W| tails are dropped; rad's five points are all kept.
+REDUCED_SWEEP_POINTS = 5
+
+
 def figure_sweep(axis: str) -> tuple:
     """The sweep grid for one Fig.-5 axis (truncated unless BENCH_FULL)."""
-    full = {
-        "requests": (500, 1000, 2500, 5000, 10_000, 20_000, 50_000, 100_000),
-        "workers": (100, 200, 500, 1000, 2500, 5000, 10_000, 20_000),
-        "radius": (0.5, 1.0, 1.5, 2.0, 2.5),
-    }
-    reduced = {
-        "requests": (500, 1000, 2500, 5000, 10_000),
-        "workers": (100, 200, 500, 1000, 2500),
-        "radius": (0.5, 1.0, 1.5, 2.0, 2.5),
-    }
-    return full[axis] if BENCH_FULL else reduced[axis]
+    full = FIGURE_SWEEPS[axis]
+    return full if BENCH_FULL else full[:REDUCED_SWEEP_POINTS]

@@ -72,7 +72,7 @@ from repro.experiments import (
     run_algorithm,
     run_city_table,
     run_comparison,
-    run_figure5_panel,
+    run_figure5_axis,
 )
 
 __version__ = "1.0.0"
@@ -104,6 +104,6 @@ __all__ = [
     "run_algorithm",
     "run_comparison",
     "run_city_table",
-    "run_figure5_panel",
+    "run_figure5_axis",
     "__version__",
 ]

@@ -16,7 +16,7 @@
 from repro.experiments.metrics import AlgorithmMetrics, average_metrics
 from repro.experiments.harness import ExperimentConfig, run_algorithm, run_comparison
 from repro.experiments.tables import TableResult, run_city_table
-from repro.experiments.figures import FigurePanel, run_figure5_panel
+from repro.experiments.figures import FigurePanel, run_figure5_axis
 from repro.experiments.competitive import (
     CompetitiveRatioReport,
     adversarial_ratio,
@@ -36,7 +36,7 @@ __all__ = [
     "TableResult",
     "run_city_table",
     "FigurePanel",
-    "run_figure5_panel",
+    "run_figure5_axis",
     "CompetitiveRatioReport",
     "adversarial_ratio",
     "random_order_ratio",

@@ -9,8 +9,7 @@ Every run's matching is validated against the Definition-2.6 constraint
 checker (the executor checks every simulated run) — resilience must never
 buy revenue back by breaking the model.
 
-Used by ``benchmarks/bench_chaos.py`` and the ``com-repro chaos`` CLI
-subcommand.
+Run by ``benchmarks/bench_chaos.py``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The paper sweeps |R|, |W| and rad over the Table-IV grid and plots, for
 TOTA / DemCOM / RamCOM, four metrics: total revenue, average response
 time, memory cost, and the acceptance ratio of cooperative requests.  One
-:func:`run_figure5_panel` call regenerates one panel's data series.
+:func:`run_figure5_axis` call regenerates the four panels of one axis from
+a single sweep; ``run_figure5_axis(axis)[metric]`` is one panel.
 
 Panel map (axis x metric):
 
@@ -36,7 +37,7 @@ from repro.workloads.synthetic import (
     WORKER_SWEEP,
 )
 
-__all__ = ["FigurePanel", "run_figure5_panel", "run_figure5_axis", "PANEL_IDS"]
+__all__ = ["FigurePanel", "run_figure5_axis", "PANEL_IDS"]
 
 #: (axis, metric) -> paper panel letter.
 PANEL_IDS = {
@@ -111,26 +112,6 @@ def _metric_of(row: AlgorithmMetrics, metric: str) -> float:
     raise ConfigurationError(f"unknown figure metric {metric!r}")
 
 
-def run_figure5_panel(
-    axis: str,
-    metric: str,
-    values: tuple | None = None,
-    base: SyntheticWorkloadConfig | None = None,
-    config: ExperimentConfig | None = None,
-    algorithms: list[str] | None = None,
-) -> FigurePanel:
-    """Regenerate one Fig.-5 panel.
-
-    ``axis`` is ``"requests"``, ``"workers"`` or ``"radius"``; ``metric``
-    is ``"revenue"``, ``"time"``, ``"memory"`` or ``"acceptance"``.  The
-    non-swept parameters stay at Table IV's defaults (|R|=2500, |W|=500,
-    rad=1.0, real values) unless overridden via ``base``.
-    """
-    if axis in _AXES and (axis, metric) not in PANEL_IDS:
-        raise KeyError(f"unknown figure metric {metric!r}")
-    return run_figure5_axis(axis, values, base, config, algorithms)[metric]
-
-
 def run_figure5_axis(
     axis: str,
     values: tuple | None = None,
@@ -140,10 +121,12 @@ def run_figure5_axis(
 ) -> dict[str, FigurePanel]:
     """Regenerate all four panels of one Fig.-5 row from a single sweep.
 
-    The paper plots revenue, response time, memory and acceptance ratio
-    over the *same* runs; computing them together quarters the sweep cost.
-    Every field of ``base`` but the swept one carries into each scenario.
-    Returns ``{metric: FigurePanel}``.
+    ``axis`` is ``"requests"``, ``"workers"`` or ``"radius"``.  The paper
+    plots revenue, response time, memory and acceptance ratio over the
+    *same* runs, so one sweep yields all four.  The non-swept parameters
+    stay at Table IV's defaults (|R|=2500, |W|=500, rad=1.0) unless
+    ``base`` overrides them; every field of ``base`` but the swept one
+    carries into each scenario.  Returns ``{metric: FigurePanel}``.
     """
     if axis not in _AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}")

@@ -1,14 +1,10 @@
-"""Persist experiment results to disk (CSV / JSON).
+"""JSON-ready metric rows: the shape results are compared and reported in.
 
-The benches print tables; this module lets scripts and the CLI also save
-them under a results directory for downstream plotting — one file per
-artifact, named after the experiment id.
+:func:`metrics_to_dict` is the row ``bench/`` reports and the served,
+recovered and replayed runs compare against (:func:`golden_row`).
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.core.registry import algorithm_factory
 from repro.core.simulator import (
@@ -17,15 +13,9 @@ from repro.core.simulator import (
     Simulator,
     SimulatorConfig,
 )
-from repro.experiments.chaos import ChaosResult
-from repro.experiments.figures import FigurePanel
 from repro.experiments.metrics import AlgorithmMetrics
-from repro.experiments.tables import TableResult
 
 __all__ = [
-    "save_table",
-    "save_panel",
-    "save_chaos",
     "metrics_to_dict",
     "result_row",
     "golden_row",
@@ -72,53 +62,3 @@ def golden_row(
     return result_row(
         Simulator(config).run(scenario, algorithm_factory(algorithm))
     )
-
-
-def save_table(result: TableResult, directory: str | Path) -> Path:
-    """Write one regenerated table as JSON; returns the file path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"table_{result.table_id}_{result.pair}.json"
-    payload = {
-        "table_id": result.table_id,
-        "pair": result.pair,
-        "scale": result.scale,
-        "platform_ids": result.platform_ids,
-        "rows": [metrics_to_dict(row) for row in result.rows],
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
-
-
-def save_chaos(result: ChaosResult, directory: str | Path) -> Path:
-    """Write one fault sweep as JSON; returns the file path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    slug = result.scenario_name.replace("/", "-").replace(" ", "_")
-    path = directory / f"chaos_{slug}.json"
-    payload = {
-        "scenario": result.scenario_name,
-        "rows": [
-            {"fault_rate": row.fault_rate, **metrics_to_dict(row.metrics)}
-            for row in result.rows
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
-
-
-def save_panel(panel: FigurePanel, directory: str | Path) -> Path:
-    """Write one figure panel as CSV (x column + one column per series)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    slug = panel.panel_id.replace("(", "").replace(")", "")
-    path = directory / f"fig{slug}_{panel.metric}_vs_{panel.axis}.csv"
-    algorithms = list(panel.series.keys())
-    lines = [",".join([panel.axis] + algorithms)]
-    for index, x in enumerate(panel.x_values):
-        cells = [f"{x:g}"] + [
-            f"{panel.series[name][index]:.6g}" for name in algorithms
-        ]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-    return path

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG plumbing, timing, the memory-cost count,
 a sample quantile, plain-text table rendering, and the process-pool
-fan-out behind every ``--jobs`` flag.
+fan-out behind ``REPRO_BENCH_JOBS`` and ``lint --jobs``.
 
 These are the lowest layer of the library; nothing here imports from any
 other :mod:`repro` subpackage except :mod:`repro.errors`.
@@ -11,7 +11,6 @@ from repro.utils.stats import quantile
 from repro.utils.timer import Stopwatch, TimingAccumulator
 from repro.utils.memory import approximate_size_bytes
 from repro.utils.tables import TextTable, format_float, format_si
-from repro.utils.ascii_chart import AsciiChart, render_panel
 from repro.utils.jobs import resolve_jobs, starmap_jobs
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "TextTable",
     "format_float",
     "format_si",
-    "AsciiChart",
-    "render_panel",
     "resolve_jobs",
     "starmap_jobs",
 ]

@@ -2,30 +2,41 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Subcommands that no longer exist, each replaced by another front door:
+#: the service verbs by ``serve``/``replay``, the experiment verbs by the
+#: ``benchmarks/`` file that runs the same study, ``quickstart`` by
+#: ``examples/quickstart.py`` and ``algorithms`` by the usage error an
+#: unknown ``--algorithm`` gets.
+RETIRED_COMMANDS = [
+    "serve-cluster",
+    "replay-serve",
+    "replay-cluster",
+    "replay-events",
+    "table",
+    "figure",
+    "cr",
+    "chaos",
+    "sensitivity",
+    "ablation",
+    "reproduce",
+    "datasets",
+    "quickstart",
+    "algorithms",
+]
 
 
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_table_arguments(self):
-        args = build_parser().parse_args(["table", "V", "--scale", "0.01"])
-        assert args.command == "table"
-        assert args.table_id == "V"
-        assert args.scale == 0.01
-
-    def test_invalid_table_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table", "IX"])
-
-    def test_figure_arguments(self):
-        args = build_parser().parse_args(["figure", "radius", "acceptance"])
-        assert args.axis == "radius"
-        assert args.metric == "acceptance"
 
     def test_trace_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -73,20 +84,20 @@ class TestParser:
         assert args.log is None
 
     def test_shared_defaults_are_hoisted(self):
-        from repro.cli import DEFAULT_SERVICE_DURATION
-
-        table = build_parser().parse_args(["table", "V"])
-        replay = build_parser().parse_args(["replay"])
-        assert (
-            table.service_duration
-            == replay.service_duration
-            == DEFAULT_SERVICE_DURATION
+        from repro.cli import (
+            DEFAULT_DEMO_REQUESTS,
+            DEFAULT_DEMO_WORKERS,
+            DEFAULT_SERVICE_DURATION,
         )
 
-    @pytest.mark.parametrize(
-        "removed", ["serve-cluster", "replay-serve", "replay-cluster", "replay-events"]
-    )
-    def test_retired_service_commands_are_rejected(self, removed, capsys):
+        for command in ("serve", "replay", "soak"):
+            args = build_parser().parse_args([command])
+            assert args.service_duration == DEFAULT_SERVICE_DURATION
+            assert args.requests == DEFAULT_DEMO_REQUESTS
+            assert args.workers == DEFAULT_DEMO_WORKERS
+
+    @pytest.mark.parametrize("removed", RETIRED_COMMANDS)
+    def test_retired_commands_are_rejected(self, removed, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([removed])
         assert excinfo.value.code == 2
@@ -105,6 +116,10 @@ SINGLE_GATEWAY_FLAGS = [
     ["--dashboard", "0"],
     ["--dashboard-cell-km", "0.5"],
 ]
+
+
+#: The subcommands that take ``--algorithm``.
+ALGORITHM_COMMANDS = ["trace", "serve", "replay", "soak"]
 
 
 class TestUsageErrors:
@@ -130,6 +145,8 @@ class TestUsageErrors:
             ["replay", "--log", "run.comevt", "--events", "out.comevt"],
             ["replay", "--log", "run.comevt", "--snapshot-at", "5"],
             ["replay", "--log", "run.comevt", "--crash-shard", "0"],
+            *([command, "--algorithm", "nope"] for command in ALGORITHM_COMMANDS),
+            ["replay", "--log", "run.comevt", "--algorithm", "off"],
         ],
         ids=" ".join,
     )
@@ -142,7 +159,7 @@ class TestUsageErrors:
         def handler_ran(_args):
             raise AssertionError("the command handler ran")
 
-        for command in ("serve", "replay"):
+        for command in ALGORITHM_COMMANDS:
             monkeypatch.setitem(repro.cli._COMMANDS, command, handler_ran)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -153,61 +170,23 @@ class TestUsageErrors:
         assert len(errors) == 1 and errors[0].startswith("com-repro: error:")
         if argv[:3] == ["serve", "--shards", "2"]:
             assert "one gateway only" in errors[0]
+        if "--algorithm" in argv:
+            from repro.core.registry import available_algorithms
+
+            assert f"available: {', '.join(available_algorithms())}" in errors[0]
+
+    @pytest.mark.parametrize("spelling", ["RamCOM", "DEMCOM", "Greedy-RT", "tota"])
+    def test_algorithm_names_are_case_insensitive(self, spelling, monkeypatch):
+        import repro.cli
+
+        ran = []
+        for command in ALGORITHM_COMMANDS:
+            monkeypatch.setitem(repro.cli._COMMANDS, command, ran.append)
+            main([command, "--algorithm", spelling])
+        assert [args.algorithm for args in ran] == [spelling] * len(ALGORITHM_COMMANDS)
 
 
 class TestCommands:
-    def test_datasets(self, capsys):
-        assert main(["datasets"]) == 0
-        out = capsys.readouterr().out
-        assert "RDC10" in out and "91321" in out
-
-    def test_algorithms(self, capsys):
-        assert main(["algorithms"]) == 0
-        out = capsys.readouterr().out
-        for name in ("demcom", "ramcom", "tota"):
-            assert name in out
-
-    def test_table_small(self, capsys):
-        assert (
-            main(
-                [
-                    "table",
-                    "VII",
-                    "--scale",
-                    "0.003",
-                    "--seeds",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Table VII" in out
-        assert "RamCOM" in out
-
-    def test_figure_small(self, capsys):
-        assert (
-            main(
-                [
-                    "figure",
-                    "workers",
-                    "revenue",
-                    "--values",
-                    "10,20",
-                    "--seeds",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Fig. 5(e)" in out
-
-    def test_cr_random_order(self, capsys):
-        assert main(["cr", "tota", "--trials", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "random-order" in out
-
     @pytest.mark.parametrize(
         "flags, scale, expected",
         [
@@ -296,3 +275,33 @@ class TestCommands:
         assert any(e.get("ph") == "X" for e in chrome["traceEvents"])
         metrics = json.loads((output / "metrics.json").read_text())
         assert "decisions_total" in metrics["counters"]
+
+
+#: Where a documented ``com-repro <verb>`` invocation can live.
+REPO = Path(__file__).resolve().parent.parent
+DOCUMENTED_INVOCATIONS = [
+    REPO / "README.md",
+    REPO / "DESIGN.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    *sorted(path for path in (REPO / "examples").iterdir() if path.is_file()),
+    REPO / ".github" / "workflows" / "ci.yml",
+]
+_INVOCATION = re.compile(r"(?:\bcom-repro|-m repro(?:\.cli)?)(?:[ \t]|\\\n)+([a-z][\w-]*)")
+
+
+def test_documented_invocations_name_live_commands():
+    """Every ``com-repro <verb>`` / ``python -m repro.cli <verb>`` in the
+    docs, examples and CI workflow names a subcommand the parser accepts."""
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    live = set(subparsers.choices)
+    stale = [
+        f"{path.relative_to(REPO)}: {match.group(1)}"
+        for path in DOCUMENTED_INVOCATIONS
+        for match in _INVOCATION.finditer(path.read_text(encoding="utf-8"))
+        if match.group(1) not in live
+    ]
+    assert stale == []

@@ -14,7 +14,6 @@ import repro
 import repro.graph.hopcroft_karp
 import repro.graph.maxflow
 import repro.graph.mincostflow
-import repro.utils.ascii_chart
 import repro.utils.memory
 import repro.utils.rng
 
@@ -23,7 +22,6 @@ MODULES = [
     repro.graph.hopcroft_karp,
     repro.graph.maxflow,
     repro.graph.mincostflow,
-    repro.utils.ascii_chart,
     repro.utils.memory,
     repro.utils.rng,
 ]

@@ -19,7 +19,7 @@ from repro.experiments import (
     run_algorithm,
     run_city_table,
     run_comparison,
-    run_figure5_panel,
+    run_figure5_axis,
 )
 from repro.experiments.ablation import (
     run_cooperation_ablation,
@@ -169,24 +169,27 @@ class TestFigures:
 
     def test_unknown_axis_raises(self):
         with pytest.raises(ConfigurationError):
-            run_figure5_panel("speed", "revenue")
+            run_figure5_axis("speed")
 
     def test_unknown_metric_raises(self):
+        base = SyntheticWorkloadConfig(request_count=40, worker_count=16, city_km=4.0)
+        panels = run_figure5_axis(
+            "requests", values=(40,), base=base, config=TINY_CONFIG, algorithms=["tota"]
+        )
         with pytest.raises(KeyError):
-            run_figure5_panel("requests", "happiness")
+            panels["happiness"]
 
     def test_tiny_panel(self):
         base = SyntheticWorkloadConfig(
             request_count=60, worker_count=20, city_km=4.0
         )
-        panel = run_figure5_panel(
+        panel = run_figure5_axis(
             "requests",
-            "revenue",
             values=(40, 80),
             base=base,
             config=TINY_CONFIG,
             algorithms=["tota", "ramcom"],
-        )
+        )["revenue"]
         assert panel.panel_id == "5(a)"
         assert panel.x_values == [40.0, 80.0]
         assert len(panel.series["tota"]) == 2
@@ -198,14 +201,13 @@ class TestFigures:
         base = SyntheticWorkloadConfig(
             request_count=40, worker_count=16, city_km=4.0
         )
-        panel = run_figure5_panel(
+        panel = run_figure5_axis(
             "radius",
-            "acceptance",
             values=(1.0,),
             base=base,
             config=TINY_CONFIG,
             algorithms=["ramcom"],
-        )
+        )["acceptance"]
         assert panel.value("ramcom", 1.0) == panel.series["ramcom"][0]
 
 

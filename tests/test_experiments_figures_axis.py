@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig
-from repro.experiments.figures import run_figure5_axis, run_figure5_panel
+from repro.experiments.figures import run_figure5_axis
 from repro.experiments.harness import run_comparison
 from repro.workloads import SyntheticWorkload, SyntheticWorkloadConfig
 
@@ -41,16 +41,6 @@ class TestRunFigure5Axis:
         with pytest.raises(ConfigurationError):
             run_figure5_axis("altitude")
 
-    def test_consistent_with_single_panel_runner(self):
-        """The shared sweep produces exactly the per-panel runner's data
-        (same seeds, same scenarios)."""
-        kwargs = dict(
-            values=(1.0,), base=BASE, config=TINY, algorithms=["tota", "demcom"]
-        )
-        shared = run_figure5_axis("radius", **kwargs)
-        single = run_figure5_panel("radius", "revenue", **kwargs)
-        assert shared["revenue"].series == single.series
-
     def test_sweep_keeps_every_base_field(self):
         """A swept scenario is ``base`` with only the axis field replaced,
         so a worker shift in ``base`` reaches every point of the sweep."""
@@ -58,11 +48,8 @@ class TestRunFigure5Axis:
         kwargs = dict(values=(1.0,), base=shifted, config=TINY, algorithms=["tota"])
         scenario = SyntheticWorkload(replace(shifted, radius_km=1.0)).build(seed=11)
         expected = run_comparison(scenario, ["tota"], TINY)[0].total_revenue
-        unshifted = run_figure5_panel("radius", "revenue", **dict(kwargs, base=BASE))
+        unshifted = run_figure5_axis("radius", **dict(kwargs, base=BASE))["revenue"]
         assert unshifted.series["tota"] != [expected]
-        assert run_figure5_panel("radius", "revenue", **kwargs).series["tota"] == [
-            expected
-        ]
         assert run_figure5_axis("radius", **kwargs)["revenue"].series["tota"] == [
             expected
         ]

@@ -1,18 +1,11 @@
-"""Tests for result persistence and the new CLI subcommands."""
+"""Tests for the JSON-ready metric rows."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.cli import main
-from repro.experiments import ExperimentConfig, run_city_table, run_figure5_panel
 from repro.experiments.metrics import AlgorithmMetrics
-from repro.experiments.reporting import metrics_to_dict, save_panel, save_table
-from repro.workloads import SyntheticWorkloadConfig
-
-TINY = ExperimentConfig(seeds=(0,))
+from repro.experiments.reporting import metrics_to_dict
 
 
 class TestMetricsToDict:
@@ -28,89 +21,3 @@ class TestMetricsToDict:
         text = json.dumps(payload)
         assert json.loads(text)["algorithm"] == "X"
         assert json.loads(text)["acceptance_ratio"] is None
-
-
-class TestSaveTable:
-    def test_writes_json(self, tmp_path):
-        result = run_city_table("VII", scale=0.003, config=TINY)
-        path = save_table(result, tmp_path)
-        assert path.exists()
-        payload = json.loads(path.read_text())
-        assert payload["table_id"] == "VII"
-        assert len(payload["rows"]) == 4
-        algorithms = {row["algorithm"] for row in payload["rows"]}
-        assert algorithms == {"OFF", "TOTA", "DemCOM", "RamCOM"}
-
-    def test_creates_directory(self, tmp_path):
-        result = run_city_table("VII", scale=0.003, config=TINY)
-        nested = tmp_path / "a" / "b"
-        path = save_table(result, nested)
-        assert path.parent == nested
-
-
-class TestSavePanel:
-    def test_writes_csv(self, tmp_path):
-        base = SyntheticWorkloadConfig(request_count=40, worker_count=16, city_km=4.0)
-        panel = run_figure5_panel(
-            "radius",
-            "revenue",
-            values=(1.0, 2.0),
-            base=base,
-            config=TINY,
-            algorithms=["tota"],
-        )
-        path = save_panel(panel, tmp_path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "radius,tota"
-        assert len(lines) == 3
-        assert path.name == "fig5i_revenue_vs_radius.csv"
-
-
-class TestCliSubcommands:
-    def test_sensitivity_command(self, capsys):
-        assert main(["sensitivity", "occupation", "--seeds", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Sensitivity — service_duration" in out
-
-    def test_ablation_command(self, capsys):
-        assert main(["ablation", "payment-accuracy", "--seeds", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Ablation" in out
-
-    def test_table_output_flag(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "table",
-                    "VII",
-                    "--scale",
-                    "0.003",
-                    "--seeds",
-                    "1",
-                    "--output",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert (tmp_path / "table_VII_xian-nov.json").exists()
-
-    def test_figure_output_flag(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "figure",
-                    "radius",
-                    "acceptance",
-                    "--values",
-                    "1.0",
-                    "--seeds",
-                    "1",
-                    "--output",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        saved = list(tmp_path.glob("*.csv"))
-        assert len(saved) == 1

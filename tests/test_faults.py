@@ -465,34 +465,3 @@ class TestTimingSamplesAccessor:
         assert samples == [0.1, 0.2, 0.3]
         samples.append(99.0)
         assert acc.samples() == [0.1, 0.2, 0.3]
-
-
-class TestChaosCLI:
-    def test_chaos_subcommand_runs_and_saves(self, tmp_path, capsys):
-        from repro.cli import main
-
-        exit_code = main(
-            [
-                "chaos",
-                "--rates",
-                "0,0.6",
-                "--seeds",
-                "1",
-                "--requests",
-                "60",
-                "--workers",
-                "24",
-                "--output",
-                str(tmp_path),
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "Chaos sweep" in output
-        saved = list(tmp_path.glob("chaos_*.json"))
-        assert len(saved) == 1
-        import json
-
-        payload = json.loads(saved[0].read_text())
-        assert {row["fault_rate"] for row in payload["rows"]} == {0.0, 0.6}
-        assert all("degraded_decisions" in row for row in payload["rows"])
