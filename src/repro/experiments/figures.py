@@ -94,11 +94,6 @@ class FigurePanel:
             table.add_row(row)
         return table.render()
 
-    def value(self, algorithm: str, x: float) -> float:
-        """Look up one data point."""
-        index = self.x_values.index(x)
-        return self.series[algorithm][index]
-
 
 def _metric_of(row: AlgorithmMetrics, metric: str) -> float:
     if metric == "revenue":

@@ -129,12 +129,16 @@ class CapacitatedAssignment:
             # machine or the source job)
             parent: dict[int, tuple[int, int]] = {}
             heap: list[tuple[float, int, int, int]] = []
+            # machine -> smallest (distance, via machine, via job) pushed; only
+            # a smaller key is pushed, so each first pop is as if all were.
+            best: dict[int, tuple[float, int, int]] = {}
             for machine in machines_of(source_job):
                 reduced = (
                     edge_cost(source_job, machine)
                     - potential_job[source_job]
                     - potential_machine[machine]
                 )
+                best[machine] = (reduced, -1, source_job)
                 heapq.heappush(heap, (reduced, machine, -1, source_job))
             free_machine = -1
             free_distance = math.inf
@@ -158,10 +162,12 @@ class CapacitatedAssignment:
                             - potential_job[job]
                             - potential_machine[next_machine]
                         )
-                        heapq.heappush(
-                            heap,
-                            (distance + reduced, next_machine, machine, job),
-                        )
+                        key = (distance + reduced, machine, job)
+                        known = best.get(next_machine)
+                        if known is not None and known <= key:
+                            continue
+                        best[next_machine] = key
+                        heapq.heappush(heap, (key[0], next_machine, machine, job))
             if free_machine == -1:  # pragma: no cover - dummy guarantees a path
                 raise GraphError("no augmenting path; dummy sink missing?")
 

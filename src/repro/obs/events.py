@@ -56,9 +56,11 @@ import os
 import struct
 import time
 import zlib
+from _json import make_encoder
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO
 
@@ -104,6 +106,20 @@ OPS_KINDS = frozenset({"breaker", "metrics", "crash", "recovered"})
 _ENVELOPE_KEYS = frozenset({"kind", "seq", "time"})
 
 
+def json_encoder(key_separator: str, item_separator: str) -> make_encoder:
+    """The C encoder ``json.dumps(..., sort_keys=True)`` builds per call,
+    built once: ``"".join(encoder(payload, 0))`` is ``json.dumps``'s text.
+    With no circular-reference markers, a cycle raises ``RecursionError``."""
+    return make_encoder(
+        markers=None, default=json.JSONEncoder().default, encoder=encode_basestring_ascii,
+        indent=None, key_separator=key_separator, item_separator=item_separator,
+        sort_keys=True, skipkeys=False, allow_nan=True,
+    )
+
+
+_CANONICAL_ENCODER = json_encoder(":", ",")
+
+
 def encode_canonical(payload: object) -> bytes:
     """The one true event/row encoding: sorted keys, compact separators.
 
@@ -111,7 +127,7 @@ def encode_canonical(payload: object) -> bytes:
     projections, metric-row digests) goes through this single encoder so
     there is exactly one way to serialise a record.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return "".join(_CANONICAL_ENCODER(payload, 0)).encode()
 
 
 def row_digest(row: dict) -> str:
@@ -477,11 +493,11 @@ class EventLog(EventSink):
             return
         if self.guard is not None:
             self.guard.check()
-        if _ENVELOPE_KEYS & fields.keys():
+        if not _ENVELOPE_KEYS.isdisjoint(fields):
             raise EventLogError(
                 f"event fields may not shadow the envelope: {sorted(_ENVELOPE_KEYS & fields.keys())}"
             )
-        event = GatewayEvent(seq=self.next_seq, kind=kind, time=at, fields=fields)
+        event = GatewayEvent(self.next_seq, kind, at, fields)
         self.next_seq += 1
         self.emitted += 1
         if self._file is not None:

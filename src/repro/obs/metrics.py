@@ -54,29 +54,41 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 )
 
 
-def _label_key(labels: dict[str, str]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+def _label_key(labels: dict[str, str], keys: dict[tuple, LabelKey]) -> LabelKey:
+    """The key of ``labels``, remembered in a family's ``keys`` when every
+    label and value is an exact ``str``: a ``str`` never equals a number,
+    so ``trips=1`` and ``trips=True`` miss and keep their own series."""
+    items = tuple(labels.items())
+    try:
+        return keys[items]
+    except (KeyError, TypeError):  # a new set, or an unhashable value
+        pass
+    key = tuple(sorted((str(k), str(v)) for k, v in items))
+    if all(type(k) is type(v) is str for k, v in items):
+        keys[items] = key
+    return key
 
 
 class Counter:
     """A monotonically increasing sum per label set."""
 
-    __slots__ = ("name", "_series")
+    __slots__ = ("name", "_series", "_keys")
 
     def __init__(self, name: str):
         self.name = name
         self._series: dict[LabelKey, float] = {}
+        self._keys: dict[tuple, LabelKey] = {}
 
     def inc(self, value: float = 1.0, **labels: str) -> None:
         """Add ``value`` (must be >= 0) to the labelled series."""
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({value})")
-        key = _label_key(labels)
+        key = _label_key(labels, self._keys)
         self._series[key] = self._series.get(key, 0.0) + value
 
     def value(self, **labels: str) -> float:
         """Current value of one labelled series (0.0 if never touched)."""
-        return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(_label_key(labels, self._keys), 0.0)
 
     def series(self) -> dict[LabelKey, float]:
         """All series, keyed by sorted label tuples."""
@@ -91,24 +103,25 @@ class Gauge:
     semantics for levels like waiting-worker counts or bytes held.
     """
 
-    __slots__ = ("name", "_series")
+    __slots__ = ("name", "_series", "_keys")
 
     def __init__(self, name: str):
         self.name = name
         self._series: dict[LabelKey, float] = {}
+        self._keys: dict[tuple, LabelKey] = {}
 
     def set(self, value: float, **labels: str) -> None:
         """Set the labelled series to ``value``."""
-        self._series[_label_key(labels)] = float(value)
+        self._series[_label_key(labels, self._keys)] = float(value)
 
     def add(self, delta: float, **labels: str) -> None:
         """Adjust the labelled series by ``delta``."""
-        key = _label_key(labels)
+        key = _label_key(labels, self._keys)
         self._series[key] = self._series.get(key, 0.0) + delta
 
     def value(self, **labels: str) -> float:
         """Current value of one labelled series (0.0 if never set)."""
-        return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(_label_key(labels, self._keys), 0.0)
 
     def series(self) -> dict[LabelKey, float]:
         """All series, keyed by sorted label tuples."""
@@ -141,7 +154,7 @@ class _HistogramSeries:
 class Histogram:
     """A bucketed distribution per label set (cumulative on snapshot)."""
 
-    __slots__ = ("name", "bounds", "_series")
+    __slots__ = ("name", "bounds", "_series", "_keys")
 
     def __init__(self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS):
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
@@ -149,10 +162,11 @@ class Histogram:
         self.name = name
         self.bounds = tuple(bounds)
         self._series: dict[LabelKey, _HistogramSeries] = {}
+        self._keys: dict[tuple, LabelKey] = {}
 
     def observe(self, value: float, **labels: str) -> None:
         """Record one observation in the labelled series."""
-        key = _label_key(labels)
+        key = _label_key(labels, self._keys)
         series = self._series.get(key)
         if series is None:
             series = _HistogramSeries(len(self.bounds))
@@ -161,12 +175,12 @@ class Histogram:
 
     def count(self, **labels: str) -> int:
         """Observation count of one labelled series."""
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(_label_key(labels, self._keys))
         return series.count if series is not None else 0
 
     def sum(self, **labels: str) -> float:
         """Observation sum of one labelled series."""
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(_label_key(labels, self._keys))
         return series.total if series is not None else 0.0
 
     def series(self) -> dict[LabelKey, _HistogramSeries]:
@@ -205,7 +219,7 @@ class MetricsSnapshot:
 
     def counter_value(self, name: str, **labels: str) -> float:
         """One counter series' value (0.0 when absent)."""
-        wanted = [list(pair) for pair in _label_key(labels)]
+        wanted = [list(pair) for pair in _label_key(labels, {})]
         for entry in self.counters.get(name, []):
             if entry["labels"] == wanted:
                 return entry["value"]

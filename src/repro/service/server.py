@@ -57,10 +57,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from collections import deque
 
 from repro.errors import InducedCrash, ReproError, ServiceError
+from repro.obs.events import json_encoder
 from repro.service.gateway import _GROUP_COMMIT_MAX, MatchingGateway
+from repro.service.journal import _plain
 
 # Entity codecs live in repro.service.wire (shared with the journal);
 # re-exported here for backward compatibility.
@@ -96,11 +99,43 @@ PIPELINE_WINDOW = _GROUP_COMMIT_MAX
 PIPELINED_VERBS = ("request", "worker", "shed")
 
 
+_ENCODER = json_encoder(": ", ", ")
+_ANSWER_KEYS = frozenset(("ok", "outcome", "verb"))
+_OUTCOME_KEYS = frozenset(("latency_ms", "payment", "request_id", "status", "worker_id"))
+
+
 def encode_response(response: dict) -> bytes:
     """Frame one JSONL protocol line — a response, or a request line for
     a raw client (shared with modules that must not serialize next to
-    event-sink code themselves)."""
-    return json.dumps(response, sort_keys=True).encode() + b"\n"
+    event-sink code themselves).  A ``request`` line's answer is written
+    directly, in the encoder's bytes; other shapes, and values to escape
+    or not finite, go to the encoder."""
+    outcome = response.get("outcome")
+    if (
+        response.keys() == _ANSWER_KEYS
+        and response["ok"] is True
+        and response["verb"] == "request"
+        and type(outcome) is dict
+        and outcome.keys() == _OUTCOME_KEYS
+    ):
+        latency, payment = outcome["latency_ms"], outcome["payment"]
+        request_id, status = outcome["request_id"], outcome["status"]
+        worker = outcome["worker_id"]
+        if (
+            type(latency) is type(payment) is float
+            and math.isfinite(latency + payment)  # inf and nan propagate
+            and type(request_id) is type(status) is str
+            and (worker is None or type(worker) is str)
+            and _plain(f"{request_id}{status}{worker or ''}")
+        ):
+            worker = "null" if worker is None else f'"{worker}"'
+            return (
+                f'{{"ok": true, "outcome": {{"latency_ms": {latency!r}, '
+                f'"payment": {payment!r}, "request_id": "{request_id}", '
+                f'"status": "{status}", "worker_id": {worker}}}, '
+                f'"verb": "request"}}\n'
+            ).encode()
+    return "".join(_ENCODER(response, 0)).encode() + b"\n"
 
 
 #: Verb slot of a line that is not a JSON object; its "payload" is the
@@ -124,11 +159,11 @@ def _parse(line: bytes) -> tuple[object, dict]:
 class _Responder:
     """Writes one connection's pipelined answers strictly in line order.
 
-    Every dispatched line pushes its answer future; whenever one
-    completes, the ready prefix is written in one ``write``.  A failed or
-    cancelled answer (a kill point fired, or the loop is shutting down)
-    silences the connection for good: a dead process answers nothing
-    further.
+    Every dispatched line pushes its answer future; only the oldest has
+    a done callback, which writes the ready prefix in one ``write``.  A
+    failed or cancelled answer (a kill point fired, or the loop is
+    shutting down) silences the connection for good: a dead process
+    answers nothing further.
     """
 
     __slots__ = ("_writer", "_pending", "_waiter", "_silent")
@@ -140,8 +175,9 @@ class _Responder:
         self._silent = False
 
     def push(self, answer: asyncio.Future) -> None:
+        if not self._pending:
+            answer.add_done_callback(self._flush)
         self._pending.append(answer)
-        answer.add_done_callback(self._flush)
 
     async def below(self, depth: int) -> None:
         """Return once fewer than ``depth`` answers are outstanding."""
@@ -158,6 +194,8 @@ class _Responder:
                 self._silent = True
             elif not self._silent:
                 chunks.append(encode_response(answer.result()))
+        if pending:
+            pending[0].add_done_callback(self._flush)
         if chunks and not self._silent and not self._writer.is_closing():
             self._writer.write(b"".join(chunks))
         waiter = self._waiter
@@ -249,10 +287,12 @@ class JsonlServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         responder = _Responder(writer)
+        transport = writer.transport
         while line := await reader.readline():
             verb, payload = _parse(line)
             if verb in PIPELINED_VERBS:
-                await responder.below(PIPELINE_WINDOW)
+                if len(responder._pending) >= PIPELINE_WINDOW:
+                    await responder.below(PIPELINE_WINDOW)
                 # The task runs its submit up to the enqueue before any
                 # later line's task starts (tasks start in creation order
                 # and the gateway enqueues synchronously), so jobs reach
@@ -264,7 +304,9 @@ class JsonlServer:
                 await responder.below(1)
                 response = await self._answer(verb, payload)
                 writer.write(encode_response(response))
-            await writer.drain()
+            # Only a backed-up or closing transport has a drain to wait for.
+            if transport.get_write_buffer_size() or transport.is_closing():
+                await writer.drain()
         # End of input (possibly a half-close): answer what was read.
         await responder.below(1)
 

@@ -197,19 +197,6 @@ class TestFigures:
         assert panel.series["tota"][1] >= panel.series["tota"][0]
         assert "Fig. 5(a)" in panel.render()
 
-    def test_radius_panel_value_lookup(self):
-        base = SyntheticWorkloadConfig(
-            request_count=40, worker_count=16, city_km=4.0
-        )
-        panel = run_figure5_axis(
-            "radius",
-            values=(1.0,),
-            base=base,
-            config=TINY_CONFIG,
-            algorithms=["ramcom"],
-        )["acceptance"]
-        assert panel.value("ramcom", 1.0) == panel.series["ramcom"][0]
-
 
 class TestCompetitive:
     def _micro_scenario(self):

@@ -45,6 +45,34 @@ class TestCounter:
         counter.inc(a="1", b="2")
         assert counter.value(b="2", a="1") == 1.0
 
+    def test_label_values_keep_their_series(self):
+        # 1 == True == 1.0 and they hash alike, but str() tells them apart;
+        # resolving a label set once must not merge their series.
+        counter = MetricsRegistry().counter("c")
+        for _ in range(2):
+            counter.inc(trips=1)
+            counter.inc(trips=True)
+            counter.inc(trips=1.0)
+            counter.inc(trips="1")
+            counter.inc(b="2", a="1")
+            counter.inc(a="1", b="2")
+        assert counter.series() == {
+            (("trips", "1"),): 4.0,
+            (("trips", "True"),): 2.0,
+            (("trips", "1.0"),): 2.0,
+            (("a", "1"), ("b", "2")): 4.0,
+        }
+
+    def test_unhashable_label_value_still_records(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc(tags=["x", "y"])
+        registry.counter("c").inc(tags=["x", "y"])
+        registry.gauge("g").set(3, tags={"k": 1})
+        registry.histogram("h").observe(0.5, tags=["x"])
+        assert registry.counter("c").series() == {(("tags", "['x', 'y']"),): 2.0}
+        assert registry.gauge("g").value(tags={"k": 1}) == 3.0
+        assert registry.histogram("h").count(tags=["x"]) == 1
+
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
             MetricsRegistry().counter("c").inc(-1.0)

@@ -48,9 +48,30 @@ def first_payload(blob: bytes) -> bytes:
     return blob[start:start + length]
 
 
+#: JSON documents with the values records carry, and the ones the encoder
+#: must escape or spell out: quotes, control and non-ASCII characters,
+#: signed zeros, subnormals, infinities and NaN.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e300, float("inf"), float("nan")])
+    | st.text(alphabet='ab"\\\x00\x1f\x7fé\U0001f600', max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestEncoding:
     def test_encode_canonical_is_sorted_and_compact(self):
         assert encode_canonical({"b": 1, "a": [2, 3]}) == b'{"a":[2,3],"b":1}'
+
+    @given(payload=_JSON)
+    def test_encode_canonical_matches_json_dumps(self, payload):
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert encode_canonical(payload) == expected.encode()
 
     def test_row_digest_is_order_independent(self):
         assert row_digest({"a": 1, "b": 2}) == row_digest({"b": 2, "a": 1})

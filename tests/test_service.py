@@ -17,6 +17,7 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Simulator, SimulatorConfig
 from repro.core.events import EventKind
@@ -45,6 +46,8 @@ from repro.service import (
     worker_from_wire,
     worker_to_wire,
 )
+from repro.service import server as server_module
+from repro.service.server import encode_response
 from repro.service.snapshot import EncodedScenario
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticWorkloadConfig
 
@@ -220,6 +223,90 @@ class TestWireCodecs:
         payload = request_to_wire(make_request())
         del payload["t"]
         assert request_from_wire(payload, 9.0).arrival_time == 9.0
+
+
+#: Ids, statuses and workers, with the characters JSON escapes: quotes,
+#: backslashes, control characters, DEL and non-ASCII text.
+_WIRE_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='ab"\\\x00\x1f\x7f\u00e9\u2028\U0001f600', max_size=6),
+    st.sampled_from(["r-17", "serve_inner", "w-3", ""]),
+)
+_WIRE_FLOAT = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 2.2e-308, 1e300, -1e300, 1.7976931348623157e308]
+    ),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_OUTCOMES = st.fixed_dictionaries(
+    {
+        "request_id": _WIRE_TEXT,
+        "status": _WIRE_TEXT,
+        "worker_id": st.none() | _WIRE_TEXT,
+        "payment": _WIRE_FLOAT,
+        "latency_ms": _WIRE_FLOAT,
+    }
+)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _WIRE_FLOAT | _WIRE_TEXT
+)
+#: Answers of other shapes, which must take the encoder: other verbs,
+#: extra or missing keys, and outcome fields of other types.
+_OTHER_RESPONSES = st.one_of(
+    st.fixed_dictionaries(
+        {"ok": st.just(True), "verb": st.just("worker"), "worker_id": _WIRE_TEXT}
+    ),
+    st.fixed_dictionaries(
+        {"ok": st.just(False), "verb": st.just("request"), "error": _WIRE_TEXT}
+    ),
+    st.fixed_dictionaries(
+        {"ok": st.just(True), "verb": st.just("request"), "outcome": _OUTCOMES},
+        optional={"extra": _JSON_SCALARS},
+    ),
+    st.fixed_dictionaries(
+        {
+            "ok": st.sampled_from([True, 1, False]),
+            "verb": st.sampled_from(["request", "shed", None]),
+            "outcome": st.none()
+            | st.dictionaries(
+                st.sampled_from(
+                    ["request_id", "status", "worker_id", "payment", "latency_ms"]
+                ),
+                _JSON_SCALARS,
+            ),
+        }
+    ),
+)
+
+
+def _json_dumps_line(response: dict) -> bytes:
+    return json.dumps(response, sort_keys=True).encode() + b"\n"
+
+
+class TestResponseEncoding:
+    @settings(max_examples=500)
+    @given(outcome=_OUTCOMES)
+    def test_request_answers_match_json_dumps(self, outcome):
+        response = {"ok": True, "verb": "request", "outcome": outcome}
+        assert encode_response(response) == _json_dumps_line(response)
+
+    @given(response=_OTHER_RESPONSES)
+    def test_other_answers_match_json_dumps(self, response):
+        assert encode_response(response) == _json_dumps_line(response)
+
+    def test_plain_request_answer_skips_the_encoder(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the encoder was called")
+
+        monkeypatch.setattr(server_module, "_ENCODER", fail)
+        outcome = ServiceOutcome("r-1", "serve_outer", "w-2", 3.25, 0.5)
+        response = {"ok": True, "verb": "request", "outcome": outcome.as_dict()}
+        assert encode_response(response) == _json_dumps_line(response)
+        with pytest.raises(AssertionError, match="encoder"):
+            encode_response(
+                {**response, "outcome": {**outcome.as_dict(), "payment": 3}}
+            )
 
 
 class TestGatewayEquivalence:
