@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.rules import RULES, Rule
-from repro.utils.jobs import starmap_jobs
 
 __all__ = ["Violation", "lint_source", "lint_file", "lint_paths", "iter_python_files"]
 
@@ -1088,38 +1087,19 @@ def iter_python_files(paths: list[Path]) -> list[Path]:
     return sorted(collected)
 
 
-def _lint_one_file(
-    filename: str, label: str, rules: dict[str, Rule] | None
-) -> list[Violation]:
-    """Lint one file by name (module-level so the ``--jobs`` fan-out can
-    pickle it)."""
-    return lint_source(Path(filename).read_text(encoding="utf-8"), label, rules)
-
-
 def lint_paths(
     paths: list[Path],
     root: Path | None = None,
     rules: dict[str, Rule] | None = None,
-    jobs: int | None = 1,
 ) -> list[Violation]:
-    """Lint every python file under ``paths``; sorted, deterministic.
-
-    ``jobs`` fans files out through :func:`repro.utils.jobs.starmap_jobs`
-    (``None``/``0`` means one worker per CPU).  Each file is an
-    independent unit and the merged report is re-sorted, so the result is
-    byte-identical to a serial run at any worker count.  A custom
-    ``rules`` mapping may not pickle, so it lints in-process.
-    """
+    """Lint every python file under ``paths``; sorted, deterministic."""
     if root is None:
         root = Path.cwd()
-    arguments = [
-        (str(path), _label_for(path, root), rules)
+    violations = [
+        violation
         for path in iter_python_files(paths)
+        for violation in lint_file(path, root, rules)
     ]
-    per_file = starmap_jobs(
-        _lint_one_file, arguments, jobs if rules is None else 1
-    )
-    violations = [violation for found in per_file for violation in found]
     return sorted(
         violations, key=lambda v: (v.path, v.line, v.column, v.rule_id)
     )

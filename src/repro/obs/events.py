@@ -33,9 +33,8 @@ restarts mid-stream numbering never disturbs) and any ``wall`` field
 (reserved for wall-clock payloads).
 
 On disk the stream is a :class:`RecordFile` — the one framed format the
-event log, the ``COMWAL1`` journal (:mod:`repro.service.journal`) and
-merged cluster recordings share: a magic header, then CRC32-framed
-records.  A torn final frame is truncated on :meth:`EventLog.resume`;
+event log and the ``COMWAL1`` journal (:mod:`repro.service.journal`)
+share: a magic header, then CRC32-framed records.  A torn final frame is truncated on :meth:`EventLog.resume`;
 corruption anywhere earlier raises :class:`~repro.errors.EventLogError`.
 
 The write path mirrors the :class:`~repro.obs.probe.Probe` seam:
@@ -264,9 +263,9 @@ def read_events(path: str | Path) -> list[GatewayEvent]:
 
 
 class RecordFile:
-    """The one on-disk log format, shared by the event log, the journal
-    and merged cluster recordings: a ``magic`` header, then per record a
-    big-endian ``u32`` length and CRC32 and the payload, one event in
+    """The one on-disk log format, shared by the event log and the
+    journal: a ``magic`` header, then per record a big-endian ``u32``
+    length and CRC32 and the payload, one event in
     :func:`encode_canonical` form with ``seq`` contiguous from 0.
 
     :meth:`append` buffers a frame and :meth:`commit` writes the buffer

@@ -11,18 +11,10 @@ a raw connection may keep up to
 the answers in line order (``repro.experiments.service_bench`` drives
 its ``tcp`` section that way).
 
-Pass a :class:`~repro.faults.RetryPolicy` as ``reconnect`` and the
-client survives a server crash/restart transparently: a dropped
-connection, refused reconnect, or stalled call (``call_timeout_s`` per
-attempt) triggers exponential, seeded-jitter backoff and a fresh
-connection, and the call is re-sent.  Re-sending is safe against a
-*journaled* gateway — request/worker submissions are idempotent there
-(duplicate ids are answered from the durable outcome log, never
-re-applied); against an unjournaled gateway the retry of a ``request``
-or ``worker`` verb may double-apply, so only enable ``reconnect`` for
-deployments running with a write-ahead journal.  Backoff jitter comes
-from a :func:`~repro.utils.rng.derive_rng` stream, keeping retry
-schedules a pure function of ``(reconnect_seed, attempt)``.
+A transport failure surfaces as a :class:`ServiceError`; the client
+does not reconnect.  A crashed server is recovered from its journal
+(:func:`~repro.service.recovery.recover_gateway`) and the caller
+resubmits, as the soak harness does.
 
 :func:`drive_trace` streams any :class:`~repro.core.events.EventStream`
 — synthetic scenarios from :mod:`repro.workloads` or traces loaded with
@@ -40,62 +32,30 @@ import json
 from repro.core.entities import Request, Worker
 from repro.core.events import EventKind, EventStream
 from repro.errors import ServiceError
-from repro.faults.plan import RetryPolicy
 from repro.service.clock import ServiceClock
 from repro.service.gateway import ServiceOutcome
 from repro.service.wire import request_to_wire, worker_to_wire
-from repro.utils.rng import derive_rng
 
 __all__ = ["GatewayClient", "drive_trace"]
 
 
 class GatewayClient:
-    """One TCP connection to a :class:`MatchingServer`.
+    """One TCP connection to a :class:`MatchingServer`."""
 
-    With ``reconnect=None`` (the default) a transport failure surfaces
-    as a :class:`ServiceError` immediately — the pre-journal behaviour.
-    With a :class:`RetryPolicy` the client reconnects and retries per
-    the policy before giving up.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        reconnect: RetryPolicy | None = None,
-        reconnect_seed: int = 0,
-    ):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.reconnect = reconnect
-        self._rng = derive_rng(reconnect_seed, "service.client.reconnect")
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._lock = asyncio.Lock()
-        #: Successful reconnections performed (observability for drills).
-        self.reconnects = 0
 
     async def connect(self) -> "GatewayClient":
         """Open the connection (idempotent); returns ``self``."""
         if self._writer is None:
-            await self._open()
-        return self
-
-    async def _open(self) -> None:
-        connector = asyncio.open_connection(self.host, self.port)
-        if self.reconnect is not None:
-            self._reader, self._writer = await asyncio.wait_for(
-                connector, self.reconnect.call_timeout_s
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port
             )
-        else:
-            self._reader, self._writer = await connector
-
-    def _drop(self) -> None:
-        """Forget a (possibly poisoned) connection without waiting."""
-        if self._writer is not None:
-            self._writer.close()
-        self._reader = None
-        self._writer = None
+        return self
 
     async def close(self) -> None:
         """Close the connection."""
@@ -127,51 +87,19 @@ class GatewayClient:
             )
         return json.loads(line)
 
-    async def _call_with_reconnect(self, data: bytes, verb: str) -> dict:
-        policy = self.reconnect
-        assert policy is not None
-        last_error: Exception | None = None
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                # Jittered exponential backoff from a derived stream: the
-                # schedule is reproducible, the thundering herd is not.
-                await asyncio.sleep(policy.backoff_for(attempt - 1, self._rng))
-            try:
-                if self._writer is None:
-                    await self._open()
-                    if attempt:
-                        self.reconnects += 1
-                return await asyncio.wait_for(
-                    self._roundtrip(data, verb), policy.call_timeout_s
-                )
-            except (OSError, asyncio.TimeoutError) as error:
-                # Connection refused / reset / EOF / stalled call: the
-                # connection is unusable (a late response would desync
-                # the request/response pairing) — drop it and retry.
-                last_error = error
-                self._drop()
-        raise ServiceError(
-            f"{verb!r} failed after {policy.max_attempts} attempts "
-            f"(reconnect exhausted)"
-        ) from last_error
-
     async def call(self, verb: str, **fields: object) -> dict:
         """Send one ``{"verb": ...}`` line and await its response line.
 
         Raises :class:`ServiceError` when the server answers
-        ``"ok": false``, or when the transport fails (after exhausting
-        the ``reconnect`` policy, if one is configured).
+        ``"ok": false``, or when the server closes the connection.
         """
         payload = {"verb": verb, **fields}
         data = json.dumps(payload, sort_keys=True).encode() + b"\n"
         async with self._lock:
-            if self.reconnect is not None:
-                response = await self._call_with_reconnect(data, verb)
-            else:
-                try:
-                    response = await self._roundtrip(data, verb)
-                except ConnectionResetError as error:
-                    raise ServiceError(str(error)) from error
+            try:
+                response = await self._roundtrip(data, verb)
+            except ConnectionResetError as error:
+                raise ServiceError(str(error)) from error
         if not response.get("ok"):
             raise ServiceError(
                 f"{verb} failed: {response.get('error', 'unknown error')}"

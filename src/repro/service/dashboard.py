@@ -84,11 +84,6 @@ class LiveState:
         self.drained = False
         self.last_time = 0.0
         self.events_seen = 0
-        #: Shard count declared by a cluster stream's meta event (1 for
-        #: a single-gateway stream).
-        self.shards = 1
-        #: Shard ids whose own drain event has been folded.
-        self.shards_drained: set[int] = set()
 
     def _cell_of(self, x: float, y: float) -> str:
         return f"{math.floor(x / self.cell_km)},{math.floor(y / self.cell_km)}"
@@ -168,20 +163,8 @@ class LiveState:
             self.crashes += 1
         elif kind == "recovered":
             self.recoveries += 1
-        elif kind == "meta":
-            self.shards = max(1, int(event.fields.get("shards", 1)))
         elif kind == "drain":
-            # A merged cluster stream carries one drain per shard (each
-            # annotated with its shard id) plus a final cluster drain (no
-            # shard annotation).  The world is drained when every shard
-            # is — one shard's drain must not read as the whole cluster's.
-            shard = event.fields.get("shard")
-            if shard is None:
-                self.drained = True
-            else:
-                self.shards_drained.add(int(shard))
-                if len(self.shards_drained) >= self.shards:
-                    self.drained = True
+            self.drained = True
 
     def as_dict(self) -> dict:
         """JSON-ready world view (the ``/state`` body's ``world`` key)."""
@@ -198,8 +181,6 @@ class LiveState:
             "crashes": self.crashes,
             "recoveries": self.recoveries,
             "drained": self.drained,
-            "shards": self.shards,
-            "shards_drained": sorted(self.shards_drained),
             "last_time": self.last_time,
             "events_seen": self.events_seen,
         }

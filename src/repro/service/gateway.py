@@ -219,11 +219,6 @@ class MatchingGateway:
         if self._monitor is not None:
             self._monitor.attach_registry(self.registry)
         self.result: SimulationResult | None = None
-        #: Cluster territory summary (set by repro.cluster builders on
-        #: shard gateways; None for a standalone deployment).  Surfaced
-        #: through the ``stats`` verb so GatewayClient.stats() shows
-        #: which slice of the world this gateway owns.
-        self.shard_info: dict | None = None
         self._outcomes: dict[str, ServiceOutcome] = {}
         self._queue: asyncio.Queue | None = None
         self._loop_task: asyncio.Task | None = None
@@ -1027,7 +1022,6 @@ class MatchingGateway:
             "running": self.running,
             "crashed": self.crash_error is not None,
             "drained": self.result is not None,
-            "shard": self.shard_info,
             "pending": self._queue.qsize() if self._queue is not None else 0,
             "decided": pooled_count,
             "clock": {"virtual": self.clock.virtual, "now": self.clock.now()},

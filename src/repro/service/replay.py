@@ -3,20 +3,10 @@
 A recorded event log is not just telemetry — its canonical projection is
 a complete record of the run: every arrival (inputs) and every decision,
 resolution and shed (outputs), in decision-loop order.
-:func:`replay_event_log` re-drives the recorded arrivals through fresh
-:class:`~repro.service.gateway.MatchingGateway` instances (in-process, or
-each behind its own loopback JSONL/TCP server with ``tcp=True``) while
-capturing the replaying gateways' own event streams.
-
-The recording says what shape it has.  A single gateway's stream is one
-substream.  A merged cluster recording (:mod:`repro.cluster.recording`)
-carries ``shards`` and the shard plan in its ``meta`` event and
-annotates every canonical event with its shard: replay splits it back
-into per-shard substreams, re-drives each through its own gateway, and
-merges the regenerated streams and rows with the same deterministic key
-the live cluster used.  Shards are independent state machines, so they
-replay one at a time — the merged order restricted to one shard is that
-shard's original submission order.
+:func:`replay_event_log` re-drives the recorded arrivals through a fresh
+:class:`~repro.service.gateway.MatchingGateway` (in-process, or behind a
+loopback JSONL/TCP server with ``tcp=True``) while capturing the
+replaying gateway's own event stream.
 
 Three identities are checked:
 
@@ -25,13 +15,11 @@ Three identities are checked:
    stream recorded across crash→recover cycles compares equal to its
    uninterrupted replay — "byte-identical modulo crash markers");
 2. **row** — the replayed metrics row reproduces the digest of the
-   recording's own ``drain`` event (the cluster ``drain`` for a merged
-   recording) *and*, for an unsharded shed-free recording, the row
-   computed by an uninterrupted
+   recording's own ``drain`` event *and*, for a shed-free recording, the
+   row computed by an uninterrupted
    :meth:`~repro.core.simulator.Simulator.run` of the same scenario;
 3. **meta** — the stream's ``meta`` event names this engine's schema,
-   algorithm, scenario and platforms, and a sharded recording's plan
-   agrees with its shard count; replaying a foreign stream raises
+   algorithm, scenario and platforms; replaying a foreign stream raises
    :class:`~repro.errors.ServiceError` instead of diverging quietly.
 
 Journal records are ``COMEVT1`` events too, so the arrival decoder
@@ -50,7 +38,6 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.entities import Request, Worker
 from repro.core.registry import algorithm_factory
@@ -71,9 +58,6 @@ from repro.obs.events import (
 from repro.service.clock import VirtualClock
 from repro.service.gateway import STATUS_SHED, MatchingGateway, ServiceOutcome
 from repro.service.wire import request_from_wire, worker_from_wire
-
-if TYPE_CHECKING:
-    from repro.cluster.plan import ShardPlan
 
 __all__ = [
     "REDRIVE_VERBS",
@@ -111,8 +95,6 @@ class ReplayReport:
 
     #: ``"in-process"`` or ``"tcp"``.
     mode: str
-    #: Shard gateways re-driven (1 for a single-gateway recording).
-    shards: int
     #: Total events in the recorded stream (ops markers included).
     recorded_events: int
     #: Canonical events in the recorded stream (the compared subset).
@@ -138,7 +120,6 @@ class ReplayReport:
     def as_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "shards": self.shards,
             "recorded_events": self.recorded_events,
             "canonical_events": self.canonical_events,
             "workers": self.workers,
@@ -250,37 +231,15 @@ def validate_meta(
     return meta
 
 
-def _shard_plan(meta: GatewayEvent, path: Path) -> ShardPlan | None:
-    """The embedded shard plan of a merged cluster recording, or ``None``
-    for a single-gateway stream."""
-    shards = meta.fields.get("shards")
-    if shards is None:
-        return None
-    from repro.cluster.plan import ShardPlan
-
-    plan_payload = meta.fields.get("plan")
-    if not isinstance(plan_payload, dict):
-        raise ServiceError(
-            f"{path}: meta says {shards} shards but carries no shard plan"
-        )
-    plan = ShardPlan.from_dict(plan_payload)
-    if plan.shard_count != shards:
-        raise ServiceError(
-            f"{path}: meta says {shards} shards but the embedded plan has "
-            f"{plan.shard_count}"
-        )
-    return plan
-
-
 async def _redrive(
-    substream: list[GatewayEvent],
+    recorded: list[GatewayEvent],
     scenario: Scenario,
     algorithm: str,
     config: SimulatorConfig,
     tcp: bool,
     counts: Counter[str],
 ) -> tuple[list[GatewayEvent], dict]:
-    """Re-drive one substream through a fresh gateway.
+    """Re-drive a recording's arrivals through a fresh gateway.
 
     Returns the gateway's own event stream (recorded into an unbounded
     in-memory ring — the comparison object) and its drained row;
@@ -305,7 +264,7 @@ async def _redrive(
         else:
             await gateway.start()
         target = client if client is not None else gateway
-        for kind, entity, __ in recorded_arrivals(substream, scenario):
+        for kind, entity, __ in recorded_arrivals(recorded, scenario):
             clock.advance_to(entity.arrival_time)
             counts[kind] += 1
             await getattr(target, REDRIVE_VERBS[kind])(entity)
@@ -331,8 +290,7 @@ async def replay_event_log(
 
     The scenario/algorithm/config must be the ones the recording ran
     (the synthetic-workload CLI flags regenerate them from the same
-    seed); the shard count and plan come from the recording itself.
-    ``tcp=True`` puts every replaying gateway behind its own loopback
+    seed).  ``tcp=True`` puts the replaying gateway behind a loopback
     :class:`~repro.service.server.MatchingServer` — same engine, plus
     wire codec coverage.  Raises :class:`~repro.errors.ServiceError`
     when the stream is foreign to the deployment; byte-divergence is
@@ -341,42 +299,17 @@ async def replay_event_log(
     path = Path(path)
     config = config or SimulatorConfig()
     recorded = read_events(path)
-    meta = validate_meta(
+    validate_meta(
         recorded,
         scenario,
         algorithm_factory(algorithm).name,
         EVENT_FORMAT,
         path,
     )
-    plan = _shard_plan(meta, path)
-
-    if plan is None:
-        substreams = [recorded]
-    else:
-        from repro.cluster.recording import shard_streams_of
-
-        substreams = shard_streams_of(recorded, plan.shard_count)
     counts: Counter[str] = Counter()
-    streams: list[list[GatewayEvent]] = []
-    rows: list[dict] = []
-    for substream in substreams:
-        stream, row = await _redrive(
-            substream, scenario, algorithm, config, tcp, counts
-        )
-        streams.append(stream)
-        rows.append(row)
-
-    if plan is None:
-        replayed, row = streams[0], rows[0]
-    else:
-        from repro.cluster.recording import (
-            final_statuses_of,
-            merge_shard_streams,
-        )
-        from repro.cluster.router import merge_rows
-
-        row = merge_rows(rows, final_statuses_of(recorded))
-        replayed = merge_shard_streams(streams, plan, row)
+    replayed, row = await _redrive(
+        recorded, scenario, algorithm, config, tcp, counts
+    )
 
     recorded_canonical = [
         event for event in recorded if event.kind in CANONICAL_KINDS
@@ -385,26 +318,20 @@ async def replay_event_log(
         replayed
     ) == canonical_projection(recorded_canonical)
 
-    # The recording's own drain — the one no shard annotates, i.e. the
-    # cluster drain of a merged recording — seals the original run's
-    # row digest; the replayed row must reproduce it.
+    # The recording's own drain seals the original run's row digest;
+    # the replayed row must reproduce it.
     recorded_drain = next(
-        (
-            event
-            for event in reversed(recorded)
-            if event.kind == "drain" and "shard" not in event.fields
-        ),
+        (event for event in reversed(recorded) if event.kind == "drain"),
         None,
     )
     row_identical = recorded_drain is not None and row_digest(
         row
     ) == recorded_drain.fields.get("metrics_sha256")
-    if row_identical and plan is None and counts["shed"] == 0:
-        # Independent anchor (only meaningful for single-gateway,
-        # shed-free recordings — shed requests never reach the batch
-        # engine, and a cluster row is not one engine's row): the
-        # replayed row must also equal ``Simulator.run`` on the same
-        # trace, the repo's golden-row invariant.
+    if row_identical and counts["shed"] == 0:
+        # Independent anchor (only meaningful for shed-free recordings —
+        # shed requests never reach the batch engine): the replayed row
+        # must also equal ``Simulator.run`` on the same trace, the repo's
+        # golden-row invariant.
         from repro.experiments.reporting import golden_row
 
         row_identical = encode_canonical(row) == encode_canonical(
@@ -413,7 +340,6 @@ async def replay_event_log(
 
     return ReplayReport(
         mode="tcp" if tcp else "in-process",
-        shards=plan.shard_count if plan is not None else 1,
         recorded_events=len(recorded),
         canonical_events=len(recorded_canonical),
         workers=counts["worker"],

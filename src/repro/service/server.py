@@ -75,7 +75,6 @@ from repro.service.wire import (
 )
 
 __all__ = [
-    "JsonlServer",
     "MatchingServer",
     "DEFAULT_HOST",
     "PIPELINE_WINDOW",
@@ -147,7 +146,7 @@ def _parse(line: bytes) -> tuple[object, dict]:
     """A line's verb and payload (see :data:`_MALFORMED`)."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError or UnicodeDecodeError
         problem = f"bad JSON: {error}"
     else:
         if isinstance(payload, dict):
@@ -203,24 +202,29 @@ class _Responder:
             waiter.set_result(None)
 
 
-class JsonlServer:
-    """The JSONL/TCP listener and connection loop of every front door.
+# -- the server --------------------------------------------------------------
 
-    Subclasses answer verbs in :meth:`_dispatch`.  With :attr:`pipelined`
-    set, each connection reads ahead and answers in order (see the
-    module docstring); without it, one line is answered before the next
-    is read.
-    """
 
-    #: Read ahead up to :data:`PIPELINE_WINDOW` lines per connection.
-    pipelined = True
+class MatchingServer:
+    """Serves a :class:`MatchingGateway` over JSONL/TCP, pipelined."""
 
-    def __init__(self, host: str = DEFAULT_HOST, port: int = 0):
+    def __init__(
+        self,
+        gateway: MatchingGateway,
+        host: str = DEFAULT_HOST,
+        port: int = 0,
+    ):
         self.host = host
         self.port = port
+        self.gateway = gateway
         self._server: asyncio.base_events.Server | None = None
         #: Open connections and the tasks serving them.
         self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        # Fail-stop plumbing: when the gateway dies (induced kill point or
+        # real engine failure), drop every connection and the listener so
+        # clients observe exactly what a killed process looks like — EOF
+        # mid-call, connection refused afterwards.
+        gateway.on_crash = self._on_gateway_crash
 
     @property
     def address(self) -> tuple[str, int]:
@@ -231,15 +235,22 @@ class JsonlServer:
         host, port = sock.getsockname()[:2]
         return host, port
 
-    async def _listen(self) -> tuple[str, int]:
+    async def start(self) -> tuple[str, int]:
+        """Start the gateway and the listener; returns the bound address.
+
+        ``port=0`` (the default) binds an ephemeral port — read it back
+        from the return value.
+        """
+        await self.gateway.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         return self.address
 
-    async def _close(self) -> None:
-        """Close the listener, drop every connection, and wait for their
-        handlers, so none is left to be cancelled mid-read."""
+    async def stop(self) -> None:
+        """Close the listener, drop every connection and wait for their
+        handlers (so none is left to be cancelled mid-read), then stop
+        the gateway."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -248,6 +259,16 @@ class JsonlServer:
         for writer in list(self._connections):
             writer.transport.abort()
         await asyncio.gather(*handlers, return_exceptions=True)
+        await self.gateway.stop()
+
+    def _on_gateway_crash(self, error: BaseException) -> None:
+        """Tear the transport down like the process died (sync, in-loop)."""
+        if self._server is not None:
+            self._server.close()
+            self._server = None
+        for writer in list(self._connections):
+            writer.transport.abort()
+        self._connections.clear()
 
     async def serve_forever(self) -> None:
         """Block serving connections until cancelled."""
@@ -256,9 +277,6 @@ class JsonlServer:
         assert self._server is not None
         await self._server.serve_forever()
 
-    async def start(self) -> tuple[str, int]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -266,13 +284,7 @@ class JsonlServer:
         assert task is not None
         self._connections[writer] = task
         try:
-            if self.pipelined:
-                await self._serve_pipelined(reader, writer)
-            else:
-                while line := await reader.readline():
-                    response = await self._answer(*_parse(line))
-                    writer.write(encode_response(response))
-                    await writer.drain()
+            await self._serve_pipelined(reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-write; nothing to answer
         except InducedCrash:
@@ -315,67 +327,12 @@ class JsonlServer:
             return payload
         try:
             return await self._dispatch(verb, payload)
-        except InducedCrash as error:
-            return self._crash_answer(verb, error)
+        except InducedCrash:
+            # A dead process cannot answer: never downgrade a kill point
+            # to an error answer.
+            raise
         except (ReproError, ValueError, TypeError) as error:
             return {"ok": False, "verb": verb, "error": str(error)}
-
-    def _crash_answer(self, verb: object, error: InducedCrash) -> dict:
-        """Answer to a line whose call hit a kill point.
-
-        A single gateway never downgrades a kill point to an error
-        answer — a dead process cannot answer — so this re-raises.
-        """
-        raise error
-
-    async def _dispatch(  # pragma: no cover - abstract
-        self, verb: object, payload: dict
-    ) -> dict:
-        raise NotImplementedError
-
-
-# -- the server --------------------------------------------------------------
-
-
-class MatchingServer(JsonlServer):
-    """Serves a :class:`MatchingGateway` over JSONL/TCP, pipelined."""
-
-    def __init__(
-        self,
-        gateway: MatchingGateway,
-        host: str = DEFAULT_HOST,
-        port: int = 0,
-    ):
-        super().__init__(host, port)
-        self.gateway = gateway
-        # Fail-stop plumbing: when the gateway dies (induced kill point or
-        # real engine failure), drop every connection and the listener so
-        # clients observe exactly what a killed process looks like — EOF
-        # mid-call, connection refused afterwards.
-        gateway.on_crash = self._on_gateway_crash
-
-    async def start(self) -> tuple[str, int]:
-        """Start the gateway and the listener; returns the bound address.
-
-        ``port=0`` (the default) binds an ephemeral port — read it back
-        from the return value.
-        """
-        await self.gateway.start()
-        return await self._listen()
-
-    async def stop(self) -> None:
-        """Close the listener and the connections, then stop the gateway."""
-        await self._close()
-        await self.gateway.stop()
-
-    def _on_gateway_crash(self, error: BaseException) -> None:
-        """Tear the transport down like the process died (sync, in-loop)."""
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        for writer in list(self._connections):
-            writer.transport.abort()
-        self._connections.clear()
 
     async def _dispatch(self, verb: object, payload: dict) -> dict:
         gateway = self.gateway

@@ -235,38 +235,6 @@ def test_cli_lint_exit_codes(tmp_path, monkeypatch, capsys) -> None:
     assert "DET004" in capsys.readouterr().out
 
 
-def test_jobs_fanout_matches_serial() -> None:
-    serial = lint_paths([FIXTURES], root=FIXTURES)
-    fanned = lint_paths([FIXTURES], root=FIXTURES, jobs=2)
-    assert fanned == serial
-    # jobs=0 means "one worker per core"; the report must not change.
-    assert lint_paths([FIXTURES], root=FIXTURES, jobs=0) == serial
-
-
-def test_negative_jobs_is_a_config_error() -> None:
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        lint_paths([FIXTURES], root=FIXTURES, jobs=-1)
-
-
-def test_cli_lint_jobs_flag(tmp_path, monkeypatch, capsys) -> None:
-    target = tmp_path / "pkg"
-    target.mkdir()
-    (target / "bad.py").write_text(
-        "def f(x):\n    return hash(x)\n", encoding="utf-8"
-    )
-    (target / "worse.py").write_text(
-        "import random\nSTREAM = random.Random()\n", encoding="utf-8"
-    )
-    monkeypatch.chdir(tmp_path)
-
-    assert main(["lint", "pkg"]) == 1
-    serial_out = capsys.readouterr().out
-    assert main(["lint", "--jobs", "2", "pkg"]) == 1
-    assert capsys.readouterr().out == serial_out
-
-
 def test_cli_lint_src_is_clean() -> None:
     repo_root = Path(__file__).parents[1]
     violations = lint_paths([repo_root / "src"], root=repo_root)

@@ -1,8 +1,8 @@
 """The engine never imports numpy.
 
 numpy is an optional test/analysis dependency (pyproject's ``test``
-extra), never a runtime one: the engine, the service and the cluster are
-pure Python (DESIGN.md).  pytest's own plugins may already have imported
+extra), never a runtime one: the engine and the service are pure Python
+(DESIGN.md).  pytest's own plugins may already have imported
 numpy into this process, so the check runs in a fresh interpreter that
 imports only the package.
 """
@@ -19,7 +19,6 @@ REPO_ROOT = Path(__file__).parents[1]
 _SCRIPT = """
 import sys
 
-import repro.cluster
 import repro.core
 import repro.service
 from repro.core import Simulator, SimulatorConfig
